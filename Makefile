@@ -14,10 +14,14 @@ test:
 # warm/cold differential suites — the pipeline's cancellation/parallel
 # paths, the canonicalization property tests backing the cache keys, and
 # the distributed runtime's chaos and anytime-partial differential suites,
-# including the real-socket TCP transport and coordinator suites).
+# including the real-socket TCP transport and coordinator suites). The
+# -cpu leg reruns the pipeline and serving suites at three GOMAXPROCS
+# values, because the server derives its default Workers/Parallelism from
+# it: no test outcome may depend on the host's CPU count.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/server/ ./internal/core/ ./internal/wal/
+	$(GO) test -cpu 1,2,4 ./internal/core/ ./internal/server/
 	$(GO) test -race -run 'Canonical' ./internal/pattern/
 	$(GO) test -race -run 'Chaos|Partial|SharedCache|Coordinator|RankServer|DialGroup' ./internal/dist/...
 

@@ -160,7 +160,7 @@ func MatchParallelContext(ctx context.Context, g *Graph, t *Template, opts Optio
 // from the exact template, the edit distance grows one deletion at a time
 // until the first matches appear or opts.EditDistance is exhausted.
 func Explore(g *Graph, t *Template, opts Options) (*ExploreResult, error) {
-	return core.RunTopDown(g, t, opts)
+	return core.RunTopDownContext(context.Background(), g, t, opts)
 }
 
 // ExploreContext is Explore honoring ctx (see MatchContext).
@@ -179,7 +179,7 @@ type FlipResult = core.FlipResult
 // MatchFlips searches t and every single-edge-flip variant (one optional
 // edge swapped for an absent edge, §3.1's flip extension) exactly.
 func MatchFlips(g *Graph, t *Template, opts Options) (*FlipResult, error) {
-	return core.MatchFlips(g, t, opts)
+	return core.MatchFlipsContext(context.Background(), g, t, opts)
 }
 
 // MatchFlipsContext is MatchFlips honoring ctx (see MatchContext).
@@ -209,7 +209,10 @@ type (
 	// DistConfig shapes the simulated deployment (ranks, ranks per node,
 	// delegate threshold).
 	DistConfig = dist.Config
-	// DistOptions tune the distributed pipeline.
+	// DistOptions tune the distributed pipeline: an embedded Options plus
+	// the runtime's own Rebalance and ShrinkToRanks. Options fields the
+	// distributed runtime cannot honour (Restrict, NoSymmetry, NoGuards, a
+	// private CacheBytes cap) are rejected, not ignored.
 	DistOptions = dist.Options
 	// DistResult is the distributed run's output; solutions are bit-exact
 	// with Match's.
@@ -299,7 +302,7 @@ func TranslateDeltaToInternal(g *Graph, d *Delta) *Delta {
 // opts must use the same EditDistance and CountMatches as prev's run. The
 // returned DeltaStats reports how local the maintenance was.
 func MatchIncremental(prev *Result, newG *Graph, changed []VertexID, opts Options) (*Result, *DeltaStats, error) {
-	return core.RunIncremental(prev, newG, changed, opts)
+	return core.RunIncrementalContext(context.Background(), prev, newG, changed, opts)
 }
 
 // MatchIncrementalContext is MatchIncremental honoring ctx (see

@@ -105,7 +105,7 @@ func TestMatchDistributedAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewDistEngine(g, DistConfig{Ranks: 3, RanksPerNode: 2})
-	dres, err := MatchDistributed(e, tp, DistOptions{EditDistance: 1, WorkRecycling: true})
+	dres, err := MatchDistributed(e, tp, DistOptions{Config: Options{EditDistance: 1, WorkRecycling: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

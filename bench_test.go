@@ -7,6 +7,7 @@ package approxmatch
 // times) are attached via b.ReportMetric.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -170,7 +171,7 @@ func BenchmarkFig8Scenarios(b *testing.B) {
 	b.Run("Z-parallel", func(b *testing.B) {
 		cfg := core.Config{EditDistance: k, LabelPairRefinement: true, WorkRecycling: true, FrequencyOrdering: true}
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RunParallel(g, tpl, cfg, 8); err != nil {
+			if _, err := core.RunParallelContext(context.Background(), g, tpl, cfg, 8); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -313,7 +314,7 @@ func BenchmarkUseCaseExploratory(b *testing.B) {
 	g := benchWDC()
 	tpl := datagen.WDC4()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunTopDown(g, tpl, core.DefaultConfig(4))
+		res, err := core.RunTopDownContext(context.Background(), g, tpl, core.DefaultConfig(4))
 		if err != nil {
 			b.Fatal(err)
 		}

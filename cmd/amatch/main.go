@@ -170,17 +170,7 @@ func main() {
 
 	if *ranks > 0 {
 		e := approxmatch.NewDistEngine(g, approxmatch.DistConfig{Ranks: *ranks})
-		dopts := approxmatch.DistOptions{
-			EditDistance:        *k,
-			WorkRecycling:       true,
-			FrequencyOrdering:   true,
-			LabelPairRefinement: true,
-			CountMatches:        *count,
-			Rebalance:           true,
-			Workers:             *workers,
-			CompactBelow:        *compactBelow,
-			Budget:              approxmatch.Budget{MaxWork: *maxWork, MaxBytes: *maxBytes},
-		}
+		dopts := approxmatch.DistOptions{Config: opts, Rebalance: true}
 		res, err := approxmatch.MatchDistributedContext(ctx, e, t, dopts)
 		if err != nil && (res == nil || !res.Partial) {
 			fatalQuery(err, *timeout)

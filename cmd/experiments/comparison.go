@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -127,7 +128,7 @@ func expFig8(w io.Writer, quick bool) {
 	yLevel := run(y)
 	zLevel := map[int]time.Duration{}
 	{
-		res, err := core.RunParallel(g, tpl, y, 8)
+		res, err := core.RunParallelContext(context.Background(), g, tpl, y, 8)
 		if err != nil {
 			panic(err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -85,7 +86,7 @@ func expWDC4(w io.Writer, quick bool) {
 		panic(err)
 	}
 	_ = set
-	protoSet, err := core.RunTopDown(g, tpl, core.DefaultConfig(4))
+	protoSet, err := core.RunTopDownContext(context.Background(), g, tpl, core.DefaultConfig(4))
 	if err != nil {
 		panic(err)
 	}

@@ -188,7 +188,7 @@ type redundancyCase struct {
 }
 
 // incrementalReport compares maintaining a query's result across a small
-// mutation batch (core.RunIncremental: two pipeline runs restricted to the
+// mutation batch (core.RunIncrementalContext: two pipeline runs restricted to the
 // dirty region) against recomputing from scratch on the mutated graph. The
 // incremental result is cross-checked bit-identical (Rho and per-prototype
 // match counts) before any time is reported; region_vertices records how
@@ -729,7 +729,7 @@ func benchIncremental(g *graph.Graph, tp *pattern.Template, k, reps int) increme
 	var incRes *core.Result
 	var stats *core.DeltaStats
 	inc := best(reps, func() {
-		incRes, stats, err = core.RunIncremental(prev, ng, changed, cfg)
+		incRes, stats, err = core.RunIncrementalContext(context.Background(), prev, ng, changed, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -18,10 +18,12 @@ import (
 // unfinished ones marked unknown.
 //
 // Charging stays off the hot path: work is charged in cancelInterval-sized
-// batches by the same amortized CancelCheck probes that poll cancellation,
-// byte charges happen only at the pipeline's few large allocation sites
-// (state clones, candidate masks, containment states, compacted views), and
-// the superstep kernels re-check the budget at each barrier merge.
+// batches by the same amortized CancelCheck probes that poll cancellation —
+// plus each probe's tail when it is released, at every superstep barrier and
+// at the end of every prototype search, right before the coordinator
+// re-checks the budget — and byte charges happen only at the pipeline's few
+// large allocation sites (state clones, candidate masks, containment states,
+// compacted views).
 
 // ErrBudgetExhausted is the sentinel for budget exhaustion, the sibling of
 // the context cancellation path: errors.Is(err, ErrBudgetExhausted) reports
@@ -245,8 +247,8 @@ func recoverBudgetAbort(err *error) {
 	panic(r)
 }
 
-// PanicError wraps a panic that escaped a pipeline worker goroutine. The
-// parallel entry points convert worker panics into this error instead of
+// PanicError wraps a panic raised inside a prototype search. The bottom-up
+// level driver converts it into this error at every width instead of
 // crashing the process, so one poisoned query cannot take down a server
 // hosting many (the serving layer maps it to a 500).
 type PanicError struct {

@@ -21,9 +21,11 @@ const cancelInterval = 256
 // so budget accounting rides the existing amortization for free: the hot
 // loops still only pay a local counter increment per tick.
 //
-// A CancelCheck is NOT safe for concurrent use: parallel prototype searches
-// must each Fork their own (forks share the underlying tracker, whose
-// counters are atomic).
+// A CancelCheck is NOT safe for concurrent use: every prototype search and
+// every superstep partition Forks its own (forks share the underlying
+// tracker, whose counters are atomic) and Releases it when its unit of work
+// ends, so the run's charge is the sum of its ticks regardless of how the
+// work was spread over goroutines.
 type CancelCheck struct {
 	ctx     context.Context
 	tracker *BudgetTracker
@@ -45,13 +47,29 @@ func NewCancelCheck(ctx context.Context) *CancelCheck {
 	return &CancelCheck{ctx: ctx, tracker: t}
 }
 
-// Fork returns an independent probe for the same context, for use by a
-// separate goroutine. Forks charge the same shared budget tracker.
+// Fork returns an independent probe for the same context, for use by one
+// unit of work that may run on another goroutine. Forks charge the same
+// shared budget tracker; whoever forks must Release the probe when the unit
+// ends, or the ticks since its last poll are never charged.
 func (c *CancelCheck) Fork() *CancelCheck {
 	if c == nil {
 		return nil
 	}
 	return &CancelCheck{ctx: c.ctx, tracker: c.tracker}
+}
+
+// Release drains the ticks counted since the probe's last poll into the
+// shared tracker. It never aborts — it is safe to defer on a path already
+// unwinding from an abort — so exhaustion it causes is observed by the next
+// Check on any probe of the run: the coordinator's at a superstep barrier or
+// level end. The probe stays usable; the superstep kernels Release their
+// partition probes at every barrier.
+func (c *CancelCheck) Release() {
+	if c == nil || c.tracker == nil || c.sinceCharge == 0 {
+		return
+	}
+	c.tracker.work.Add(int64(c.sinceCharge))
+	c.sinceCharge = 0
 }
 
 // Tick is called from hot loops; every cancelInterval-th call polls the
@@ -141,4 +159,18 @@ func RecoverCancel(err *error) {
 	default:
 		panic(r)
 	}
+}
+
+// guardedRun is the one prologue every pipeline entry point shares: it
+// applies the config's budget to ctx (unless the caller attached one), builds
+// the run's root probe, polls it once so a query with an already-expired
+// deadline or spent budget returns before any graph work starts, converts an
+// abort raised anywhere below into an ordinary error, and drains the root
+// probe's tail so the tracker reads the run's full charge afterwards.
+func guardedRun[R any](ctx context.Context, b Budget, run func(cc *CancelCheck) (R, error)) (res R, err error) {
+	cc := NewCancelCheck(withConfigBudget(ctx, b))
+	defer RecoverCancel(&err)
+	defer cc.Release()
+	cc.Check()
+	return run(cc)
 }

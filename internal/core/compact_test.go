@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -83,7 +84,8 @@ func TestCompactionDifferentialEdgeLabels(t *testing.T) {
 }
 
 // TestCompactionDifferentialModes runs the same invisibility check through
-// the other pipeline entry points: RunParallel, RunTopDown and MatchFlips.
+// the other pipeline entry points: RunParallelContext, RunTopDownContext and
+// MatchFlipsContext.
 func TestCompactionDifferentialModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	g := randomGraph(rng, 50, 140, 3)
@@ -95,21 +97,21 @@ func TestCompactionDifferentialModes(t *testing.T) {
 	on := off
 	on.CompactBelow = forceCompact
 
-	wantPar, err := RunParallel(g, tp, off, 3)
+	wantPar, err := RunParallelContext(context.Background(), g, tp, off, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotPar, err := RunParallel(g, tp, on, 3)
+	gotPar, err := RunParallelContext(context.Background(), g, tp, on, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameResult(t, wantPar, gotPar, "RunParallel")
 
-	wantTD, err := RunTopDown(g, tp, off)
+	wantTD, err := RunTopDownContext(context.Background(), g, tp, off)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTD, err := RunTopDown(g, tp, on)
+	gotTD, err := RunTopDownContext(context.Background(), g, tp, on)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +122,11 @@ func TestCompactionDifferentialModes(t *testing.T) {
 		t.Error("top-down MatchingVertices differ")
 	}
 
-	wantFl, err := MatchFlips(g, tp, off)
+	wantFl, err := MatchFlipsContext(context.Background(), g, tp, off)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotFl, err := MatchFlips(g, tp, on)
+	gotFl, err := MatchFlipsContext(context.Background(), g, tp, on)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -260,7 +261,7 @@ func TestTopDownMatchesBottomUp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		td, err := RunTopDown(g, tp, cfg)
+		td, err := RunTopDownContext(context.Background(), g, tp, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +413,7 @@ func TestRunParallelMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := RunParallel(g, tp, cfg, 4)
+		par, err := RunParallelContext(context.Background(), g, tp, cfg, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -149,7 +150,7 @@ func TestFeatureCrossProduct(t *testing.T) {
 		}
 		checkAgainstOracle(t, g, tp, DefaultConfig(2))
 
-		td, err := RunTopDown(g, tp, DefaultConfig(2))
+		td, err := RunTopDownContext(context.Background(), g, tp, DefaultConfig(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +185,7 @@ func TestFlipsWithEdgeLabelsAgainstOracle(t *testing.T) {
 	}
 	cfg := DefaultConfig(0)
 	cfg.CountMatches = true
-	res, err := MatchFlips(g, tp, cfg)
+	res, err := MatchFlipsContext(context.Background(), g, tp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

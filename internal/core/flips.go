@@ -25,30 +25,13 @@ type FlipResult struct {
 	Metrics Metrics
 }
 
-// MatchFlips searches the template and all of its single-edge-flip variants
-// exactly.
-func MatchFlips(g *graph.Graph, t *pattern.Template, cfg Config) (*FlipResult, error) {
-	return MatchFlipsContext(context.Background(), g, t, cfg)
-}
-
-// MatchFlipsContext is MatchFlips honoring ctx: every per-variant search
-// carries a cancellation probe and the run returns ctx.Err() once the
-// context fires. When ctx never fires, the results are identical to
-// MatchFlips'.
+// MatchFlipsContext searches the template and all of its single-edge-flip
+// variants exactly. Every per-variant search carries a cancellation probe
+// and the run returns ctx.Err() once the context fires.
 func MatchFlipsContext(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg Config) (*FlipResult, error) {
-	ctx = withConfigBudget(ctx, cfg.Budget)
-	cc := NewCancelCheck(ctx)
-	var res *FlipResult
-	err := func() (err error) {
-		defer RecoverCancel(&err)
-		cc.Check()
-		res, err = matchFlips(cc, g, t, cfg)
-		return err
-	}()
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return guardedRun(ctx, cfg.Budget, func(cc *CancelCheck) (*FlipResult, error) {
+		return matchFlips(cc, g, t, cfg)
+	})
 }
 
 func matchFlips(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config) (*FlipResult, error) {
@@ -56,41 +39,25 @@ func matchFlips(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	res := &FlipResult{Flips: flips}
-	var cache *Cache
-	if cfg.WorkRecycling {
-		if cfg.SharedCache != nil {
-			cache = cfg.SharedCache
-		} else {
-			cache = NewCacheBytes(g.NumVertices(), cfg.CacheBytes)
-		}
-	}
-	pool := NewPool(cfg.Workers)
-	defer pool.Close()
+	// The flip variants are not a prototype set, but they share one run's
+	// worth of machinery: cache, label frequencies, worker pool, metrics.
+	e := newEngine(g, nil, cfg, cc)
+	defer e.close()
 	search := func(tpl *pattern.Template) *Solution {
 		cc.Check()
-		var m Metrics
-		s := maxCandidateSet(g, tpl, cfg.Restrict, pool, cc, &m)
+		s := maxCandidateSet(g, tpl, cfg.Restrict, e.pool, cc, &e.metrics)
 		// Each flip variant has its own candidate set; compact it when the
 		// label classes are selective enough. Cache keys stay in original-id
 		// space, so recycling still crosses flips.
-		s = CompactStateBudgeted(s, cfg.CompactBelow, &m, cc)
-		var freq map[pattern.Label]int64
-		if cfg.FrequencyOrdering {
-			freq = g.LabelFrequencies()
-			freq[pattern.Wildcard] = int64(g.NumVertices())
-		}
-		sol := searchTemplateOn(s, tpl, buildLocalProfile(tpl), preparedWalks(g, tpl, freq), cache, pool, cc, cfg.CountMatches, &m, cfg.kernel())
-		res.Metrics.Add(&m)
-		return sol
+		s = e.compact(s)
+		return searchTemplateOn(s, tpl, buildLocalProfile(tpl), preparedWalks(g, tpl, e.freq), e.cache, e.pool, cc, cfg.CountMatches, &e.metrics, cfg.kernel())
 	}
-	res.Base = search(t)
+	res := &FlipResult{Flips: flips, Base: search(t)}
 	for _, f := range flips {
 		res.Solutions = append(res.Solutions, search(f.Template))
 	}
-	if cache != nil {
-		res.Metrics.CacheEvictions += cache.Evictions()
-	}
+	e.foldCache()
+	res.Metrics = e.metrics
 	return res, nil
 }
 

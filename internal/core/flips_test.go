@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestMatchFlipsAgainstOracle(t *testing.T) {
 		tp := randomTemplate(rng, 4, 3)
 		cfg := DefaultConfig(0)
 		cfg.CountMatches = true
-		res, err := MatchFlips(g, tp, cfg)
+		res, err := MatchFlipsContext(context.Background(), g, tp, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

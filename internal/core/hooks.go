@@ -17,14 +17,13 @@ import (
 // RecoverCancel — callers that pass a cancellable context must defer it.
 func SearchOn(ctx context.Context, level *State, t *pattern.Template, cache *Cache, freq constraint.LabelFreq, count bool, workers int, m *Metrics) *Solution {
 	cc := NewCancelCheck(ctx)
+	// Phases shorter than one probe interval must not be free, or
+	// small-graph work never hits the budget.
+	defer cc.Release()
 	cc.Check()
 	pool := NewPool(workers)
 	defer pool.Close()
-	sol := searchTemplateOn(level, t, preparedProfile(t), preparedWalks(level.Graph(), t, freq), cache, pool, cc, count, m, kernelOpts{})
-	// Charge the tail of the amortized ticks: phases shorter than one probe
-	// interval must not be free, or small-graph work never hits the budget.
-	cc.Check()
-	return sol
+	return searchTemplateOn(level, t, preparedProfile(t), preparedWalks(level.Graph(), t, freq), cache, pool, cc, count, m, kernelOpts{})
 }
 
 // preparedProfile builds the local-constraint profile for t.
@@ -41,20 +40,17 @@ func preparedProfile(t *pattern.Template) *localProfile { return buildLocalProfi
 // by RecoverCancel.
 func FinalizeExact(ctx context.Context, s *State, t *pattern.Template, workers int, m *Metrics) *bitvec.Vector {
 	cc := NewCancelCheck(ctx)
+	defer cc.Release()
 	cc.Check()
 	pool := NewPool(workers)
 	defer pool.Close()
 	omega := initCandidates(s, t)
 	prof := buildLocalProfile(t)
 	lcc(s, omega, prof, pool, cc, m)
-	var edges *bitvec.Vector
 	if constraint.Analyze(t).LocalSufficient {
-		edges = cleanEdges(s)
-	} else {
-		edges = verifyExact(s, omega, t, cc, m, kernelOpts{})
+		return cleanEdges(s)
 	}
-	cc.Check() // charge the tail of the amortized ticks
-	return edges
+	return verifyExact(s, omega, t, cc, m, kernelOpts{})
 }
 
 // FinalizeSolution runs FinalizeExact on s (mutating it), captures the
@@ -80,9 +76,8 @@ func FinalizeSolution(ctx context.Context, s *State, t *pattern.Template, worker
 // fired ctx aborts with a cancellation panic recovered by RecoverCancel.
 func CountOn(ctx context.Context, s *State, t *pattern.Template, m *Metrics) int64 {
 	cc := NewCancelCheck(ctx)
+	defer cc.Release()
 	cc.Check()
 	omega := initCandidates(s, t)
-	n := countMatches(s, omega, t, cc, m, kernelOpts{})
-	cc.Check() // charge the tail of the amortized ticks
-	return n
+	return countMatches(s, omega, t, cc, m, kernelOpts{})
 }

@@ -59,11 +59,6 @@ type DeltaStats struct {
 	RegionVertices int
 }
 
-// RunIncremental is RunIncrementalContext with a background context.
-func RunIncremental(prev *Result, newG *graph.Graph, changed []graph.VertexID, cfg Config) (*Result, *DeltaStats, error) {
-	return RunIncrementalContext(context.Background(), prev, newG, changed, cfg)
-}
-
 // RunIncrementalContext maintains prev — a complete Result of a Run on the
 // pre-delta graph — across a graph delta: newG is the post-delta graph
 // (same vertex set; see graph.ApplyDelta) and changed is the delta's

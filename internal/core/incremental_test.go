@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -122,7 +123,7 @@ func TestIncrementalDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatalf("round %d step %d: %v", round, step, err)
 						}
-						inc, stats, err := RunIncremental(prev, ng, changed, cfg)
+						inc, stats, err := RunIncrementalContext(context.Background(), prev, ng, changed, cfg)
 						if err != nil {
 							t.Fatalf("round %d step %d: incremental: %v", round, step, err)
 						}
@@ -157,7 +158,7 @@ func TestIncrementalEmptyDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, stats, err := RunIncremental(prev, g, nil, cfg)
+	inc, stats, err := RunIncrementalContext(context.Background(), prev, g, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,20 +180,20 @@ func TestIncrementalContractErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := RunIncremental(nil, g, nil, cfg); err == nil {
+	if _, _, err := RunIncrementalContext(context.Background(), nil, g, nil, cfg); err == nil {
 		t.Error("nil prev accepted")
 	}
 	bad := cfg
 	bad.EditDistance = 2
-	if _, _, err := RunIncremental(prev, g, nil, bad); err == nil {
+	if _, _, err := RunIncrementalContext(context.Background(), prev, g, nil, bad); err == nil {
 		t.Error("mismatched edit distance accepted")
 	}
 	bad = cfg
 	bad.Restrict = prev.Solutions[0].Verts
-	if _, _, err := RunIncremental(prev, g, nil, bad); err == nil {
+	if _, _, err := RunIncrementalContext(context.Background(), prev, g, nil, bad); err == nil {
 		t.Error("caller-set Restrict accepted")
 	}
-	if _, _, err := RunIncremental(prev, g, []graph.VertexID{99}, cfg); err == nil {
+	if _, _, err := RunIncrementalContext(context.Background(), prev, g, []graph.VertexID{99}, cfg); err == nil {
 		t.Error("out-of-range changed vertex accepted")
 	}
 	uncounted := cfg
@@ -201,13 +202,13 @@ func TestIncrementalContractErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunIncremental(prevU, g, nil, cfg); err == nil {
+	if _, _, err := RunIncrementalContext(context.Background(), prevU, g, nil, cfg); err == nil {
 		t.Error("counting against an uncounted previous result accepted")
 	}
 	partial := &Result{}
 	*partial = *prev
 	partial.Partial = true
-	if _, _, err := RunIncremental(partial, g, nil, cfg); err == nil {
+	if _, _, err := RunIncrementalContext(context.Background(), partial, g, nil, cfg); err == nil {
 		t.Error("partial prev accepted")
 	}
 }

@@ -2,7 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"approxmatch/internal/bitvec"
@@ -78,7 +82,7 @@ type Config struct {
 	// Restrict, when non-nil, seeds the pipeline's active set from the
 	// given vertex mask (length NumVertices) instead of the full graph: the
 	// run computes exactly the matches of the subgraph induced by the
-	// mask's vertices. The incremental maintenance path (RunIncremental)
+	// mask's vertices. The incremental maintenance path (RunIncrementalContext)
 	// uses this to confine re-matching to the dirty region around a graph
 	// delta; a nil Restrict is today's full-graph behavior, bit-identical
 	// counters included.
@@ -169,9 +173,9 @@ type engine struct {
 	cache   *Cache
 	freq    constraint.LabelFreq
 	metrics Metrics
-	// cc is the run's cancellation probe (nil when the run's context can
-	// never fire). Parallel searches Fork their own; this one serves the
-	// sequential path.
+	// cc is the run's root cancellation probe (nil when the run's context
+	// can never fire and carries no budget). It serves the coordinator
+	// goroutine; every bottom-up prototype search Forks its own.
 	cc *CancelCheck
 	// walks caches, per prototype index, the oriented/ordered pruning
 	// walks and the local profile.
@@ -183,11 +187,12 @@ type engine struct {
 	pool *Pool
 }
 
-func newEngine(g *graph.Graph, set *prototype.Set, cfg Config) *engine {
+func newEngine(g *graph.Graph, set *prototype.Set, cfg Config, cc *CancelCheck) *engine {
 	e := &engine{
 		g:        g,
 		cfg:      cfg,
 		set:      set,
+		cc:       cc,
 		walks:    make(map[int][]*constraint.Walk),
 		profiles: make(map[int]*localProfile),
 	}
@@ -199,10 +204,7 @@ func newEngine(g *graph.Graph, set *prototype.Set, cfg Config) *engine {
 		}
 	}
 	if cfg.FrequencyOrdering {
-		e.freq = make(constraint.LabelFreq)
-		for l, c := range g.LabelFrequencies() {
-			e.freq[l] = c
-		}
+		e.freq = g.LabelFrequencies()
 		// The wildcard "label" occurs at every vertex.
 		e.freq[pattern.Wildcard] = int64(g.NumVertices())
 	}
@@ -257,41 +259,45 @@ func cleanEdges(s *State) *bitvec.Vector {
 	return out
 }
 
-// Run executes the bottom-up approximate-matching pipeline (Alg. 1): it
-// generates P_k, computes the maximum candidate set, then iterates from the
-// furthest edit distance toward 0, searching each prototype within the
-// union of the previous level's solution subgraphs per the containment rule.
+// Run is RunContext with a background context — the shorthand tests and
+// experiments use.
 func Run(g *graph.Graph, t *pattern.Template, cfg Config) (*Result, error) {
 	return RunContext(context.Background(), g, t, cfg)
 }
 
-// RunContext is Run honoring ctx: cancellation and deadline expiry are
-// observed by cheap periodic probes inside the candidate-set fixpoint, the
-// LCC fixpoint, the NLCC walk loop and the verification phase, and the run
-// returns ctx.Err(). When ctx never fires, the results are identical to
-// Run's.
-//
-// When a budget governs the run (Config.Budget or WithBudget on ctx) and it
-// is exhausted mid-pipeline, RunContext returns BOTH a non-nil partial
-// result and a non-nil error matching ErrBudgetExhausted — check
-// Result.Partial / errors.Is before discarding either.
+// RunContext is RunParallelContext at width 1: one prototype at a time,
+// searched on the calling goroutine.
 func RunContext(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg Config) (*Result, error) {
-	ctx = withConfigBudget(ctx, cfg.Budget)
-	cc := NewCancelCheck(ctx)
-	var res *Result
-	err := func() (err error) {
-		defer RecoverCancel(&err)
-		cc.Check()
-		res, err = runBottomUp(cc, g, t, cfg)
-		return err
-	}()
-	if err != nil && (res == nil || !res.Partial) {
-		return nil, err
-	}
-	return res, err
+	return RunParallelContext(ctx, g, t, cfg, 1)
 }
 
-func runBottomUp(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config) (*Result, error) {
+// RunParallelContext executes the bottom-up approximate-matching pipeline
+// (Alg. 1): it generates P_k, computes the maximum candidate set, then
+// iterates from the furthest edit distance toward 0, searching each
+// prototype within the union of the previous level's solution subgraphs per
+// the containment rule. parallelism is the loop's width (§4, "Multi-level
+// Parallelism" — Fig. 8's scenario Z): up to that many prototypes of a level
+// are searched concurrently on replicas of the level state, sharing one
+// work-recycling cache. Rho, Solutions and match counts are bit-identical at
+// every width.
+//
+// Cancellation and deadline expiry are observed by cheap periodic probes
+// inside the candidate-set fixpoint, the LCC fixpoint, the NLCC walk loop
+// and the verification phase — every prototype search carries its own — and
+// the run returns ctx.Err(). A panic inside a prototype search is returned
+// as a *PanicError instead of crashing the process.
+//
+// When a budget governs the run (Config.Budget or WithBudget on ctx) and it
+// is exhausted mid-pipeline, the call returns BOTH a non-nil partial result
+// and a non-nil error matching ErrBudgetExhausted — check Result.Partial /
+// errors.Is before discarding either.
+func RunParallelContext(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg Config, parallelism int) (*Result, error) {
+	return guardedRun(ctx, cfg.Budget, func(cc *CancelCheck) (*Result, error) {
+		return runLevels(cc, g, t, cfg, parallelism)
+	})
+}
+
+func runLevels(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config, width int) (*Result, error) {
 	if cfg.Restrict != nil && cfg.Restrict.Len() != g.NumVertices() {
 		return nil, fmt.Errorf("core: restrict mask has %d bits for %d vertices",
 			cfg.Restrict.Len(), g.NumVertices())
@@ -300,9 +306,8 @@ func runBottomUp(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Confi
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	e := newEngine(g, set, cfg)
+	e := newEngine(g, set, cfg, cc)
 	defer e.close()
-	e.cc = cc
 
 	res := &Result{
 		Graph:     g,
@@ -323,9 +328,12 @@ func runBottomUp(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Confi
 
 	level := res.Candidate
 	for dist := set.MaxDist; dist >= 0; dist-- {
-		next, err := e.runLevel(res, level, dist, cc)
+		next, err := e.searchLevel(res, level, dist, width)
 		if err != nil {
-			return e.finishPartial(res, err)
+			if errors.Is(err, ErrBudgetExhausted) {
+				return e.finishPartial(res, err)
+			}
+			return nil, err
 		}
 		level = next
 	}
@@ -334,38 +342,139 @@ func runBottomUp(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Confi
 	return res, nil
 }
 
-// runLevel searches every prototype of one edit-distance level and commits
-// the results — solutions, Rho columns, level stats and the next level's
-// containment state — only once the whole level has completed. A budget
-// abort mid-level therefore leaves res exactly as it was before the level
-// started (the level's half-computed solutions are discarded), which is
-// what makes the Partial contract airtight: committed levels are always
-// whole levels.
-func (e *engine) runLevel(res *Result, level *State, dist int, cc *CancelCheck) (next *State, err error) {
+// testHookPrototypeSearch, when set, runs at the start of every bottom-up
+// prototype search — the seam the panic-isolation tests use to inject a
+// worker panic into a live query.
+var testHookPrototypeSearch func(proto int)
+
+// searchLevel searches every prototype of one edit-distance level, up to
+// width at a time, and commits the results — solutions, Rho columns, level
+// stats and the next level's containment state — only once the whole level
+// has completed. A budget abort mid-level therefore leaves res exactly as it
+// was before the level started (the level's half-computed solutions are
+// discarded), which is what makes the Partial contract airtight: committed
+// levels are always whole levels.
+//
+// Each search gets its own forked probe, released when the search returns,
+// and its own Metrics, folded in prototype order once they all have — so
+// neither the budget charge nor the counters depend on the width.
+func (e *engine) searchLevel(res *Result, level *State, dist, width int) (next *State, err error) {
 	defer recoverBudgetAbort(&err)
-	cc.Check()
+	e.cc.Check()
 	set := res.Set
 	start := time.Now()
+	// Compact, and build the level's walks and profiles, on the coordinator
+	// goroutine before any search launches: the view, the engine metrics
+	// and the engine's lazy maps are not synchronized.
 	frac := ActiveFraction(level)
-	searchLevel := e.compact(level)
-	sols := make([]*Solution, 0, set.CountAt(dist))
-	for _, pi := range set.At(dist) {
-		// The containment rule only covers prototypes derivable into
-		// the previous level: a (rare) childless prototype — every
-		// legal removal disconnects it — must be searched on the full
-		// candidate set.
-		searchState := searchLevel
+	state := e.compact(level)
+	ids := set.At(dist)
+	for _, pi := range ids {
+		e.walksFor(pi)
+		e.profileFor(pi)
+	}
+	sols := make([]*Solution, len(ids))
+	metrics := make([]Metrics, len(ids))
+	abortErr := forEachBounded(len(ids), width, func(idx int) {
+		pi := ids[idx]
+		cc := e.cc.Fork()
+		defer cc.Release()
+		if h := testHookPrototypeSearch; h != nil {
+			h(pi)
+		}
+		// The containment rule only covers prototypes derivable into the
+		// previous level: a (rare) childless prototype — every legal
+		// removal disconnects it — must be searched on the full candidate
+		// set.
+		searchState := state
 		if dist < set.MaxDist && len(set.Protos[pi].Children) == 0 {
 			searchState = res.Candidate
 		}
-		sols = append(sols, e.searchPrototype(searchState, pi))
+		sol := searchTemplateOn(searchState, set.Protos[pi].Template, e.profiles[pi], e.walks[pi], e.cache, e.pool, cc, e.cfg.CountMatches, &metrics[idx], e.cfg.kernel())
+		sol.Proto = pi
+		sols[idx] = sol
+	})
+	// Fold the searches' counters before any abort: work actually performed
+	// must reach the caller (and /metrics) even when the level dies.
+	for idx := range metrics {
+		e.metrics.Add(&metrics[idx])
 	}
-	return e.commitLevel(res, sols, dist, frac, searchLevel.View() != nil, start, cc), nil
+	if abortErr != nil {
+		return nil, abortErr
+	}
+	// The searches' released ticks are on the tracker now; a level that
+	// overran the budget only in its probes' tails must not commit.
+	e.cc.Check()
+	return e.commitLevel(res, sols, dist, frac, state.View() != nil, start), nil
+}
+
+// forEachBounded calls fn(0..n-1) — on the calling goroutine when width is
+// 1, on min(width, n) worker goroutines otherwise — and returns the first
+// abort. A fired context or exhausted budget unwinds fn via the
+// pipelineAbort panic; its error is captured and no further index is
+// started (searches already in flight abort on their own probes within one
+// check interval). Any other panic is a bug in fn: it is converted to a
+// *PanicError so one poisoned query fails with an error instead of killing
+// the process.
+func forEachBounded(n, width int, fn func(idx int)) error {
+	var mu sync.Mutex
+	var first error
+	failed := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return first != nil
+	}
+	guarded := func(idx int) {
+		defer func() {
+			r := recover()
+			if r == nil {
+				return
+			}
+			var ferr error
+			if a, ok := r.(pipelineAbort); ok {
+				ferr = a.err
+			} else {
+				ferr = &PanicError{Val: r, Stack: debug.Stack()}
+			}
+			mu.Lock()
+			if first == nil {
+				first = ferr
+			}
+			mu.Unlock()
+		}()
+		fn(idx)
+	}
+	if width > n {
+		width = n
+	}
+	if width <= 1 {
+		for idx := 0; idx < n && !failed(); idx++ {
+			guarded(idx)
+		}
+		return first
+	}
+	var claimed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < width; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed() {
+				idx := int(claimed.Add(1)) - 1
+				if idx >= n {
+					return
+				}
+				guarded(idx)
+			}
+		}()
+	}
+	wg.Wait()
+	return first
 }
 
 // commitLevel publishes a completed level's solutions and stats into res and
 // builds the next level's containment state (nil at δ=0).
-func (e *engine) commitLevel(res *Result, sols []*Solution, dist int, frac float64, compacted bool, start time.Time, cc *CancelCheck) *State {
+func (e *engine) commitLevel(res *Result, sols []*Solution, dist int, frac float64, compacted bool, start time.Time) *State {
 	unionVerts := bitvec.New(res.Graph.NumVertices())
 	unionEdges := bitvec.New(res.Graph.NumDirectedEdges())
 	var labels int64
@@ -389,7 +498,7 @@ func (e *engine) commitLevel(res *Result, sols []*Solution, dist int, frac float
 		Complete:        true,
 	})
 	if dist > 0 {
-		return e.containmentState(cc, res.Candidate, unionVerts, unionEdges, dist)
+		return e.containmentState(res.Candidate, unionVerts, unionEdges, dist)
 	}
 	return nil
 }
@@ -428,9 +537,9 @@ func (e *engine) foldCache() {
 // plus candidate-set edges between union vertices whose label pair matches
 // an edge removable at this level (or every candidate edge when the
 // refinement is disabled). The fresh state's bitvecs are charged against
-// cc's byte budget.
-func (e *engine) containmentState(cc *CancelCheck, candidate *State, unionVerts, unionEdges *bitvec.Vector, dist int) *State {
-	cc.ChargeBytes(int64(e.g.NumVertices()+e.g.NumDirectedEdges()) / 8)
+// the run's byte budget.
+func (e *engine) containmentState(candidate *State, unionVerts, unionEdges *bitvec.Vector, dist int) *State {
+	e.cc.ChargeBytes(int64(e.g.NumVertices()+e.g.NumDirectedEdges()) / 8)
 	s := NewEmptyState(e.g)
 	s.verts.Or(unionVerts)
 	s.edges.Or(unionEdges)

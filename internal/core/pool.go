@@ -4,7 +4,7 @@ import "sync"
 
 // Pool is a fixed-size worker pool shared by the superstep kernels of a run
 // (§4's vertex-level data parallelism). One pool serves every kernel call of
-// a pipeline run — including concurrent prototype searches in RunParallel —
+// a pipeline run — including the concurrent prototype searches of a level —
 // so the total kernel concurrency of a run is bounded by the pool size
 // rather than by searches × workers.
 //

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"strings"
@@ -259,11 +260,11 @@ func TestRelabelDifferentialRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d apply relabeled: %v", trial, err)
 		}
-		nextPlain, _, err := RunIncremental(plain, ng, changed, cfg)
+		nextPlain, _, err := RunIncrementalContext(context.Background(), plain, ng, changed, cfg)
 		if err != nil {
 			t.Fatalf("trial %d incremental plain: %v", trial, err)
 		}
-		nextRel, _, err := RunIncremental(rel, nrg, rchanged, cfg)
+		nextRel, _, err := RunIncrementalContext(context.Background(), rel, nrg, rchanged, cfg)
 		if err != nil {
 			t.Fatalf("trial %d incremental relabeled: %v", trial, err)
 		}

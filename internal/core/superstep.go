@@ -113,7 +113,15 @@ func (ss *superstep) run(fn func(d *partDelta, lo, hi int)) {
 // per-partition scan order are both fixed, and bit clears are idempotent
 // and commutative, so the merged state and counters are deterministic. It
 // reports whether any partition eliminated anything.
+//
+// The barrier is also where the partitions' probes are released: their
+// ticks reach the shared tracker before the coordinator polls it, so the
+// charge — and the point at which a budget aborts the run — is the same for
+// every worker count.
 func (ss *superstep) merge(m *Metrics) bool {
+	for _, d := range ss.parts {
+		d.cc.Release()
+	}
 	ss.cc.Check()
 	changed := false
 	for _, d := range ss.parts {

@@ -35,35 +35,21 @@ type TopDownResult struct {
 	Levels  []LevelStats
 }
 
-// RunTopDown performs exploratory search: for δ = 0, 1, ..., k it searches
-// every prototype at distance δ on the maximum candidate set and stops at
-// the first δ with a non-empty match set. Work recycling naturally applies
-// in the top-down direction too (Obs. 2): constraints proven for a δ
+// RunTopDownContext performs exploratory search: for δ = 0, 1, ..., k it
+// searches every prototype at distance δ on the maximum candidate set and
+// stops at the first δ with a non-empty match set. Work recycling naturally
+// applies in the top-down direction too (Obs. 2): constraints proven for a δ
 // prototype are shared with the δ+1 prototypes that inherit them.
-func RunTopDown(g *graph.Graph, t *pattern.Template, cfg Config) (*TopDownResult, error) {
-	return RunTopDownContext(context.Background(), g, t, cfg)
-}
-
-// RunTopDownContext is RunTopDown honoring ctx: the per-prototype searches
-// carry cancellation probes and the run returns ctx.Err() once the context
-// fires. When ctx never fires, the results are identical to RunTopDown's.
-// Budget exhaustion surfaces as a plain ErrBudgetExhausted error — the
-// top-down mode has no containment guarantee to salvage a partial result
-// from (an unfinished level says nothing about smaller distances).
+//
+// The per-prototype searches carry cancellation probes and the run returns
+// ctx.Err() once the context fires. Budget exhaustion surfaces as a plain
+// ErrBudgetExhausted error — the top-down mode has no containment guarantee
+// to salvage a partial result from (an unfinished level says nothing about
+// smaller distances).
 func RunTopDownContext(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg Config) (*TopDownResult, error) {
-	ctx = withConfigBudget(ctx, cfg.Budget)
-	cc := NewCancelCheck(ctx)
-	var res *TopDownResult
-	err := func() (err error) {
-		defer RecoverCancel(&err)
-		cc.Check()
-		res, err = runTopDown(cc, g, t, cfg)
-		return err
-	}()
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return guardedRun(ctx, cfg.Budget, func(cc *CancelCheck) (*TopDownResult, error) {
+		return runTopDown(cc, g, t, cfg)
+	})
 }
 
 func runTopDown(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config) (*TopDownResult, error) {
@@ -71,9 +57,8 @@ func runTopDown(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	e := newEngine(g, set, cfg)
+	e := newEngine(g, set, cfg, cc)
 	defer e.close()
-	e.cc = cc
 	res := &TopDownResult{
 		Set:              set,
 		FoundDist:        -1,

@@ -154,7 +154,7 @@ func TestWorkersRunParallelMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Workers = 3
-	got, err := RunParallel(g, tp, cfg, 3)
+	got, err := RunParallelContext(context.Background(), g, tp, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

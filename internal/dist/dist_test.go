@@ -3,10 +3,12 @@ package dist
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"approxmatch/internal/bitvec"
 	"approxmatch/internal/core"
 	"approxmatch/internal/graph"
 	"approxmatch/internal/pattern"
@@ -190,10 +192,10 @@ func TestDistPipelineAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range []Options{
-		{EditDistance: 2},
-		{EditDistance: 2, WorkRecycling: true},
-		{EditDistance: 2, Rebalance: true},
-		{EditDistance: 2, LabelPairRefinement: true, FrequencyOrdering: true},
+		{Config: core.Config{EditDistance: 2}},
+		{Config: core.Config{EditDistance: 2, WorkRecycling: true}},
+		{Config: core.Config{EditDistance: 2}, Rebalance: true},
+		{Config: core.Config{EditDistance: 2, LabelPairRefinement: true, FrequencyOrdering: true}},
 		DefaultOptions(2),
 	} {
 		e := NewEngine(g, Config{Ranks: 5, RanksPerNode: 2, DelegateThreshold: 10})
@@ -204,6 +206,42 @@ func TestDistPipelineAblations(t *testing.T) {
 		for pi := range seq.Set.Protos {
 			if !dres.Solutions[pi].Verts.Equal(seq.Solutions[pi].Verts) {
 				t.Errorf("opts %+v proto %d: vertex sets differ", opts, pi)
+			}
+		}
+	}
+}
+
+// TestUnsupportedOptionsRejected checks the embedded core.Config fields the
+// distributed engine has no implementation for fail both entry points with an
+// error naming the field, instead of being silently ignored — and that
+// CacheBytes is accepted (and, as in core, ignored) beside a SharedCache.
+func TestUnsupportedOptionsRejected(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(47)), 20, 40, 2)
+	tp := pattern.MustNew([]pattern.Label{0, 1}, []pattern.Edge{{I: 0, J: 1}})
+	for _, c := range []struct {
+		field string // "" = must be accepted
+		set   func(*Options)
+	}{
+		{"Restrict", func(o *Options) { o.Restrict = bitvec.New(g.NumVertices()) }},
+		{"NoSymmetry", func(o *Options) { o.NoSymmetry = true }},
+		{"NoGuards", func(o *Options) { o.NoGuards = true }},
+		{"CacheBytes", func(o *Options) { o.CacheBytes = 1 << 10 }},
+		{"", func(o *Options) {
+			o.CacheBytes = 1 << 10
+			o.SharedCache = core.NewCacheBytes(g.NumVertices(), 1<<10)
+		}},
+	} {
+		opts := DefaultOptions(1)
+		c.set(&opts)
+		_, err := RunContext(context.Background(), NewEngine(g, Config{Ranks: 2}), tp, opts)
+		_, terr := RunTopDownContext(context.Background(), NewEngine(g, Config{Ranks: 2}), tp, opts)
+		for _, e := range []error{err, terr} {
+			if c.field == "" {
+				if e != nil {
+					t.Errorf("CacheBytes beside SharedCache rejected: %v", e)
+				}
+			} else if e == nil || !strings.Contains(e.Error(), "Options."+c.field) {
+				t.Errorf("%s set: err = %v, want a rejection naming the field", c.field, e)
 			}
 		}
 	}
@@ -393,7 +431,7 @@ func TestReplicaSetMatchesSequential(t *testing.T) {
 	if rs.Replicas() != 3 || rs.SubgraphSize() != mcs.NumActiveVertices() {
 		t.Fatalf("replica shape: %d replicas, %d vertices", rs.Replicas(), rs.SubgraphSize())
 	}
-	opts := Options{CountMatches: true}
+	opts := Options{Config: core.Config{CountMatches: true}}
 	sols := rs.Search(templates, nil, opts)
 	for i := range templates {
 		want := core.SearchOn(context.Background(), mcs, templates[i], nil, nil, true, 0, &m)
@@ -557,7 +595,7 @@ func TestDistTopDownMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		g := randomGraph(rng, 30, 70, 3)
 		tp := randomTemplate(rng, 4, 3)
-		seq, err := core.RunTopDown(g, tp, core.DefaultConfig(2))
+		seq, err := core.RunTopDownContext(context.Background(), g, tp, core.DefaultConfig(2))
 		if err != nil {
 			t.Fatal(err)
 		}

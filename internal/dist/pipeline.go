@@ -14,14 +14,17 @@ import (
 	"approxmatch/internal/prototype"
 )
 
-// Options control the distributed pipeline's optimizations; they mirror
-// core.Config plus the load-balancing knob of §4.
+// Options are the pipeline's core.Config plus the distributed engine's own
+// two knobs. The embedded fields mean what they mean in core: Workers sizes
+// the pool of the shared core kernels the run calls back into (the
+// gather-and-finalize step), CompactBelow also compacts the gathered
+// per-prototype subgraphs and lets rank repartitioning walk the compacted
+// vertex list, Budget charging rides the core probes of the finalization
+// phase plus the checks between distributed phases, and SharedCache replaces
+// the run's private distCache. The fields this engine cannot honour are
+// rejected at the entry points, see unsupported.
 type Options struct {
-	EditDistance        int
-	WorkRecycling       bool
-	FrequencyOrdering   bool
-	LabelPairRefinement bool
-	CountMatches        bool
+	core.Config
 	// Rebalance reshuffles active vertices evenly across ranks after
 	// candidate-set generation and between edit-distance levels (Fig. 9a).
 	Rebalance bool
@@ -30,42 +33,61 @@ type Options struct {
 	// set is pruned — §4's "reload on the same or fewer processors". The
 	// remaining ranks idle (in a real deployment they would be released).
 	ShrinkToRanks int
-	// Workers is the worker count for the shared core kernels the
-	// distributed run calls back into (the sequential gather-and-finalize
-	// step); 0 = sequential, mirroring core.Config.Workers.
-	Workers int
-	// CompactBelow mirrors core.Config.CompactBelow: level states and
-	// gathered per-prototype subgraphs are physically compacted once their
-	// active fraction drops below this threshold, and rank repartitioning
-	// walks the compacted vertex list instead of the full bit vector. 0
-	// disables compaction.
-	CompactBelow float64
-	// Budget mirrors core.Config.Budget: it bounds the run's work, bytes
-	// and wall time, and exhaustion stops the pipeline between levels with
-	// a Partial result (completed levels exact, see core.Result.Partial).
-	// Work charging rides the core probes of the finalization phase and the
-	// wall/byte checks between distributed phases. A budget already on the
-	// context (core.WithBudget) takes precedence.
-	Budget core.Budget
-	// SharedCache mirrors core.Config.SharedCache: a caller-owned NLCC
-	// work-recycling store that replaces the run's private distCache so
-	// constraint verdicts recycle across queries. Requires WorkRecycling
-	// and a store built for the same background graph. Cache content never
-	// affects results — exact finalization restores precision — so sharing
-	// needs no coordination beyond the store's own locking.
-	SharedCache *core.Cache
 }
 
 // DefaultOptions enables every optimization for edit-distance k.
 func DefaultOptions(k int) Options {
-	return Options{
-		EditDistance:        k,
-		WorkRecycling:       true,
-		FrequencyOrdering:   true,
-		LabelPairRefinement: true,
-		Rebalance:           true,
-		CompactBelow:        0.5,
+	return Options{Config: core.DefaultConfig(k), Rebalance: true}
+}
+
+// unsupported names the first core.Config field set in opts that the
+// distributed engine has no implementation for: the traversals always span
+// the whole graph (Restrict), finalization runs the verification kernels
+// with every redundancy elimination on (NoSymmetry, NoGuards), and the
+// private distCache has no eviction to cap (CacheBytes; a SharedCache
+// carries its own cap, so there the field is ignored exactly as in core).
+func (opts *Options) unsupported() error {
+	field := ""
+	switch {
+	case opts.Restrict != nil:
+		field = "Restrict"
+	case opts.NoSymmetry:
+		field = "NoSymmetry"
+	case opts.NoGuards:
+		field = "NoGuards"
+	case opts.CacheBytes != 0 && opts.SharedCache == nil:
+		field = "CacheBytes"
+	default:
+		return nil
 	}
+	return fmt.Errorf("dist: Options.%s is not supported by the distributed engine", field)
+}
+
+// withBudget applies opts.Budget to ctx unless the caller already attached
+// one (core.WithBudget on the context takes precedence, as in core).
+func (opts *Options) withBudget(ctx context.Context) context.Context {
+	if core.BudgetFromContext(ctx) != nil {
+		return ctx
+	}
+	return core.WithBudget(ctx, opts.Budget)
+}
+
+// recycling builds a run's label-frequency table and κ cache from opts.
+func (opts *Options) recycling(g *graph.Graph) (constraint.LabelFreq, recycler) {
+	var freq constraint.LabelFreq
+	if opts.FrequencyOrdering {
+		freq = g.LabelFrequencies()
+		freq[pattern.Wildcard] = int64(g.NumVertices())
+	}
+	var cache recycler
+	if opts.WorkRecycling {
+		if opts.SharedCache != nil {
+			cache = sharedRecycler{opts.SharedCache}
+		} else {
+			cache = newDistCache(g.NumVertices())
+		}
+	}
+	return freq, cache
 }
 
 // Result is the distributed run's output; Solutions and Rho are bit-exact
@@ -79,7 +101,7 @@ type Result struct {
 	// gather-and-verify-on-a-small-deployment step).
 	VerifyMetrics core.Metrics
 	Levels        []core.LevelStats
-	// Partial mirrors core.Result.Partial: the run's budget was exhausted
+	// Partial is core.Result.Partial: the run's budget was exhausted
 	// before all levels completed. Levels with Complete set are exact;
 	// unfinished prototypes' Rho columns and Solutions are unknown.
 	Partial bool
@@ -104,9 +126,10 @@ func Run(e *Engine, t *pattern.Template, opts Options) (*Result, error) {
 // result and an error matching core.ErrBudgetExhausted, exactly like
 // core.RunContext.
 func RunContext(ctx context.Context, e *Engine, t *pattern.Template, opts Options) (*Result, error) {
-	if core.BudgetFromContext(ctx) == nil && !opts.Budget.Unlimited() {
-		ctx = core.WithBudget(ctx, opts.Budget)
+	if err := opts.unsupported(); err != nil {
+		return nil, err
 	}
+	ctx = opts.withBudget(ctx)
 	var res *Result
 	err := func() (err error) {
 		defer core.RecoverCancel(&err)
@@ -133,22 +156,7 @@ func run(ctx context.Context, e *Engine, t *pattern.Template, opts Options) (*Re
 		Rho:       bitvec.NewMatrix(g.NumVertices(), set.Count()),
 		Solutions: make([]*core.Solution, set.Count()),
 	}
-	var freq constraint.LabelFreq
-	if opts.FrequencyOrdering {
-		freq = make(constraint.LabelFreq)
-		for l, c := range g.LabelFrequencies() {
-			freq[l] = c
-		}
-		freq[pattern.Wildcard] = int64(g.NumVertices())
-	}
-	var cache recycler
-	if opts.WorkRecycling {
-		if opts.SharedCache != nil {
-			cache = sharedRecycler{opts.SharedCache}
-		} else {
-			cache = newDistCache(g.NumVertices())
-		}
-	}
+	freq, cache := opts.recycling(g)
 
 	// Candidate-set generation runs under the budget too; exhaustion there
 	// yields a Partial result with zero completed levels (Candidate nil).
@@ -195,6 +203,7 @@ func run(ctx context.Context, e *Engine, t *pattern.Template, opts Options) (*Re
 // always whole, exact levels).
 func runLevelDist(ctx context.Context, e *Engine, res *Result, level *core.State, levelFrac float64, dist, activeRanks int, freq constraint.LabelFreq, cache recycler, satisfied []bool, opts Options) (next *core.State, nextFrac float64, err error) {
 	defer core.RecoverCancel(&err)
+	cc := core.NewCancelCheck(ctx)
 	set := res.Set
 	g := e.Graph()
 	start := time.Now()
@@ -212,6 +221,9 @@ func runLevelDist(ctx context.Context, e *Engine, res *Result, level *core.State
 		sol.Proto = pi
 		sols = append(sols, sol)
 	}
+	// Finalization probes release their tails without polling; a level
+	// that overran the budget only there must not commit.
+	cc.Check()
 	unionVerts := bitvec.New(g.NumVertices())
 	unionEdges := bitvec.New(g.NumDirectedEdges())
 	var labels int64
@@ -237,7 +249,7 @@ func runLevelDist(ctx context.Context, e *Engine, res *Result, level *core.State
 	if dist > 0 {
 		next = containmentState(g, set, res.Candidate, unionVerts, unionEdges, dist, opts.LabelPairRefinement)
 		nextFrac = core.ActiveFraction(next)
-		next = core.CompactStateBudgeted(next, opts.CompactBelow, &res.VerifyMetrics, core.NewCancelCheck(ctx))
+		next = core.CompactStateBudgeted(next, opts.CompactBelow, &res.VerifyMetrics, cc)
 		if opts.Rebalance || activeRanks < e.cfg.Ranks {
 			e.SetOwners(balancedOwnersFor(next, activeRanks))
 		}

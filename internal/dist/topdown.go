@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"approxmatch/internal/bitvec"
-	"approxmatch/internal/constraint"
 	"approxmatch/internal/core"
 	"approxmatch/internal/pattern"
 	"approxmatch/internal/prototype"
@@ -38,6 +37,10 @@ func RunTopDown(e *Engine, t *pattern.Template, opts Options) (*TopDownResult, e
 // the run return ctx.Err(). When ctx never fires, the results are identical
 // to RunTopDown's.
 func RunTopDownContext(ctx context.Context, e *Engine, t *pattern.Template, opts Options) (*TopDownResult, error) {
+	if err := opts.unsupported(); err != nil {
+		return nil, err
+	}
+	ctx = opts.withBudget(ctx)
 	var res *TopDownResult
 	err := func() (err error) {
 		defer core.RecoverCancel(&err)
@@ -65,22 +68,7 @@ func runTopDown(ctx context.Context, e *Engine, t *pattern.Template, opts Option
 		MatchingVertices: bitvec.New(g.NumVertices()),
 		Solutions:        make([]*core.Solution, set.Count()),
 	}
-	var freq constraint.LabelFreq
-	if opts.FrequencyOrdering {
-		freq = make(constraint.LabelFreq)
-		for l, c := range g.LabelFrequencies() {
-			freq[l] = c
-		}
-		freq[pattern.Wildcard] = int64(g.NumVertices())
-	}
-	var cache recycler
-	if opts.WorkRecycling {
-		if opts.SharedCache != nil {
-			cache = sharedRecycler{opts.SharedCache}
-		} else {
-			cache = newDistCache(g.NumVertices())
-		}
-	}
+	freq, cache := opts.recycling(g)
 	mcs := MaxCandidateSetDist(e, t)
 	candidate := mcs.toCoreState()
 	if opts.Rebalance {

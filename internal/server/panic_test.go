@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -118,59 +119,79 @@ func TestMemWatermarkSheds503(t *testing.T) {
 	}
 }
 
+// forEachSchedule runs fn once per kernel schedule the server can pick —
+// sequential and superstep kernels (Workers) crossed with sequential and
+// level-parallel prototype search (Parallelism) — with both pinned, so what
+// a test asserts about budget charging never depends on the defaults the
+// host's GOMAXPROCS would derive.
+func forEachSchedule(t *testing.T, cfg Config, fn func(t *testing.T, cfg Config)) {
+	for _, workers := range []int{-1, 2} {
+		for _, parallelism := range []int{1, 3} {
+			cfg.Workers, cfg.Parallelism = workers, parallelism
+			t.Run(fmt.Sprintf("workers=%d/parallelism=%d", workers, parallelism), func(t *testing.T) {
+				fn(t, cfg)
+			})
+		}
+	}
+}
+
 // TestBudgetExhaustedMatchPartial runs a real query under a one-unit work
 // budget: /match must answer 200 with the partial flag, no prototype marked
 // exact, and the budget/partial counters ticked.
 func TestBudgetExhaustedMatchPartial(t *testing.T) {
-	s := NewWithConfig(testGraph(), Config{MaxWork: 1})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
+	forEachSchedule(t, Config{MaxWork: 1}, func(t *testing.T, cfg Config) {
+		s := NewWithConfig(testGraph(), cfg)
+		srv := httptest.NewServer(s.Handler())
+		defer srv.Close()
 
-	body, _ := json.Marshal(MatchRequest{Template: triangleTemplate, K: 1, Count: true})
-	resp := postJSON(t, srv.URL+"/match", string(body))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	var mr MatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
-		t.Fatal(err)
-	}
-	if !mr.Partial {
-		t.Fatal("one-unit budget produced a non-partial result")
-	}
-	for _, p := range mr.Prototypes {
-		if p.Exact {
-			t.Fatalf("prototype %d marked exact under a one-unit budget", p.Index)
+		body, _ := json.Marshal(MatchRequest{Template: triangleTemplate, K: 1, Count: true})
+		resp := postJSON(t, srv.URL+"/match", string(body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d, want 200", resp.StatusCode)
 		}
-	}
+		var mr MatchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
+			t.Fatal(err)
+		}
+		if !mr.Partial {
+			t.Fatal("one-unit budget produced a non-partial result")
+		}
+		for _, p := range mr.Prototypes {
+			if p.Exact {
+				t.Fatalf("prototype %d marked exact under a one-unit budget", p.Index)
+			}
+		}
 
-	mresp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	prom, _ := io.ReadAll(mresp.Body)
-	for _, want := range []string{
-		"amatchd_budget_exhausted_total 1",
-		"amatchd_partial_results_total 1",
-		`amatchd_queries_total{endpoint="match",outcome="partial"} 1`,
-	} {
-		if !strings.Contains(string(prom), want) {
-			t.Fatalf("metrics missing %q:\n%s", want, prom)
+		mresp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		defer mresp.Body.Close()
+		prom, _ := io.ReadAll(mresp.Body)
+		for _, want := range []string{
+			"amatchd_budget_exhausted_total 1",
+			"amatchd_partial_results_total 1",
+			`amatchd_queries_total{endpoint="match",outcome="partial"} 1`,
+		} {
+			if !strings.Contains(string(prom), want) {
+				t.Fatalf("metrics missing %q:\n%s", want, prom)
+			}
+		}
+	})
 }
 
 // TestBudgetExhaustedExplore504 checks the exploration endpoint, which has no
 // partial result to salvage: budget exhaustion surfaces as 504.
 func TestBudgetExhaustedExplore504(t *testing.T) {
-	s := NewWithConfig(testGraph(), Config{MaxWork: 1})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
+	forEachSchedule(t, Config{MaxWork: 1}, func(t *testing.T, cfg Config) {
+		s := NewWithConfig(testGraph(), cfg)
+		srv := httptest.NewServer(s.Handler())
+		defer srv.Close()
 
-	body, _ := json.Marshal(MatchRequest{Template: triangleTemplate, K: 1})
-	resp := postJSON(t, srv.URL+"/explore", string(body))
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504", resp.StatusCode)
-	}
+		body, _ := json.Marshal(MatchRequest{Template: triangleTemplate, K: 1})
+		resp := postJSON(t, srv.URL+"/explore", string(body))
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("status = %d, want 504", resp.StatusCode)
+		}
+	})
 }

@@ -32,14 +32,17 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"approxmatch/internal/bitvec"
 	"approxmatch/internal/core"
 	"approxmatch/internal/dist"
 	"approxmatch/internal/graph"
 	"approxmatch/internal/pattern"
+	"approxmatch/internal/prototype"
 	"approxmatch/internal/wal"
 )
 
@@ -599,15 +602,31 @@ func (s *Server) writePipelineError(w http.ResponseWriter, r *http.Request, q *r
 	}
 }
 
-// applyCompaction folds the server's compaction threshold into a per-query
-// pipeline config: positive overrides, 0 keeps the pipeline default,
-// negative disables compaction.
-func (s *Server) applyCompaction(cfg *core.Config) {
+// pipelineConfig builds the one per-query pipeline configuration /match,
+// /explore and chaos mode all run under: the fully optimized defaults for
+// the request's k with the server's worker, compaction, cache and ablation
+// settings folded in. (Chaos mode hands it to the distributed engine, which
+// rejects the knobs it cannot honour — see dist.Options.)
+func (s *Server) pipelineConfig(req *MatchRequest) core.Config {
+	cfg := core.DefaultConfig(req.K)
+	cfg.CountMatches = req.Count
+	cfg.CacheBytes = s.cfg.CacheBytes
+	// The shared NLCC store is correctness-neutral even under injected
+	// faults (verification is exact), so chaos-mode queries recycle too.
+	cfg.SharedCache = s.nlccShared
+	cfg.NoSymmetry = s.cfg.NoSymmetry
+	cfg.NoGuards = s.cfg.NoGuards
+	if s.cfg.Workers > 0 {
+		cfg.Workers = s.cfg.Workers
+	}
+	// Positive overrides the pipeline default, 0 keeps it, negative
+	// disables compaction.
 	if s.cfg.CompactBelow > 0 {
 		cfg.CompactBelow = s.cfg.CompactBelow
 	} else if s.cfg.CompactBelow < 0 {
 		cfg.CompactBelow = 0
 	}
+	return cfg
 }
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
@@ -690,12 +709,13 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx = s.withQueryBudget(ctx)
 
+	cfg := s.pipelineConfig(req)
 	var resp MatchResponse
 	if s.cfg.Chaos != nil {
 		eng := s.chaosEngine(snap.Graph())
 		dres, err := func() (res *dist.Result, err error) {
 			defer recoverToPanicError(&err)
-			return dist.RunContext(ctx, eng, t, s.distOptions(req))
+			return dist.RunContext(ctx, eng, t, dist.Options{Config: cfg, Rebalance: true})
 		}()
 		if err != nil && (dres == nil || !dres.Partial) {
 			release()
@@ -709,18 +729,8 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		if dres.Partial {
 			s.metrics.noteBudgetExhausted(true)
 		}
-		resp = buildMatchResponseDist(snap.Graph(), dres, req, time.Since(q.start))
+		resp = buildMatchResponse(snap.Graph(), dres.Set, dres.Solutions, dres.Levels, dres.Partial, req, time.Since(q.start))
 	} else {
-		cfg := core.DefaultConfig(req.K)
-		cfg.CountMatches = req.Count
-		cfg.CacheBytes = s.cfg.CacheBytes
-		cfg.SharedCache = s.nlccShared
-		cfg.NoSymmetry = s.cfg.NoSymmetry
-		cfg.NoGuards = s.cfg.NoGuards
-		if s.cfg.Workers > 0 {
-			cfg.Workers = s.cfg.Workers
-		}
-		s.applyCompaction(&cfg)
 		res, err := func() (res *core.Result, err error) {
 			defer recoverToPanicError(&err)
 			if h := testHookMatch; h != nil {
@@ -740,7 +750,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		// Build the response while still holding the slot (it reads
 		// pipeline state), then release BEFORE serialization: encoding a
 		// huge Vectors map to a slow client must not occupy query capacity.
-		resp = buildMatchResponse(snap.Graph(), res, req, time.Since(q.start))
+		resp = buildMatchResponse(snap.Graph(), res.Set, res.Solutions, res.Levels, res.Partial, req, time.Since(q.start))
 	}
 	release()
 
@@ -804,43 +814,26 @@ func (s *Server) observeFaults(eng *dist.Engine) {
 	s.metrics.observePipeline(&m)
 }
 
-// distOptions translates a request into distributed pipeline options,
-// honoring the server's worker and compaction settings.
-func (s *Server) distOptions(req *MatchRequest) dist.Options {
-	opts := dist.DefaultOptions(req.K)
-	opts.CountMatches = req.Count
-	// The shared NLCC store is correctness-neutral even under injected
-	// faults (verification is exact), so chaos-mode queries recycle too.
-	opts.SharedCache = s.nlccShared
-	if s.cfg.Workers > 0 {
-		opts.Workers = s.cfg.Workers
-	}
-	if s.cfg.CompactBelow > 0 {
-		opts.CompactBelow = s.cfg.CompactBelow
-	} else if s.cfg.CompactBelow < 0 {
-		opts.CompactBelow = 0
-	}
-	return opts
-}
-
-// buildMatchResponseDist mirrors buildMatchResponse for the distributed
-// result shape; both serve the same JSON contract. g is the snapshot the
-// query ran on: pipeline vertex ids are internal (possibly degree-relabeled),
-// the wire speaks external ids.
-func buildMatchResponseDist(g *graph.Graph, res *dist.Result, req *MatchRequest, elapsed time.Duration) MatchResponse {
+// buildMatchResponse translates a pipeline result — the in-process engine's
+// or the distributed one's, which share this shape — to the wire shape. g is
+// the snapshot the query ran on: pipeline vertex ids are internal (possibly
+// degree-relabeled), the wire speaks external ids.
+func buildMatchResponse(g *graph.Graph, set *prototype.Set, solutions []*core.Solution, levels []core.LevelStats, partial bool, req *MatchRequest, elapsed time.Duration) MatchResponse {
 	resp := MatchResponse{
-		Prototypes: make([]PrototypeSummary, 0, len(res.Set.Protos)),
+		Prototypes: make([]PrototypeSummary, 0, len(set.Protos)),
 		Vectors:    map[string][]int{},
 		ElapsedMS:  elapsed.Milliseconds(),
-		Partial:    res.Partial,
+		Partial:    partial,
 	}
-	exact := completeDists(res.Levels)
-	for _, lv := range res.Levels {
+	// exact maps each edit distance to whether its level completed.
+	exact := make(map[int]bool, len(levels))
+	for _, lv := range levels {
+		exact[lv.Dist] = lv.Complete
 		resp.Labels += lv.LabelsGenerated
 	}
-	for pi, p := range res.Set.Protos {
+	for pi, p := range set.Protos {
 		ps := PrototypeSummary{Index: pi, Dist: p.Dist, Exact: exact[p.Dist]}
-		if sol := res.Solutions[pi]; sol != nil {
+		if sol := solutions[pi]; sol != nil {
 			ps.Vertices = sol.Verts.Count()
 			if req.Count {
 				c := sol.MatchCount
@@ -850,56 +843,22 @@ func buildMatchResponseDist(g *graph.Graph, res *dist.Result, req *MatchRequest,
 		resp.Prototypes = append(resp.Prototypes, ps)
 	}
 	if req.Vectors {
-		// Prototype-major iteration appends indices in ascending order per
-		// vertex, matching the sequential path's MatchVector output.
-		for pi, sol := range res.Solutions {
-			if sol == nil {
-				continue
-			}
-			sol.Verts.ForEach(func(v int) {
-				key := fmt.Sprintf("%d", g.ExternalID(graph.VertexID(v)))
-				resp.Vectors[key] = append(resp.Vectors[key], pi)
-			})
-		}
-	}
-	return resp
-}
-
-// completeDists maps each edit distance to whether its level completed.
-func completeDists(levels []core.LevelStats) map[int]bool {
-	m := make(map[int]bool, len(levels))
-	for _, lv := range levels {
-		m[lv.Dist] = lv.Complete
-	}
-	return m
-}
-
-// buildMatchResponse translates the pipeline result to the wire shape; see
-// buildMatchResponseDist for the id-space contract of g.
-func buildMatchResponse(g *graph.Graph, res *core.Result, req *MatchRequest, elapsed time.Duration) MatchResponse {
-	resp := MatchResponse{
-		Prototypes: make([]PrototypeSummary, 0, len(res.Set.Protos)),
-		Vectors:    map[string][]int{},
-		Labels:     res.LabelsGenerated(),
-		ElapsedMS:  elapsed.Milliseconds(),
-		Partial:    res.Partial,
-	}
-	exact := completeDists(res.Levels)
-	for pi, p := range res.Set.Protos {
-		ps := PrototypeSummary{Index: pi, Dist: p.Dist, Exact: exact[p.Dist]}
-		if sol := res.Solutions[pi]; sol != nil {
-			ps.Vertices = sol.Verts.Count()
-			if req.Count {
-				c := sol.MatchCount
-				ps.MatchCount = &c
+		// One key and one map insert per matching vertex; its vector lists
+		// the prototypes whose solution holds it, in ascending index order.
+		union := bitvec.New(g.NumVertices())
+		for _, sol := range solutions {
+			if sol != nil {
+				union.Or(sol.Verts)
 			}
 		}
-		resp.Prototypes = append(resp.Prototypes, ps)
-	}
-	if req.Vectors {
-		res.UnionVertices().ForEach(func(v int) {
-			key := fmt.Sprintf("%d", g.ExternalID(graph.VertexID(v)))
-			resp.Vectors[key] = res.MatchVector(graph.VertexID(v))
+		union.ForEach(func(v int) {
+			var mv []int
+			for pi, sol := range solutions {
+				if sol != nil && sol.Verts.Get(v) {
+					mv = append(mv, pi)
+				}
+			}
+			resp.Vectors[strconv.Itoa(int(g.ExternalID(graph.VertexID(v))))] = mv
 		})
 	}
 	return resp
@@ -928,12 +887,14 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx = s.withQueryBudget(ctx)
 
+	cfg := s.pipelineConfig(req)
+	cfg.CountMatches = false // exploration reports no counts
 	var resp ExploreResponse
 	if s.cfg.Chaos != nil {
 		eng := s.chaosEngine(snap.Graph())
 		dres, err := func() (res *dist.TopDownResult, err error) {
 			defer recoverToPanicError(&err)
-			return dist.RunTopDownContext(ctx, eng, t, s.distOptions(req))
+			return dist.RunTopDownContext(ctx, eng, t, dist.Options{Config: cfg, Rebalance: true})
 		}()
 		if err != nil {
 			release()
@@ -949,15 +910,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 			ElapsedMS:          time.Since(q.start).Milliseconds(),
 		}
 	} else {
-		cfg := core.DefaultConfig(req.K)
-		cfg.CacheBytes = s.cfg.CacheBytes
-		cfg.SharedCache = s.nlccShared
-		cfg.NoSymmetry = s.cfg.NoSymmetry
-		cfg.NoGuards = s.cfg.NoGuards
-		if s.cfg.Workers > 0 {
-			cfg.Workers = s.cfg.Workers
-		}
-		s.applyCompaction(&cfg)
 		res, err := func() (res *core.TopDownResult, err error) {
 			defer recoverToPanicError(&err)
 			return core.RunTopDownContext(ctx, snap.Graph(), t, cfg)
