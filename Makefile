@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench fuzz-smoke loopback-smoke crash-smoke
+.PHONY: build test check bench-module bench fuzz-smoke loopback-smoke crash-smoke
 
 build:
 	$(GO) build ./...
@@ -17,13 +17,22 @@ test:
 # including the real-socket TCP transport and coordinator suites). The
 # -cpu leg reruns the pipeline and serving suites at three GOMAXPROCS
 # values, because the server derives its default Workers/Parallelism from
-# it: no test outcome may depend on the host's CPU count.
-check:
+# it: no test outcome may depend on the host's CPU count. bench-module
+# rides along because bench/ is its own module.
+check: bench-module
 	$(GO) vet ./...
 	$(GO) test -race ./internal/server/ ./internal/core/ ./internal/wal/
 	$(GO) test -cpu 1,2,4 ./internal/core/ ./internal/server/
 	$(GO) test -race -run 'Canonical' ./internal/pattern/
 	$(GO) test -race -run 'Chaos|Partial|SharedCache|Coordinator|RankServer|DialGroup' ./internal/dist/...
+
+# bench-module vets and tests the repo benchmark. bench/ has its own go.mod,
+# so the root `go build ./... && go test ./...` never compiles it — and it
+# builds server.Config by keyed literal, so a renamed or removed field
+# breaks it silently without this step.
+bench-module:
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
 
 # fuzz-smoke runs each native fuzz target for a short burst — enough to
 # shake out loader/parser/ingest regressions on hostile input without a

@@ -21,11 +21,15 @@
 //	        [-ingest] [-ingest-maxbody 16777216]
 //	        [-wal-dir DIR] [-wal-sync always|interval|none]
 //	        [-wal-checkpoint-every N] [-wal-segment-bytes N]
-//	        [-no-symmetry] [-no-guards] [-no-relabel]
 //	        [-chaos-seed S -chaos-drop 0.1 -chaos-dup 0.1
 //	         -chaos-crash 100 -chaos-ranks 4]
 //	        [-ranks-addr host:p1,host:p2 -ranks-timeout 5s
 //	         -ranks-dial-timeout 30s]
+//
+// The flags amatchrank shares (-graph -maxk -querytimeout -workers
+// -compact-below -max-work -max-bytes -cache-bytes -result-cache-bytes
+// -shared-nlcc) are declared once, by server.RegisterFlags; the rest are
+// this binary's own.
 //
 // The listener binds before recovery begins and -addr may be ":0"; the
 // bound address is printed in the "serving" log line ("addr" field), which
@@ -102,6 +106,7 @@ import (
 	"syscall"
 	"time"
 
+	"approxmatch/cmd/internal/graphfile"
 	"approxmatch/internal/dist"
 	"approxmatch/internal/graph"
 	"approxmatch/internal/server"
@@ -109,33 +114,21 @@ import (
 )
 
 func main() {
+	serving := server.RegisterFlags(flag.CommandLine)
 	var (
-		graphPath    = flag.String("graph", "", "background graph edge-list file (required)")
 		addr         = flag.String("addr", ":8080", "listen address")
-		maxK         = flag.Int("maxk", 6, "largest accepted edit distance")
 		concurrency  = flag.Int("concurrency", 0, "max in-flight queries (0 = GOMAXPROCS-aware default)")
 		queueDepth   = flag.Int("queue", 0, "admission queue depth beyond in-flight (0 = 2×concurrency, -1 = none)")
-		queryTimeout = flag.Duration("querytimeout", 30*time.Second, "per-query pipeline timeout (0 = none)")
 		maxBody      = flag.Int64("maxbody", 1<<20, "max request body bytes")
-		workers      = flag.Int("workers", 0, "per-query kernel workers (0 = scheduler-aware default, -1 = sequential)")
-		compactBelow = flag.Float64("compact-below", 0.5, "compact the search state into a dense graph view when its active fraction drops below this threshold (0 disables)")
 		chaosSeed    = flag.Int64("chaos-seed", -1, "fault-schedule seed; >= 0 enables chaos mode (queries run on the fault-injected distributed engine)")
 		chaosDrop    = flag.Float64("chaos-drop", 0, "per-transmission drop probability in chaos mode")
 		chaosDup     = flag.Float64("chaos-dup", 0, "per-transmission duplication probability in chaos mode")
 		chaosCrash   = flag.Int("chaos-crash", 0, "crash rank 0 after this many deliveries per traversal in chaos mode (0 = no crashes)")
 		chaosRanks   = flag.Int("chaos-ranks", 4, "simulated distributed ranks in chaos mode")
-		maxWork      = flag.Int64("max-work", 0, "per-query pipeline work-unit budget; exhausted /match queries return an exact partial result (0 = no limit)")
-		maxBytes     = flag.Int64("max-bytes", 0, "per-query auxiliary allocation budget in bytes (0 = no limit)")
-		cacheBytes   = flag.Int64("cache-bytes", 0, "work-recycling cache cap in bytes, LRU-evicted beyond it (0 = unbounded); caps the shared store with -shared-nlcc, per-query caches otherwise")
-		resultCache  = flag.Int64("result-cache-bytes", 64<<20, "cross-query result cache cap in bytes: completed /match responses are cached under the template's canonical key and served verbatim to isomorphic queries (0 = disabled)")
-		sharedNLCC   = flag.Bool("shared-nlcc", true, "share one NLCC work-recycling store across queries so constraint walks recycle across the query boundary")
 		partialGrace = flag.Duration("partial-grace", 0, "slow-query watchdog window: queries crossing -querytimeout get this long to wind down into a partial result before a hard kill (0 = querytimeout/4, min 1s; negative disables the downgrade)")
 		memWatermark = flag.Uint64("mem-watermark", 0, "shed new queries with 503 while the live Go heap exceeds this many bytes (0 = disabled)")
 		ingest       = flag.Bool("ingest", false, "enable POST /ingest live mutation batches (unauthenticated graph writes — only expose on trusted networks)")
 		ingestBody   = flag.Int64("ingest-maxbody", 16<<20, "max /ingest request body bytes")
-		noSymmetry   = flag.Bool("no-symmetry", false, "disable automorphism symmetry breaking in the counting/enumeration kernels (ablation; results unchanged)")
-		noGuards     = flag.Bool("no-guards", false, "disable failure-guard pruning in the verification kernels (ablation; results unchanged)")
-		noRelabel    = flag.Bool("no-relabel", false, "keep input vertex ids as internal ids instead of relabeling by descending degree (ablation; the API always speaks input ids)")
 		ranksAddr    = flag.String("ranks-addr", "", "comma-separated amatchrank worker addresses; when set, /match and /explore are routed to the rank group (empty = in-process engine)")
 		ranksTimeout = flag.Duration("ranks-timeout", 0, "per-exchange coordinator timeout for dials and routed queries (0 = querytimeout, or 5s when that is unset)")
 		ranksDial    = flag.Duration("ranks-dial-timeout", 30*time.Second, "total budget for dialing the rank group: failed dials retry with capped exponential backoff until it elapses (0 = one attempt per worker)")
@@ -147,44 +140,35 @@ func main() {
 	)
 	flag.Parse()
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	if *graphPath == "" {
+	graphPath, cfg := serving()
+	if graphPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	f, err := os.Open(*graphPath)
+	g, err := graphfile.Load(graphPath)
 	if err != nil {
-		fatal(logger, "open graph", err)
+		fatal(logger, "load graph", err)
 	}
-	g, err := graph.ReadEdgeList(f)
-	f.Close()
-	if err != nil {
-		fatal(logger, "read graph", err)
-	}
-	// Degree-ordered internal ids for kernel cache locality. The HTTP API is
-	// unaffected: /match vectors and /ingest batches are translated at the
-	// boundary, so clients always speak the input file's ids.
-	if !*noRelabel {
-		g = graph.RelabelByDegree(g)
-	}
-
-	// server.Config treats 0 as "pipeline default" and negative as "off",
-	// so a -compact-below 0 on the command line maps to the off sentinel.
-	cb := *compactBelow
-	if cb <= 0 {
-		cb = -1
-	}
+	cfg.MaxConcurrent = *concurrency
+	cfg.QueueDepth = *queueDepth
+	cfg.MaxBodyBytes = *maxBody
+	cfg.ChaosRanks = *chaosRanks
+	cfg.PartialGrace = *partialGrace
+	cfg.MemHighWatermark = *memWatermark
+	cfg.EnableIngest = *ingest
+	cfg.IngestMaxBodyBytes = *ingestBody
+	cfg.Logger = logger
 	// -chaos-seed >= 0 opts the server into fault-injected serving: queries
 	// run on the distributed engine with this fault plane, and the chaos
 	// differential suite's guarantee is that results stay bit-identical.
-	var chaos *dist.Faults
 	if *chaosSeed >= 0 {
-		chaos = &dist.Faults{
+		cfg.Chaos = &dist.Faults{
 			Seed:      *chaosSeed,
 			Drop:      *chaosDrop,
 			Duplicate: *chaosDup,
 		}
 		if *chaosCrash > 0 {
-			chaos.Crash = &dist.CrashEvent{Rank: 0, After: *chaosCrash}
+			cfg.Chaos.Crash = &dist.CrashEvent{Rank: 0, After: *chaosCrash}
 		}
 	}
 	// Bind the listener and start serving behind a ready gate before
@@ -197,8 +181,8 @@ func main() {
 	// streaming; with no query timeout it stays unbounded (the scheduler
 	// still sheds load and client disconnects still cancel queries).
 	var writeTimeout time.Duration
-	if *queryTimeout > 0 {
-		writeTimeout = *queryTimeout + time.Minute
+	if cfg.QueryTimeout > 0 {
+		writeTimeout = cfg.QueryTimeout + time.Minute
 	}
 	hs := &http.Server{
 		Handler:           gate,
@@ -218,15 +202,13 @@ func main() {
 
 	// -wal-dir recovers the durable state before anything is published:
 	// checkpoint (or the seed graph just loaded), then tail replay.
-	var wlog *wal.Log
-	startEpoch := uint64(0)
 	if *walDir != "" {
 		policy, err := wal.ParseSyncPolicy(*walSync)
 		if err != nil {
 			fatal(logger, "parse -wal-sync", err)
 		}
 		var rec *wal.Recovery
-		wlog, rec, err = wal.Open(wal.Options{
+		cfg.WAL, rec, err = wal.Open(wal.Options{
 			Dir:             *walDir,
 			Sync:            policy,
 			SyncEvery:       *walSyncEvery,
@@ -236,8 +218,7 @@ func main() {
 		if err != nil {
 			fatal(logger, "recover wal", err)
 		}
-		g = rec.Graph
-		startEpoch = rec.Epoch
+		g, cfg.StartEpoch = rec.Graph, rec.Epoch
 		logger.Info("wal recovered",
 			"dir", *walDir, "epoch", rec.Epoch,
 			"from_checkpoint", rec.FromCheckpoint, "checkpoint_epoch", rec.CheckpointEpoch,
@@ -252,50 +233,25 @@ func main() {
 	// contract that workers and coordinator agree on ids. Failed dials
 	// retry with backoff for up to -ranks-dial-timeout, so workers started
 	// in parallel with the server do not have to win the race.
-	var coord *dist.Coordinator
 	if *ranksAddr != "" {
 		to := *ranksTimeout
 		if to <= 0 {
-			to = *queryTimeout
+			to = cfg.QueryTimeout
 		}
-		coord, err = dist.DialGroupWithin(splitAddrs(*ranksAddr), dist.GraphSignature(g), to, *ranksDial)
+		coord, err := dist.DialGroupWithin(splitAddrs(*ranksAddr), dist.GraphSignature(g), to, *ranksDial)
 		if err != nil {
 			fatal(logger, "dial rank group", err)
 		}
 		defer coord.Close()
 		logger.Info("rank group dialed", "workers", coord.Size(), "addrs", *ranksAddr)
+		cfg.Coordinator = coord
 	}
-	s := server.NewWithConfig(g, server.Config{
-		MaxConcurrent:      *concurrency,
-		QueueDepth:         *queueDepth,
-		QueryTimeout:       *queryTimeout,
-		MaxBodyBytes:       *maxBody,
-		Workers:            *workers,
-		CompactBelow:       cb,
-		Chaos:              chaos,
-		ChaosRanks:         *chaosRanks,
-		MaxWork:            *maxWork,
-		MaxBytes:           *maxBytes,
-		CacheBytes:         *cacheBytes,
-		ResultCacheBytes:   *resultCache,
-		SharedNLCC:         *sharedNLCC,
-		PartialGrace:       *partialGrace,
-		MemHighWatermark:   *memWatermark,
-		EnableIngest:       *ingest,
-		IngestMaxBodyBytes: *ingestBody,
-		NoSymmetry:         *noSymmetry,
-		NoGuards:           *noGuards,
-		Logger:             logger,
-		Coordinator:        coord,
-		WAL:                wlog,
-		StartEpoch:         startEpoch,
-	})
-	s.MaxEditDistance = *maxK
+	s := server.NewWithConfig(g, cfg)
 	gate.Ready(s.Handler())
 	st := graph.ComputeStats(g)
 	logger.Info("graph loaded",
 		"vertices", st.NumVertices, "edges", st.NumEdges, "labels", st.NumLabels,
-		"epoch", startEpoch)
+		"epoch", cfg.StartEpoch)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -308,8 +264,8 @@ func main() {
 	stop()
 	logger.Info("shutting down, draining in-flight requests")
 	drain := 10 * time.Second
-	if *queryTimeout > 0 {
-		drain = *queryTimeout + 5*time.Second
+	if cfg.QueryTimeout > 0 {
+		drain = cfg.QueryTimeout + 5*time.Second
 	}
 	sctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
@@ -320,11 +276,11 @@ func main() {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(logger, "serve", err)
 	}
-	if wlog != nil {
+	if cfg.WAL != nil {
 		// Final sync after the drain: every acknowledged batch is already
 		// durable per the sync policy; this just tidies interval/none mode
 		// on a clean shutdown.
-		if err := wlog.Close(); err != nil {
+		if err := cfg.WAL.Close(); err != nil {
 			logger.Warn("wal close", "err", err)
 		}
 	}

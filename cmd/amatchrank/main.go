@@ -10,9 +10,12 @@
 // On connect the worker greets the coordinator with its wire version and
 // a structural graph signature; the coordinator refuses a group whose
 // workers disagree (or disagree with its own graph), so a worker serving
-// a different file or relabeling can never silently answer queries
-// against the wrong data. Every worker must therefore load the same
-// graph with the same -no-relabel setting as the coordinator.
+// a different file can never silently answer queries against the wrong
+// data.
+//
+// A worker is a whole-graph read replica, not a traversal shard: it holds
+// the entire graph and answers each routed query alone. Adding workers
+// adds query throughput, not graph capacity.
 //
 // Usage:
 //
@@ -20,8 +23,10 @@
 //	           [-querytimeout 30s] [-maxk 6] [-workers N]
 //	           [-compact-below 0.5] [-max-work N] [-max-bytes N]
 //	           [-cache-bytes N] [-result-cache-bytes N]
-//	           [-shared-nlcc=false] [-no-symmetry] [-no-guards]
-//	           [-no-relabel]
+//	           [-shared-nlcc=false]
+//
+// Every flag but -listen is declared by server.RegisterFlags and means what
+// it means on amatchd.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // routed queries.
@@ -35,68 +40,28 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
+	"approxmatch/cmd/internal/graphfile"
 	"approxmatch/internal/dist"
-	"approxmatch/internal/graph"
 	"approxmatch/internal/server"
 )
 
 func main() {
-	var (
-		graphPath    = flag.String("graph", "", "background graph edge-list file (required)")
-		listen       = flag.String("listen", "127.0.0.1:9091", "rank worker listen address")
-		maxK         = flag.Int("maxk", 6, "largest accepted edit distance")
-		queryTimeout = flag.Duration("querytimeout", 30*time.Second, "per-query pipeline timeout (0 = none)")
-		workers      = flag.Int("workers", 0, "per-query kernel workers (0 = scheduler-aware default, -1 = sequential)")
-		compactBelow = flag.Float64("compact-below", 0.5, "compact the search state below this active fraction (0 disables)")
-		maxWork      = flag.Int64("max-work", 0, "per-query pipeline work-unit budget (0 = no limit)")
-		maxBytes     = flag.Int64("max-bytes", 0, "per-query auxiliary allocation budget in bytes (0 = no limit)")
-		cacheBytes   = flag.Int64("cache-bytes", 0, "work-recycling cache cap in bytes (0 = unbounded)")
-		resultCache  = flag.Int64("result-cache-bytes", 64<<20, "cross-query result cache cap in bytes (0 = disabled)")
-		sharedNLCC   = flag.Bool("shared-nlcc", true, "share one NLCC work-recycling store across queries")
-		noSymmetry   = flag.Bool("no-symmetry", false, "disable automorphism symmetry breaking (ablation)")
-		noGuards     = flag.Bool("no-guards", false, "disable failure-guard pruning (ablation)")
-		noRelabel    = flag.Bool("no-relabel", false, "keep input vertex ids as internal ids (must match the coordinator's setting)")
-	)
+	serving := server.RegisterFlags(flag.CommandLine)
+	listen := flag.String("listen", "127.0.0.1:9091", "rank worker listen address")
 	flag.Parse()
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	if *graphPath == "" {
+	graphPath, cfg := serving()
+	if graphPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	f, err := os.Open(*graphPath)
+	g, err := graphfile.Load(graphPath)
 	if err != nil {
-		fatal(logger, "open graph", err)
+		fatal(logger, "load graph", err)
 	}
-	g, err := graph.ReadEdgeList(f)
-	f.Close()
-	if err != nil {
-		fatal(logger, "read graph", err)
-	}
-	// Same load path as amatchd: the graph signature covers the relabeled
-	// structure, so coordinator and workers must agree on -no-relabel.
-	if !*noRelabel {
-		g = graph.RelabelByDegree(g)
-	}
-	cb := *compactBelow
-	if cb <= 0 {
-		cb = -1
-	}
-	s := server.NewWithConfig(g, server.Config{
-		QueryTimeout:     *queryTimeout,
-		Workers:          *workers,
-		CompactBelow:     cb,
-		MaxWork:          *maxWork,
-		MaxBytes:         *maxBytes,
-		CacheBytes:       *cacheBytes,
-		ResultCacheBytes: *resultCache,
-		SharedNLCC:       *sharedNLCC,
-		NoSymmetry:       *noSymmetry,
-		NoGuards:         *noGuards,
-		Logger:           logger,
-	})
-	s.MaxEditDistance = *maxK
+	cfg.Logger = logger
+	s := server.NewWithConfig(g, cfg)
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {

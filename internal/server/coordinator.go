@@ -2,9 +2,7 @@ package server
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"approxmatch/internal/dist"
@@ -22,33 +20,15 @@ import (
 // worker runs its own scheduler. /stats, /metrics, /healthz (and /ingest
 // if enabled) always stay local.
 
-// forward routes one query to the rank group and relays the response.
-func (s *Server) forward(w http.ResponseWriter, r *http.Request, q *request, endpoint byte) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
-			s.finish(r, q, outcomeTooLarge, http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		s.finish(r, q, outcomeBadRequest, http.StatusBadRequest)
-		return
-	}
-	// Validate locally against the same rules the worker will apply, so a
-	// malformed query is rejected here with the usual error shape.
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	if _, _, ok := s.parseRequest(w, r, q); !ok {
-		return
-	}
+// forward routes one accepted query — body already read and validated
+// against the same rules the worker will apply — to the rank group and
+// relays the response.
+func (s *Server) forward(w http.ResponseWriter, r *http.Request, q *request, endpoint byte, body []byte) {
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
 	status, contentType, resp, err := s.cfg.Coordinator.Do(ctx, endpoint, body)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("rank group unavailable: %v", err), http.StatusBadGateway)
-		s.finish(r, q, outcomeProxyError, http.StatusBadGateway)
+		s.reject(w, r, q, http.StatusBadGateway, outcomeProxyError, fmt.Sprintf("rank group unavailable: %v", err))
 		return
 	}
 	if contentType != "" {

@@ -135,19 +135,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("ingest body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
-			s.finish(r, q, outcomeTooLarge, http.StatusRequestEntityTooLarge)
+			s.reject(w, r, q, http.StatusRequestEntityTooLarge, outcomeTooLarge, fmt.Sprintf("ingest body exceeds %d bytes", tooBig.Limit))
 		} else {
-			http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-			s.finish(r, q, outcomeBadRequest, http.StatusBadRequest)
+			s.reject(w, r, q, http.StatusBadRequest, outcomeBadRequest, fmt.Sprintf("bad request: %v", err))
 		}
 		s.metrics.noteIngestRejected()
 		return
 	}
 	d, err := decodeDelta(&req)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
-		s.finish(r, q, outcomeBadRequest, http.StatusBadRequest)
+		s.reject(w, r, q, http.StatusBadRequest, outcomeBadRequest, fmt.Sprintf("bad batch: %v", err))
 		s.metrics.noteIngestRejected()
 		return
 	}
@@ -183,14 +180,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if commitErr != nil {
 		s.log.LogAttrs(r.Context(), slog.LevelError, "ingest batch not durable",
 			slog.String("error", commitErr.Error()))
-		http.Error(w, "durable append failed; batch not applied", http.StatusInternalServerError)
-		s.finish(r, q, outcomeDurability, http.StatusInternalServerError)
+		s.reject(w, r, q, http.StatusInternalServerError, outcomeDurability, "durable append failed; batch not applied")
 		s.metrics.noteIngestRejected()
 		return
 	}
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		s.finish(r, q, outcomeUnprocessable, http.StatusUnprocessableEntity)
+		s.reject(w, r, q, http.StatusUnprocessableEntity, outcomeUnprocessable, err.Error())
 		s.metrics.noteIngestRejected()
 		return
 	}

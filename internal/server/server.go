@@ -23,6 +23,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -68,15 +69,8 @@ type Config struct {
 	// (core.Config.CompactBelow). 0 keeps the pipeline default (0.5);
 	// negative disables compaction.
 	CompactBelow float64
-	// NoSymmetry disables automorphism symmetry breaking in the counting
-	// and enumeration kernels (core.Config.NoSymmetry). Results are
-	// identical either way; this is the ablation knob behind amatchd
-	// -no-symmetry.
-	NoSymmetry bool
-	// NoGuards disables failure-guard pruning in the verification kernels
-	// (core.Config.NoGuards). Results are identical either way; the
-	// ablation knob behind amatchd -no-guards.
-	NoGuards bool
+	// MaxEditDistance bounds accepted k values (default 6).
+	MaxEditDistance int
 	// QueryTimeout bounds each query's pipeline time; 0 disables (the
 	// request context still cancels on client disconnect).
 	QueryTimeout time.Duration
@@ -207,6 +201,9 @@ func (c Config) withDefaults() Config {
 			c.Workers = -1
 		}
 	}
+	if c.MaxEditDistance <= 0 {
+		c.MaxEditDistance = 6
+	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
@@ -232,10 +229,9 @@ type Server struct {
 	// versions out all cached results even if a stale leader later
 	// completes an old-epoch flight.
 	snaps *graph.SnapshotStore
-	// MaxEditDistance bounds accepted k values (default 6).
-	MaxEditDistance int
 
 	cfg     Config
+	engine  engine
 	sched   *scheduler
 	metrics *metricsRegistry
 	mem     *memWatcher
@@ -259,16 +255,18 @@ func New(g *graph.Graph) *Server { return NewWithConfig(g, Config{}) }
 func NewWithConfig(g *graph.Graph, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		snaps:           graph.NewSnapshotStoreAt(g, cfg.StartEpoch),
-		MaxEditDistance: 6,
-		cfg:             cfg,
-		sched:           newScheduler(cfg.MaxConcurrent, cfg.QueueDepth),
-		metrics:         newMetricsRegistry(),
-		mem:             newMemWatcher(cfg.MemHighWatermark),
-		log:             cfg.Logger,
+		snaps:   graph.NewSnapshotStoreAt(g, cfg.StartEpoch),
+		cfg:     cfg,
+		sched:   newScheduler(cfg.MaxConcurrent, cfg.QueueDepth),
+		metrics: newMetricsRegistry(),
+		mem:     newMemWatcher(cfg.MemHighWatermark),
+		log:     cfg.Logger,
 	}
+	s.engine = s.newEngine()
 	s.stats.Store(s.computeStats(g, cfg.StartEpoch))
-	if cfg.ResultCacheBytes > 0 {
+	// Chaos mode runs without the result cache so injected faults keep
+	// exercising the full pipeline.
+	if cfg.ResultCacheBytes > 0 && cfg.Chaos == nil {
 		s.rcache = newResultCache(cfg.ResultCacheBytes)
 		s.flights = newFlightGroup()
 	}
@@ -449,32 +447,53 @@ func (s *Server) finish(r *http.Request, q *request, outcome string, status int,
 	s.log.LogAttrs(r.Context(), slog.LevelInfo, "query", append(base, attrs...)...)
 }
 
-// parseRequest decodes and validates the body. The body is capped at
-// Config.MaxBodyBytes (413 on overflow). On failure it writes the error
-// response, records the outcome and returns ok=false.
-func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request, q *request) (*MatchRequest, *pattern.Template, bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+// reject writes an error response and records its outcome under the same
+// status, so the two can never disagree.
+func (s *Server) reject(w http.ResponseWriter, r *http.Request, q *request, status int, outcome, msg string, attrs ...slog.Attr) {
+	http.Error(w, msg, status)
+	s.finish(r, q, outcome, status, attrs...)
+}
+
+// accept decodes and validates the query body — capped at
+// Config.MaxBodyBytes (413 on overflow), k range-checked, template parsed —
+// exactly once per request. In coordinator mode the bytes the decoder
+// consumed are kept and topped up with whatever follows the first JSON
+// value, so the rank group parses exactly the body validated here; the
+// request is then finished by forward. accept returns ok=false when the
+// response has already been written and the outcome recorded.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, q *request, endpoint byte) (*MatchRequest, *pattern.Template, bool) {
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	var src io.Reader = body
+	var raw *bytes.Buffer
+	if s.cfg.Coordinator != nil {
+		raw = new(bytes.Buffer)
+		src = io.TeeReader(body, raw)
+	}
 	var req MatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	err := json.NewDecoder(src).Decode(&req)
+	if err == nil && raw != nil {
+		_, err = raw.ReadFrom(body)
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
-			s.finish(r, q, outcomeTooLarge, http.StatusRequestEntityTooLarge)
+			s.reject(w, r, q, http.StatusRequestEntityTooLarge, outcomeTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 		} else {
-			http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-			s.finish(r, q, outcomeBadRequest, http.StatusBadRequest)
+			s.reject(w, r, q, http.StatusBadRequest, outcomeBadRequest, fmt.Sprintf("bad request: %v", err))
 		}
 		return nil, nil, false
 	}
-	if req.K < 0 || req.K > s.MaxEditDistance {
-		http.Error(w, fmt.Sprintf("k must be in [0,%d]", s.MaxEditDistance), http.StatusBadRequest)
-		s.finish(r, q, outcomeBadRequest, http.StatusBadRequest, slog.Int("k", req.K))
+	if req.K < 0 || req.K > s.cfg.MaxEditDistance {
+		s.reject(w, r, q, http.StatusBadRequest, outcomeBadRequest, fmt.Sprintf("k must be in [0,%d]", s.cfg.MaxEditDistance), slog.Int("k", req.K))
 		return nil, nil, false
 	}
 	t, err := pattern.Parse(strings.NewReader(req.Template))
 	if err != nil {
-		http.Error(w, fmt.Sprintf("bad template: %v", err), http.StatusBadRequest)
-		s.finish(r, q, outcomeBadRequest, http.StatusBadRequest, slog.Int("k", req.K))
+		s.reject(w, r, q, http.StatusBadRequest, outcomeBadRequest, fmt.Sprintf("bad template: %v", err), slog.Int("k", req.K))
+		return nil, nil, false
+	}
+	if s.cfg.Coordinator != nil {
+		s.forward(w, r, q, endpoint, raw.Bytes())
 		return nil, nil, false
 	}
 	return &req, t, true
@@ -493,22 +512,16 @@ func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelF
 	return context.WithCancel(r.Context())
 }
 
-// queryBudget assembles the per-query budget from the server config: work
-// and byte caps, plus the watchdog's wall cap when the partial downgrade is
-// enabled.
-func (s *Server) queryBudget() core.Budget {
+// withQueryBudget attaches the per-query budget tracker to ctx: the
+// configured work and byte caps, plus the watchdog's wall cap when the
+// partial downgrade is enabled. It is called after admission so queue wait
+// never consumes the query's wall budget.
+func (s *Server) withQueryBudget(ctx context.Context) context.Context {
 	b := core.Budget{MaxWork: s.cfg.MaxWork, MaxBytes: s.cfg.MaxBytes}
 	if s.cfg.partialGrace() > 0 {
 		b.MaxWall = s.cfg.QueryTimeout
 	}
-	return b
-}
-
-// withQueryBudget attaches the per-query budget tracker to ctx (no-op when
-// the server is unbudgeted). It is called after admission so queue wait
-// never consumes the query's wall budget.
-func (s *Server) withQueryBudget(ctx context.Context) context.Context {
-	return core.WithBudget(ctx, s.queryBudget())
+	return core.WithBudget(ctx, b)
 }
 
 // retryAfterSeconds derives the 503 Retry-After hint from current load
@@ -541,9 +554,21 @@ func (s *Server) shedMemory(w http.ResponseWriter, r *http.Request, q *request) 
 		return false
 	}
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
-	http.Error(w, "server over memory watermark, retry later", http.StatusServiceUnavailable)
-	s.finish(r, q, outcomeMemOverload, http.StatusServiceUnavailable)
+	s.reject(w, r, q, http.StatusServiceUnavailable, outcomeMemOverload, "server over memory watermark, retry later")
 	return true
+}
+
+// writeContextError maps a fired query context to its response, wherever the
+// query was when it fired (queued for a slot, waiting on a coalesced leader,
+// inside the pipeline): deadline expiry is a 504 carrying msg; cancellation
+// means the client is gone, so nothing useful can be written and only the
+// outcome is recorded.
+func (s *Server) writeContextError(w http.ResponseWriter, r *http.Request, q *request, err error, msg string, attrs ...slog.Attr) {
+	if errors.Is(err, context.DeadlineExceeded) {
+		s.reject(w, r, q, http.StatusGatewayTimeout, outcomeTimeout, msg, attrs...)
+		return
+	}
+	s.finish(r, q, outcomeCanceled, http.StatusServiceUnavailable, attrs...)
 }
 
 // admit acquires a pipeline slot, translating scheduler errors into HTTP
@@ -555,13 +580,9 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Reque
 		return release
 	case errors.Is(err, errOverloaded):
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
-		http.Error(w, "server overloaded, retry later", http.StatusServiceUnavailable)
-		s.finish(r, q, outcomeOverload, http.StatusServiceUnavailable)
-	case errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, "queue wait exceeded query timeout", http.StatusGatewayTimeout)
-		s.finish(r, q, outcomeTimeout, http.StatusGatewayTimeout)
-	default: // context.Canceled: client went away while queued
-		s.finish(r, q, outcomeCanceled, http.StatusServiceUnavailable)
+		s.reject(w, r, q, http.StatusServiceUnavailable, outcomeOverload, "server overloaded, retry later")
+	default: // the query context fired while queued
+		s.writeContextError(w, r, q, err, "queue wait exceeded query timeout")
 	}
 	return nil
 }
@@ -577,36 +598,28 @@ func (s *Server) writePipelineError(w http.ResponseWriter, r *http.Request, q *r
 		s.log.LogAttrs(r.Context(), slog.LevelError, "pipeline panic",
 			slog.String("qid", q.id), slog.String("panic", fmt.Sprint(pe.Val)),
 			slog.String("stack", string(pe.Stack)))
-		http.Error(w, "internal pipeline error", http.StatusInternalServerError)
-		s.finish(r, q, outcomePanic, http.StatusInternalServerError, slog.Int("k", k))
+		s.reject(w, r, q, http.StatusInternalServerError, outcomePanic, "internal pipeline error", slog.Int("k", k))
 	case errors.Is(err, core.ErrBudgetExhausted):
 		// Budget exhaustion with no partial result to salvage (top-down
 		// exploration): report it like a server-side deadline.
 		s.metrics.noteBudgetExhausted(false)
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-		s.finish(r, q, outcomeBudget, http.StatusGatewayTimeout, slog.Int("k", k))
+		s.reject(w, r, q, http.StatusGatewayTimeout, outcomeBudget, err.Error(), slog.Int("k", k))
 	case errors.Is(err, dist.ErrQuiescenceDeadline):
 		// The distributed runtime could not quiesce under the injected
 		// fault schedule — a server-side deadline, not a client error.
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-		s.finish(r, q, outcomeTimeout, http.StatusGatewayTimeout, slog.Int("k", k))
-	case errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, fmt.Sprintf("query exceeded timeout %v", s.cfg.QueryTimeout), http.StatusGatewayTimeout)
-		s.finish(r, q, outcomeTimeout, http.StatusGatewayTimeout, slog.Int("k", k))
-	case errors.Is(err, context.Canceled):
-		// Client is gone; nothing useful can be written.
-		s.finish(r, q, outcomeCanceled, http.StatusServiceUnavailable, slog.Int("k", k))
+		s.reject(w, r, q, http.StatusGatewayTimeout, outcomeTimeout, err.Error(), slog.Int("k", k))
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		s.writeContextError(w, r, q, err, fmt.Sprintf("query exceeded timeout %v", s.cfg.QueryTimeout), slog.Int("k", k))
 	default:
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		s.finish(r, q, outcomeUnprocessable, http.StatusUnprocessableEntity, slog.Int("k", k))
+		s.reject(w, r, q, http.StatusUnprocessableEntity, outcomeUnprocessable, err.Error(), slog.Int("k", k))
 	}
 }
 
 // pipelineConfig builds the one per-query pipeline configuration /match,
 // /explore and chaos mode all run under: the fully optimized defaults for
-// the request's k with the server's worker, compaction, cache and ablation
-// settings folded in. (Chaos mode hands it to the distributed engine, which
-// rejects the knobs it cannot honour — see dist.Options.)
+// the request's k with the server's worker, compaction and cache settings
+// folded in. (Chaos mode hands it to the distributed engine, which rejects
+// the knobs it cannot honour — see dist.Options.)
 func (s *Server) pipelineConfig(req *MatchRequest) core.Config {
 	cfg := core.DefaultConfig(req.K)
 	cfg.CountMatches = req.Count
@@ -614,8 +627,6 @@ func (s *Server) pipelineConfig(req *MatchRequest) core.Config {
 	// The shared NLCC store is correctness-neutral even under injected
 	// faults (verification is exact), so chaos-mode queries recycle too.
 	cfg.SharedCache = s.nlccShared
-	cfg.NoSymmetry = s.cfg.NoSymmetry
-	cfg.NoGuards = s.cfg.NoGuards
 	if s.cfg.Workers > 0 {
 		cfg.Workers = s.cfg.Workers
 	}
@@ -629,13 +640,127 @@ func (s *Server) pipelineConfig(req *MatchRequest) core.Config {
 	return cfg
 }
 
+// engine is the pair of pipeline entry points a server's queries run on,
+// chosen once at construction. Both engines speak core's result shapes, so
+// the skeleton and the response builders never learn which one ran.
+type engine struct {
+	match   func(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg core.Config) (*core.Result, error)
+	explore func(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg core.Config) (*core.TopDownResult, error)
+}
+
+// newEngine selects the in-process parallel pipeline or, with Config.Chaos
+// set, the fault-injected distributed runtime.
+func (s *Server) newEngine() engine {
+	if s.cfg.Chaos != nil {
+		return engine{match: s.chaosMatch, explore: s.chaosExplore}
+	}
+	return engine{match: s.localMatch, explore: core.RunTopDownContext}
+}
+
+func (s *Server) localMatch(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg core.Config) (*core.Result, error) {
+	return core.RunParallelContext(ctx, g, t, cfg, s.cfg.Parallelism)
+}
+
+// chaosMatch and chaosExplore reduce the distributed runtime's results to
+// the fields the wire responses read.
+func (s *Server) chaosMatch(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg core.Config) (*core.Result, error) {
+	d, err := runChaos(s, g, cfg, func(e *dist.Engine, o dist.Options) (*dist.Result, error) {
+		return dist.RunContext(ctx, e, t, o)
+	})
+	if d == nil {
+		return nil, err
+	}
+	return &core.Result{Set: d.Set, Solutions: d.Solutions, Levels: d.Levels, Partial: d.Partial, Metrics: d.VerifyMetrics}, err
+}
+
+func (s *Server) chaosExplore(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg core.Config) (*core.TopDownResult, error) {
+	d, err := runChaos(s, g, cfg, func(e *dist.Engine, o dist.Options) (*dist.TopDownResult, error) {
+		return dist.RunTopDownContext(ctx, e, t, o)
+	})
+	if d == nil {
+		return nil, err
+	}
+	return &core.TopDownResult{FoundDist: d.FoundDist, PrototypesSearched: d.PrototypesSearched, MatchingVertices: d.MatchingVertices, Metrics: d.VerifyMetrics}, err
+}
+
+// runChaos runs one query on its own distributed deployment over the query's
+// pinned snapshot with the server's fault plane attached (rank ownership
+// mutates during a run, so engines are never shared across queries). A run
+// that yields no result — error or panic — still has its fault counters
+// folded into /metrics: the engine dies with the query, and without this a
+// deadline abort would silently discard the stalls/retries/crashes that
+// caused it.
+func runChaos[D any](s *Server, g *graph.Graph, cfg core.Config, run func(*dist.Engine, dist.Options) (*D, error)) (res *D, err error) {
+	eng := dist.NewEngine(g, dist.Config{Ranks: s.cfg.ChaosRanks, Faults: s.cfg.Chaos})
+	defer func() {
+		if res == nil {
+			var m core.Metrics
+			eng.FoldFaultMetrics(&m)
+			s.metrics.observePipeline(&m)
+		}
+	}()
+	return run(eng, dist.Options{Config: cfg, Rebalance: true})
+}
+
+// runQuery is the one path every query takes from "request accepted" to
+// "slot released": memory shed → deadline → admission → budget → pipeline →
+// error mapping → metrics → release. run executes the endpoint's pipeline
+// on s.engine and, still holding the slot (it reads pipeline state), builds
+// the wire response; it returns the work counters to fold into /metrics and
+// whether the result is an anytime partial. run executes inside the panic
+// boundary, so a bug on the handler goroutine is isolated to this query.
+//
+// runQuery reports false when it has already written an error response and
+// recorded the outcome. Either way the slot is released before it returns
+// or writes anything: serializing a huge response, or an error, to a slow
+// client must not occupy query capacity.
+func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q *request, req *MatchRequest,
+	run func(ctx context.Context, cfg core.Config) (m *core.Metrics, partial bool, err error)) bool {
+	if s.shedMemory(w, r, q) {
+		return false
+	}
+	ctx, cancel := s.queryContext(r)
+	defer cancel()
+	release := s.admit(ctx, w, r, q)
+	if release == nil {
+		return false
+	}
+	m, partial, err := func() (m *core.Metrics, partial bool, err error) {
+		defer recoverToPanicError(&err)
+		return run(s.withQueryBudget(ctx), s.pipelineConfig(req))
+	}()
+	release()
+	if err != nil {
+		s.writePipelineError(w, r, q, err, req.K)
+		return false
+	}
+	// Fold the query's counters whether it completed or went partial — work
+	// performed must reach /metrics either way.
+	s.metrics.observePipeline(m)
+	if partial {
+		s.metrics.noteBudgetExhausted(true)
+	}
+	return true
+}
+
+// recoverToPanicError converts any panic on the handler goroutine — e.g. a
+// bug in the sequential pipeline phases, which run on the calling goroutine
+// — into a *core.PanicError, isolating it to this query. (Panics inside
+// pipeline worker goroutines are already converted by core itself.)
+func recoverToPanicError(err *error) {
+	if r := recover(); r != nil {
+		*err = &core.PanicError{Val: r, Stack: debug.Stack()}
+	}
+}
+
+// testHookMatch, when set, runs inside /match's panic-isolation boundary,
+// just before the pipeline call — the seam the panic-isolation and
+// single-flight tests use to poison or pin one query.
+var testHookMatch func(*MatchRequest)
+
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	q := s.begin("match")
-	if s.cfg.Coordinator != nil {
-		s.forward(w, r, q, dist.EndpointMatch)
-		return
-	}
-	req, t, ok := s.parseRequest(w, r, q)
+	req, t, ok := s.accept(w, r, q, dist.EndpointMatch)
 	if !ok {
 		return
 	}
@@ -652,107 +777,44 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// here on the pipeline (if any) runs on the canonical form, which is
 	// what makes response bodies byte-identical across isomorphic
 	// submissions. The key carries the pinned snapshot's epoch, so entries
-	// version out on every ingest. Chaos mode bypasses the cache so
-	// injected faults keep exercising the full pipeline.
+	// version out on every ingest.
 	var ckey string
-	var leaderFlight *flight
-	cacheable := s.rcache != nil && s.cfg.Chaos == nil
+	var lead *flight
+	cacheable := s.rcache != nil
 	if cacheable {
 		t, ckey, cacheable = canonicalizeForCache(snap.Epoch(), req, t)
 	}
 	if cacheable {
-		if body := s.rcache.get(ckey); body != nil {
-			s.rcache.hits.Add(1)
-			s.finish(r, q, outcomeCacheHit, http.StatusOK, slog.Int("k", req.K))
-			writeRawJSON(w, body)
+		var served bool
+		if lead, served = s.cachedOrLead(w, r, q, req, ckey); served {
 			return
 		}
-		f, leader := s.flights.join(ckey)
-		if leader {
-			leaderFlight = f
-		} else {
-			wctx, wcancel := s.queryContext(r)
-			defer wcancel()
-			select {
-			case <-f.done:
-				if f.body != nil {
-					s.rcache.hits.Add(1)
-					s.finish(r, q, outcomeCoalesced, http.StatusOK, slog.Int("k", req.K))
-					writeRawJSON(w, f.body)
-					return
-				}
-				// The leader failed or went partial; run this query
-				// independently rather than propagating a foreign error.
-			case <-wctx.Done():
-				s.finish(r, q, outcomeCanceled, http.StatusServiceUnavailable)
-				return
-			}
+	}
+	// land completes the leader's flight exactly once. Every path that
+	// leaves without a body to publish lands nil, releasing followers to
+	// fend for themselves — they can never wait on a dead leader.
+	land := func(body []byte) {
+		if lead != nil {
+			s.flights.complete(ckey, lead, body)
+			lead = nil
 		}
 	}
-	// published stays nil on every failure path, releasing followers to
-	// fend for themselves; the deferred complete guarantees they never
-	// wait on a dead leader.
-	var published []byte
-	if leaderFlight != nil {
-		s.rcache.misses.Add(1)
-		defer func() { s.flights.complete(ckey, leaderFlight, published) }()
-	}
+	defer land(nil)
 
-	if s.shedMemory(w, r, q) {
-		return
-	}
-	ctx, cancel := s.queryContext(r)
-	defer cancel()
-	release := s.admit(ctx, w, r, q)
-	if release == nil {
-		return
-	}
-	ctx = s.withQueryBudget(ctx)
-
-	cfg := s.pipelineConfig(req)
 	var resp MatchResponse
-	if s.cfg.Chaos != nil {
-		eng := s.chaosEngine(snap.Graph())
-		dres, err := func() (res *dist.Result, err error) {
-			defer recoverToPanicError(&err)
-			return dist.RunContext(ctx, eng, t, dist.Options{Config: cfg, Rebalance: true})
-		}()
-		if err != nil && (dres == nil || !dres.Partial) {
-			release()
-			s.observeFaults(eng)
-			s.writePipelineError(w, r, q, err, req.K)
-			return
+	if !s.runQuery(w, r, q, req, func(ctx context.Context, cfg core.Config) (*core.Metrics, bool, error) {
+		if h := testHookMatch; h != nil {
+			h(req)
 		}
-		// Fold the query's counters whether it completed or went partial —
-		// work performed must reach /metrics either way.
-		s.metrics.observePipeline(&dres.VerifyMetrics)
-		if dres.Partial {
-			s.metrics.noteBudgetExhausted(true)
-		}
-		resp = buildMatchResponse(snap.Graph(), dres.Set, dres.Solutions, dres.Levels, dres.Partial, req, time.Since(q.start))
-	} else {
-		res, err := func() (res *core.Result, err error) {
-			defer recoverToPanicError(&err)
-			if h := testHookMatch; h != nil {
-				h(req)
-			}
-			return core.RunParallelContext(ctx, snap.Graph(), t, cfg, s.cfg.Parallelism)
-		}()
+		res, err := s.engine.match(ctx, snap.Graph(), t, cfg)
 		if err != nil && (res == nil || !res.Partial) {
-			release()
-			s.writePipelineError(w, r, q, err, req.K)
-			return
+			return nil, false, err
 		}
-		s.metrics.observePipeline(&res.Metrics)
-		if res.Partial {
-			s.metrics.noteBudgetExhausted(true)
-		}
-		// Build the response while still holding the slot (it reads
-		// pipeline state), then release BEFORE serialization: encoding a
-		// huge Vectors map to a slow client must not occupy query capacity.
 		resp = buildMatchResponse(snap.Graph(), res.Set, res.Solutions, res.Levels, res.Partial, req, time.Since(q.start))
+		return &res.Metrics, res.Partial, nil
+	}) {
+		return
 	}
-	release()
 
 	outcome := outcomeOK
 	if resp.Partial {
@@ -763,59 +825,64 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		slog.Int("prototypes", len(resp.Prototypes)),
 		slog.Int64("labels", resp.Labels),
 		slog.Bool("partial", resp.Partial))
-	if cacheable {
-		// Serialize once and serve the leader, the cache and every follower
-		// the same bytes — warm responses are bit-identical to this cold one
-		// by construction. Partial results are never cached or published:
-		// they reflect this query's budget, not the graph.
-		body, err := json.Marshal(resp)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		body = append(body, '\n')
-		if leaderFlight != nil && !resp.Partial {
-			s.rcache.put(ckey, body)
-			published = body
-		}
-		writeRawJSON(w, body)
+	// Serialize once and serve the leader, the cache and every follower the
+	// same bytes — warm responses are bit-identical to this cold one by
+	// construction.
+	body, err := json.Marshal(resp)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, resp)
-}
-
-// testHookMatch, when set, runs inside handleMatch's panic-isolation
-// boundary, just before the pipeline call — the seam the panic-isolation
-// test uses to poison one query.
-var testHookMatch func(*MatchRequest)
-
-// recoverToPanicError converts any panic on the handler goroutine — e.g. a
-// bug in the sequential pipeline phases, which run on the calling goroutine
-// — into a *core.PanicError, isolating it to this query. (Panics inside
-// pipeline worker goroutines are already converted by core itself.)
-func recoverToPanicError(err *error) {
-	if r := recover(); r != nil {
-		*err = &core.PanicError{Val: r, Stack: debug.Stack()}
+	body = append(body, '\n')
+	// Publish before writing to this client: a slow or stalled leader
+	// connection must not hold the coalesced followers. Partial results are
+	// never cached or published — they reflect this query's budget, not the
+	// graph.
+	var publish []byte
+	if lead != nil && !resp.Partial {
+		s.rcache.put(ckey, body)
+		publish = body
 	}
+	land(publish)
+	writeRawJSON(w, body)
 }
 
-// chaosEngine builds a per-query distributed deployment over the query's
-// pinned snapshot with the server's fault plane attached.
-func (s *Server) chaosEngine(g *graph.Graph) *dist.Engine {
-	return dist.NewEngine(g, dist.Config{Ranks: s.cfg.ChaosRanks, Faults: s.cfg.Chaos})
+// cachedOrLead is /match's result-cache prologue for a cacheable query. It
+// serves the request outright when the body is cached or a concurrent
+// identical query (the flight's leader) delivers it, and reports served; if
+// the wait outlives the query deadline the follower gets the usual timeout
+// response. Otherwise the caller runs the pipeline — as the returned
+// flight's leader, or, when a foreign leader failed or went partial, on its
+// own (nil flight) rather than propagating someone else's error.
+func (s *Server) cachedOrLead(w http.ResponseWriter, r *http.Request, q *request, req *MatchRequest, ckey string) (lead *flight, served bool) {
+	body := s.rcache.get(ckey)
+	outcome := outcomeCacheHit
+	if body == nil {
+		f, leader := s.flights.join(ckey)
+		if leader {
+			s.rcache.misses.Add(1)
+			return f, false
+		}
+		wctx, wcancel := s.queryContext(r)
+		defer wcancel()
+		select {
+		case <-f.done:
+			if f.body == nil {
+				return nil, false
+			}
+			body, outcome = f.body, outcomeCoalesced
+		case <-wctx.Done():
+			s.writeContextError(w, r, q, wctx.Err(), "wait for the coalesced leader exceeded query timeout", slog.Int("k", req.K))
+			return nil, true
+		}
+	}
+	s.rcache.hits.Add(1)
+	s.finish(r, q, outcome, http.StatusOK, slog.Int("k", req.K))
+	writeRawJSON(w, body)
+	return nil, true
 }
 
-// observeFaults salvages a failed chaos query's fault counters: the engine
-// is per-query, so without this a deadline abort would silently discard the
-// stalls/retries/crashes that caused it.
-func (s *Server) observeFaults(eng *dist.Engine) {
-	var m core.Metrics
-	eng.FoldFaultMetrics(&m)
-	s.metrics.observePipeline(&m)
-}
-
-// buildMatchResponse translates a pipeline result — the in-process engine's
-// or the distributed one's, which share this shape — to the wire shape. g is
+// buildMatchResponse translates a pipeline result to the wire shape. g is
 // the snapshot the query ran on: pipeline vertex ids are internal (possibly
 // degree-relabeled), the wire speaks external ids.
 func buildMatchResponse(g *graph.Graph, set *prototype.Set, solutions []*core.Solution, levels []core.LevelStats, partial bool, req *MatchRequest, elapsed time.Duration) MatchResponse {
@@ -866,69 +933,30 @@ func buildMatchResponse(g *graph.Graph, set *prototype.Set, solutions []*core.So
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	q := s.begin("explore")
-	if s.cfg.Coordinator != nil {
-		s.forward(w, r, q, dist.EndpointExplore)
-		return
-	}
-	req, t, ok := s.parseRequest(w, r, q)
+	req, t, ok := s.accept(w, r, q, dist.EndpointExplore)
 	if !ok {
 		return
 	}
 	snap := s.snaps.Acquire()
 	defer snap.Release()
-	if s.shedMemory(w, r, q) {
-		return
-	}
-	ctx, cancel := s.queryContext(r)
-	defer cancel()
-	release := s.admit(ctx, w, r, q)
-	if release == nil {
-		return
-	}
-	ctx = s.withQueryBudget(ctx)
 
-	cfg := s.pipelineConfig(req)
-	cfg.CountMatches = false // exploration reports no counts
 	var resp ExploreResponse
-	if s.cfg.Chaos != nil {
-		eng := s.chaosEngine(snap.Graph())
-		dres, err := func() (res *dist.TopDownResult, err error) {
-			defer recoverToPanicError(&err)
-			return dist.RunTopDownContext(ctx, eng, t, dist.Options{Config: cfg, Rebalance: true})
-		}()
+	if !s.runQuery(w, r, q, req, func(ctx context.Context, cfg core.Config) (*core.Metrics, bool, error) {
+		cfg.CountMatches = false // exploration reports no counts
+		res, err := s.engine.explore(ctx, snap.Graph(), t, cfg)
 		if err != nil {
-			release()
-			s.observeFaults(eng)
-			s.writePipelineError(w, r, q, err, req.K)
-			return
+			return nil, false, err
 		}
-		s.metrics.observePipeline(&dres.VerifyMetrics)
-		resp = ExploreResponse{
-			FoundDist:          dres.FoundDist,
-			PrototypesSearched: dres.PrototypesSearched,
-			MatchingVertices:   dres.MatchingVertices.Count(),
-			ElapsedMS:          time.Since(q.start).Milliseconds(),
-		}
-	} else {
-		res, err := func() (res *core.TopDownResult, err error) {
-			defer recoverToPanicError(&err)
-			return core.RunTopDownContext(ctx, snap.Graph(), t, cfg)
-		}()
-		if err != nil {
-			release()
-			s.writePipelineError(w, r, q, err, req.K)
-			return
-		}
-		s.metrics.observePipeline(&res.Metrics)
 		resp = ExploreResponse{
 			FoundDist:          res.FoundDist,
 			PrototypesSearched: res.PrototypesSearched,
 			MatchingVertices:   res.MatchingVertices.Count(),
 			ElapsedMS:          time.Since(q.start).Milliseconds(),
 		}
+		return &res.Metrics, false, nil
+	}) {
+		return
 	}
-	release()
-
 	s.finish(r, q, outcomeOK, http.StatusOK,
 		slog.Int("k", req.K),
 		slog.Int("found_dist", resp.FoundDist))
