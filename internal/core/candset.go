@@ -31,80 +31,107 @@ func MaxCandidateSetWorkers(g *graph.Graph, t *pattern.Template, workers int, m 
 // candsetPrep holds the per-template lookup tables shared by the sequential
 // and superstep schedules of maxCandidateSet.
 type candsetPrep struct {
-	labelBits map[pattern.Label]uint64
+	labelBits labelTable
 	wildBits  uint64
 	pairs     *pattern.PairSet
-	elSet     map[pattern.Label]bool
-	elWild    bool
+	edgeLabel labelTable // non-zero for the edge labels some template edge names
+	elWild    bool       // some template edge accepts every edge label
 	prof      *constraint.MandatoryProfile
 	single    bool
 }
 
 func newCandsetPrep(t *pattern.Template) *candsetPrep {
 	p := &candsetPrep{
-		labelBits: make(map[pattern.Label]uint64),
-		pairs:     t.EdgePairSet(),
-		prof:      constraint.BuildMandatoryProfile(t),
-		single:    t.NumVertices() == 1,
+		pairs:  t.EdgePairSet(),
+		prof:   constraint.BuildMandatoryProfile(t),
+		single: t.NumVertices() == 1,
 	}
-	for q := 0; q < t.NumVertices(); q++ {
-		if t.Label(q) == pattern.Wildcard {
-			p.wildBits |= 1 << uint(q)
-		} else {
-			p.labelBits[t.Label(q)] |= 1 << uint(q)
+	p.labelBits, p.wildBits = vertexLabelBits(t)
+	var named map[pattern.Label]bool
+	named, p.elWild = t.EdgeLabelSet()
+	for l := range named {
+		p.edgeLabel.add(l, 1)
+	}
+	return p
+}
+
+// seed is the one seeding pass of M*, for the vertices [lo, hi): ω(v) from
+// v's label (zero outside the restrict mask), the vertex bit from ω(v) ≠ 0,
+// and out-slot (v,i) kept iff both endpoints have a non-zero ω, their label
+// pair is spanned by a template edge and some template edge accepts the
+// slot's edge label. Every term reads only the graph, the mask and the
+// template, and every term is symmetric in the two endpoints: the owner of
+// the reverse slot reaches the same verdict, so writing only the slots a
+// vertex owns leaves the slot vector symmetric, and disjoint vertex ranges
+// can be seeded concurrently with no exchange at all (the Spans take care of
+// the bitvec words two ranges share).
+func (p *candsetPrep) seed(g *graph.Graph, restrict *bitvec.Vector, omega candidateSet, verts, edges *bitvec.Span, lo, hi int) {
+	bitsOf := func(v graph.VertexID) uint64 {
+		if restrict != nil && !restrict.Get(int(v)) {
+			return 0
+		}
+		return p.labelBits.at(g.Label(v)) | p.wildBits
+	}
+	for v := graph.VertexID(lo); int(v) < hi; v++ {
+		omega[v] = bitsOf(v)
+		if omega[v] == 0 {
+			continue
+		}
+		verts.Set(int(v))
+		base := int(g.AdjOffset(v))
+		lv := g.Label(v)
+		for i, u := range g.Neighbors(v) {
+			if bitsOf(u) != 0 && p.pairs.Matches(lv, g.Label(u)) &&
+				(p.elWild || p.edgeLabel.at(g.EdgeLabelAt(v, i)) != 0) {
+				edges.Set(base + i)
+			}
 		}
 	}
-	p.elSet, p.elWild = t.EdgeLabelSet()
-	return p
+}
+
+// seedState runs seed over the whole graph into a fresh State and ω, and
+// returns the superstep that holds them. Both schedules seed through it: with
+// no pool the superstep is a single partition run on the calling goroutine.
+func (p *candsetPrep) seedState(g *graph.Graph, restrict *bitvec.Vector, pool *Pool, cc *CancelCheck, m *Metrics) *superstep {
+	omega := make(candidateSet, g.NumVertices())
+	ss := newSuperstep(pool, NewEmptyState(g), omega, cc)
+	ss.scan = g.NumVertices() // the seed visits every vertex, not the still empty active set
+	ss.run(func(d *partDelta, lo, hi int) {
+		p.seed(g, restrict, omega, &d.verts, &d.edges, lo, hi)
+	})
+	ss.merge(m)
+	return ss
 }
 
 // maxCandidateSet is MaxCandidateSet with an optional restriction mask (the
 // pipeline seeds from the induced subgraph of the mask's vertices instead of
 // the full graph — the incremental-maintenance dirty region), a worker pool
 // (nil = the sequential reference schedule) and a cancellation probe
-// threaded through the fixpoint loops. A nil restrict is bit-identical to
-// the historical full-graph seeding, counters included.
+// threaded through the fixpoint loops.
 func maxCandidateSet(g *graph.Graph, t *pattern.Template, restrict *bitvec.Vector, pool *Pool, cc *CancelCheck, m *Metrics) *State {
 	defer func(start time.Time) { m.CandidateTime += time.Since(start) }(time.Now())
-	if pool != nil {
-		return maxCandidateSetPar(g, t, restrict, pool, cc, m)
-	}
-	s := seedState(g, restrict)
 	p := newCandsetPrep(t)
+	ss := p.seedState(g, restrict, pool, cc, m)
+	var dropped bool
+	if pool != nil {
+		dropped = candidateFixpointPar(ss, t, p, m)
+	} else {
+		dropped = candidateFixpoint(ss.s, ss.omega, t, p, cc, m)
+	}
+	// The fixpoint has no edge phase to sweep up after the vertices it
+	// dropped.
+	if dropped {
+		ss.s.clearDanglingSlots()
+	}
+	return ss.s
+}
 
-	// Candidate masks over H0 vertices, by label only. Vertices outside the
-	// restriction mask stay inactive with ω = 0.
-	omega := make(candidateSet, g.NumVertices())
-	s.ForEachActiveVertex(func(v graph.VertexID) {
-		bits := p.labelBits[g.Label(v)] | p.wildBits
-		omega[v] = bits
-		if bits == 0 {
-			s.DeactivateVertex(v)
-		}
-	})
-
-	// Drop edges whose label pair never occurs in the template, and —
-	// for edge-labeled templates — edges whose own label no template edge
-	// accepts: no match of any prototype can use them. Both checks are
-	// symmetric in the slot direction (pairs and edge labels are keyed by
-	// the normalized undirected edge), so instead of per-bit two-sided
-	// deactivation the verdicts are collected into a per-slot mask and
-	// applied to the active-edge vector in one word-at-a-time intersection.
-	slotOK := bitvec.New(g.NumDirectedEdges())
-	s.ForEachActiveVertex(func(v graph.VertexID) {
-		ns := g.Neighbors(v)
-		base := int(g.AdjOffset(v))
-		lv := g.Label(v)
-		for i, u := range ns {
-			if p.pairs.Matches(lv, g.Label(u)) && (p.elWild || p.elSet[g.EdgeLabelAt(v, i)]) {
-				slotOK.Set(base + i)
-			}
-		}
-	})
-	s.edges.AndInto(s.edges, slotOK)
-
-	for {
-		changed := false
+// candidateFixpoint is the sequential (Gauss-Seidel) schedule of the M*
+// viability fixpoint on a seeded state. It reports whether it dropped any
+// vertex.
+func candidateFixpoint(s *State, omega candidateSet, t *pattern.Template, p *candsetPrep, cc *CancelCheck, m *Metrics) (dropped bool) {
+	for changed := true; changed; {
+		changed = false
 		s.ForEachActiveVertex(func(v graph.VertexID) {
 			cc.Tick()
 			m.CandidateMessages += int64(s.ActiveDegree(v))
@@ -125,18 +152,12 @@ func maxCandidateSet(g *graph.Graph, t *pattern.Template, restrict *bitvec.Vecto
 				}
 			}
 			if !omega.any(v) {
-				s.DeactivateVertex(v)
-				changed = true
+				s.dropVertex(v)
+				changed, dropped = true, true
 			}
 		})
-		// No inter-round edge cleanup is needed: DeactivateVertex clears
-		// both directions of every incident slot (the network-traffic
-		// optimization of §3.1 falls out of the symmetric edge state).
-		if !changed {
-			break
-		}
 	}
-	return s
+	return dropped
 }
 
 // candidateViable checks the max-candidate-set requirement for (v, q).

@@ -64,26 +64,39 @@ func lcc(s *State, omega candidateSet, prof *localProfile, pool *Pool, cc *Cance
 				}
 			}
 			if !omega.any(v) {
-				s.DeactivateVertex(v)
+				s.dropVertex(v)
 				changed = true
 			}
 		})
 		// Edge phase: an active edge (v,u) survives only if some candidate
-		// pair (q ∈ ω(v), q' ∈ ω(u)) is a template edge.
+		// pair (q ∈ ω(v), q' ∈ ω(u)) is a template edge. The test is
+		// symmetric and ω is fixed during the phase, so each endpoint
+		// clears only the slot it owns; the scan also clears the slots
+		// dropVertex left dangling, so lcc exits with the State invariant.
 		s.ForEachActiveVertex(func(v graph.VertexID) {
 			cc.Tick()
 			ns := s.g.Neighbors(v)
 			base := int(s.g.AdjOffset(v))
 			for i, u := range ns {
-				if !s.edges.Get(base+i) || !s.verts.Get(int(u)) {
+				if !s.edges.Get(base + i) {
+					continue
+				}
+				if !s.verts.Get(int(u)) {
+					s.edges.Clear(base + i)
 					continue
 				}
 				// Each examined active edge slot is one edge-phase message
 				// (one "visitor" per directed slot), mirroring the vertex
-				// phase's per-visitor accounting.
-				m.LCCMessages++
-				if !edgeSupported(omega, prof, v, u) {
-					s.DeactivateEdgeAt(v, i)
+				// phase's per-visitor accounting. A refuted edge is one
+				// message, charged to the endpoint this in-place scan reaches
+				// first: that visit takes the edge down, the later endpoint
+				// only clears its own slot.
+				supported := edgeSupported(omega, prof, v, u)
+				if supported || v < u {
+					m.LCCMessages++
+				}
+				if !supported {
+					s.edges.Clear(base + i)
 					changed = true
 				}
 			}

@@ -172,7 +172,7 @@ func nlcc(s *State, omega candidateSet, t *pattern.Template, w *constraint.Walk,
 		return nlccPar(s, omega, t, w, cache, pool, cc, m)
 	}
 	q0 := w.Seq[0]
-	changed := false
+	changed, dropped := false, false
 	s.ForEachActiveVertex(func(v graph.VertexID) {
 		cc.Tick()
 		if !omega.has(v, q0) {
@@ -195,9 +195,13 @@ func nlcc(s *State, omega candidateSet, t *pattern.Template, w *constraint.Walk,
 		omega.remove(v, q0)
 		changed = true
 		if !omega.any(v) {
-			s.DeactivateVertex(v)
+			s.dropVertex(v)
+			dropped = true
 		}
 	})
+	if dropped {
+		s.clearDanglingSlots()
+	}
 	return changed
 }
 

@@ -20,6 +20,14 @@ import (
 // State is the active subgraph the search currently operates on: an active
 // bit per vertex and an active bit per directed adjacency slot of the
 // background graph (the ε(v) edge-state maps of Alg. 3, stored flat).
+//
+// Invariant, at every kernel exit and after every exported mutator: the slot
+// vector is symmetric (the two slots of an edge agree) and no slot is active
+// toward an inactive vertex — NumActiveDirectedEdges, StateBytes, the level
+// statistics and CompactState count slots without looking at endpoints.
+// Inside a kernel the second half is relaxed: dropVertex leaves the reverse
+// slots of a dead vertex to their owners, which is sound because every
+// traversal helper re-checks the far endpoint's vertex bit.
 type State struct {
 	g     *graph.Graph
 	verts *bitvec.Vector
@@ -39,28 +47,6 @@ func NewFullState(g *graph.Graph) *State {
 	}
 	s.verts.SetAll()
 	s.edges.SetAll()
-	return s
-}
-
-// seedState returns the initial pipeline state: the full graph when
-// restrict is nil, otherwise the subgraph induced by the mask — mask
-// vertices plus exactly the directed slots whose both endpoints carry the
-// mask. The incremental maintenance path (incremental.go) uses the latter
-// to confine a run to the dirty region.
-func seedState(g *graph.Graph, restrict *bitvec.Vector) *State {
-	if restrict == nil {
-		return NewFullState(g)
-	}
-	s := NewEmptyState(g)
-	s.verts.Or(restrict)
-	s.ForEachActiveVertex(func(v graph.VertexID) {
-		base := int(g.AdjOffset(v))
-		for i, w := range g.Neighbors(v) {
-			if s.verts.Get(int(w)) {
-				s.edges.Set(base + i)
-			}
-		}
-	})
 	return s
 }
 
@@ -99,22 +85,44 @@ func (s *State) origID(v graph.VertexID) graph.VertexID {
 // VertexActive reports whether v is active.
 func (s *State) VertexActive(v graph.VertexID) bool { return s.verts.Get(int(v)) }
 
-// DeactivateVertex removes v and all its incident directed edge slots —
-// both v's own out-slots and the reverse slots its neighbors hold toward v,
-// keeping the slot vector symmetric. (Out-slots alone would be enough for
-// correctness, because every traversal re-checks the far endpoint's vertex
-// bit, but dangling reverse slots inflate NumActiveDirectedEdges and the
-// StateBytes/level-stats accounting built on it.)
+// DeactivateVertex removes v and all its incident directed edge slots: v's
+// own out-slots and, by one binary search per neighbor, the reverse slots
+// held toward v. It is the point mutator for callers outside the kernels;
+// the kernels, which kill vertices in bulk, use dropVertex.
 func (s *State) DeactivateVertex(v graph.VertexID) {
-	s.verts.Clear(int(v))
-	ns := s.g.Neighbors(v)
-	base := int(s.g.AdjOffset(v))
-	for i, u := range ns {
-		s.edges.Clear(base + i)
+	for _, u := range s.g.Neighbors(v) {
 		if j := s.g.EdgeIndex(u, v); j >= 0 {
 			s.edges.Clear(s.slot(u, j))
 		}
 	}
+	s.dropVertex(v)
+}
+
+// dropVertex is the kernels' deactivation: it clears v's vertex bit and its
+// own out-slot range and leaves the reverse slots dangling. Their owners
+// clear them the next time they scan them (the edge phases of lcc and
+// verifyExact do); a kernel that ends without such a scan calls
+// clearDanglingSlots before it returns.
+func (s *State) dropVertex(v graph.VertexID) {
+	s.verts.Clear(int(v))
+	base := int(s.g.AdjOffset(v))
+	s.edges.ClearRange(base, base+s.g.Degree(v))
+}
+
+// clearDanglingSlots restores the kernel-exit invariant after dropVertex
+// calls: every active slot of an active vertex whose far endpoint is
+// inactive is cleared. One pass over what is still active — no reverse-slot
+// lookup.
+func (s *State) clearDanglingSlots() {
+	s.ForEachActiveVertex(func(v graph.VertexID) {
+		ns := s.g.Neighbors(v)
+		base := int(s.g.AdjOffset(v))
+		s.edges.ForEachInRange(base, base+len(ns), func(slot int) {
+			if !s.verts.Get(int(ns[slot-base])) {
+				s.edges.Clear(slot)
+			}
+		})
+	})
 }
 
 // slot returns the directed adjacency slot index for u's i-th neighbor.
@@ -140,7 +148,8 @@ func (s *State) DeactivateEdgeAt(u graph.VertexID, i int) {
 }
 
 // EdgeActiveBetween reports whether the undirected edge (u,v) is active
-// (checks the u-side slot).
+// (checks the u-side slot; inside a kernel the caller must know v is active,
+// see dropVertex).
 func (s *State) EdgeActiveBetween(u, v graph.VertexID) bool {
 	i := s.g.EdgeIndex(u, v)
 	return i >= 0 && s.edges.Get(s.slot(u, i))
@@ -210,19 +219,57 @@ type candidateSet []uint64
 // (wildcard template vertices are candidates everywhere).
 func initCandidates(s *State, t *pattern.Template) candidateSet {
 	omega := make(candidateSet, s.g.NumVertices())
-	labelBits := make(map[pattern.Label]uint64)
-	var wildBits uint64
-	for q := 0; q < t.NumVertices(); q++ {
-		if t.Label(q) == pattern.Wildcard {
-			wildBits |= 1 << uint(q)
-		} else {
-			labelBits[t.Label(q)] |= 1 << uint(q)
-		}
-	}
+	bits, wild := vertexLabelBits(t)
 	s.ForEachActiveVertex(func(v graph.VertexID) {
-		omega[v] = labelBits[s.g.Label(v)] | wildBits
+		omega[v] = bits.at(s.g.Label(v)) | wild
 	})
 	return omega
+}
+
+// labelTable maps a label to a uint64 through a slice indexed by label. It is
+// sized by the labels entered — a template's, never the graph's — so building
+// one costs O(template), and a graph label it has never seen reads as zero.
+// Template labels arrive from outside and may be any uint32: those at or
+// above denseLabelLimit go to a map instead of sizing the slice.
+type labelTable struct {
+	dense []uint64
+	rest  map[pattern.Label]uint64
+}
+
+const denseLabelLimit = 1 << 12
+
+func (lt *labelTable) add(l pattern.Label, bits uint64) {
+	if l >= denseLabelLimit {
+		if lt.rest == nil {
+			lt.rest = make(map[pattern.Label]uint64)
+		}
+		lt.rest[l] |= bits
+		return
+	}
+	if n := int(l) + 1 - len(lt.dense); n > 0 {
+		lt.dense = append(lt.dense, make([]uint64, n)...)
+	}
+	lt.dense[l] |= bits
+}
+
+func (lt *labelTable) at(l pattern.Label) uint64 {
+	if int(l) < len(lt.dense) {
+		return lt.dense[l]
+	}
+	return lt.rest[l]
+}
+
+// vertexLabelBits returns, per concrete label, the mask of t's vertices
+// carrying it, and the mask of t's wildcard vertices.
+func vertexLabelBits(t *pattern.Template) (bits labelTable, wild uint64) {
+	for q, l := range t.Labels() {
+		if l == pattern.Wildcard {
+			wild |= 1 << uint(q)
+		} else {
+			bits.add(l, 1<<uint(q))
+		}
+	}
+	return bits, wild
 }
 
 func (o candidateSet) has(v graph.VertexID, q int) bool {

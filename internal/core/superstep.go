@@ -12,9 +12,13 @@ import (
 // This file implements the parallel (Jacobi-style) schedule of the
 // constraint-checking kernels. Each fixpoint round becomes a superstep with
 // BSP semantics: workers scan disjoint vertex partitions of the round-start
-// State/candidateSet snapshot — which is frozen, because every elimination
-// is recorded into a per-partition delta buffer instead of being applied —
-// and a barrier merge applies all deltas before the next round begins.
+// State/candidateSet snapshot, and a barrier merge publishes the round's
+// eliminations before the next round begins. What other partitions read
+// during a round — ω and the vertex bits — stays frozen: those eliminations
+// are recorded into a per-partition delta and applied at the barrier. What
+// only its owner reads — a vertex's own out-slots — is written during the
+// round by the owning partition, through a bitvec.Span, which holds back just
+// the two words a partition's slot range can share with its neighbours.
 //
 // Eliminations are monotone (bits only ever go from set to clear) and every
 // per-vertex verdict is computed from the snapshot, so the parallel
@@ -35,15 +39,15 @@ type omegaDelta struct {
 	mask uint64
 }
 
-// partDelta buffers one partition's eliminations during a superstep, plus
-// its metrics and cancellation probe. Buffers are reused across rounds.
+// partDelta is one partition's side of a superstep: the ω eliminations it
+// recorded, its writers for the vertex bits and out-slots it owns, its
+// metrics and its cancellation probe. Reused across rounds.
 type partDelta struct {
-	cc      *CancelCheck
-	omega   []omegaDelta
-	verts   []graph.VertexID
-	slots   []int // directed adjacency slots to clear
-	m       Metrics
-	changed bool
+	cc           *CancelCheck
+	omega        []omegaDelta
+	verts, edges bitvec.Span
+	m            Metrics
+	changed      bool
 }
 
 // superstep coordinates the parallel rounds of one kernel call: fixed
@@ -59,6 +63,12 @@ type superstep struct {
 	cc     *CancelCheck
 	parts  []*partDelta
 	bounds []int // len(parts)+1 partition boundaries over vertex IDs
+	// scan is the number of vertices the next superstep visits: the State's
+	// active count, refreshed at every merge.
+	scan int
+	// dropped records that some merge dropped a vertex, i.e. reverse slots
+	// may dangle (see State.dropVertex).
+	dropped bool
 }
 
 func newSuperstep(pool *Pool, s *State, omega candidateSet, cc *CancelCheck) *superstep {
@@ -66,12 +76,23 @@ func newSuperstep(pool *Pool, s *State, omega candidateSet, cc *CancelCheck) *su
 	if w < 1 {
 		w = 1
 	}
-	ss := &superstep{pool: pool, s: s, omega: omega, cc: cc}
-	ss.parts = make([]*partDelta, w)
-	for i := range ss.parts {
-		ss.parts[i] = &partDelta{cc: cc.Fork()}
-	}
+	ss := &superstep{pool: pool, s: s, omega: omega, cc: cc, scan: s.verts.Count()}
 	ss.bounds = partitionBounds(s.g, w)
+	ss.parts = make([]*partDelta, w)
+	slotAt := func(v int) int {
+		if v == s.g.NumVertices() {
+			return s.g.NumDirectedEdges()
+		}
+		return int(s.g.AdjOffset(graph.VertexID(v)))
+	}
+	for i := range ss.parts {
+		lo, hi := ss.bounds[i], ss.bounds[i+1]
+		ss.parts[i] = &partDelta{
+			cc:    cc.Fork(),
+			verts: s.verts.Span(lo, hi),
+			edges: s.edges.Span(slotAt(lo), slotAt(hi)),
+		}
+	}
 	return ss
 }
 
@@ -94,25 +115,42 @@ func partitionBounds(g *graph.Graph, parts int) []int {
 	return bounds
 }
 
+// minParallelScan is the number of active vertices below which a superstep
+// is not worth a trip through the pool. Late fixpoint rounds scan a few
+// thousand survivors in well under 100 µs, less than waking the workers and
+// waiting for them costs — and that cost is the part of a query that moves
+// with whatever else the host is doing. (A variable so that this package's
+// tests can send every superstep through the pool.)
+var minParallelScan = 1 << 14
+
 // run executes one superstep: fn scans vertex range [lo, hi) against the
 // frozen round-start state and records eliminations into d. The call
-// returns after every partition has finished (the barrier).
+// returns after every partition has finished (the barrier). A small
+// superstep runs its partitions one after another on the calling goroutine;
+// partitions never read each other's writes within a round, so the merged
+// state and the counters are the same either way.
 func (ss *superstep) run(fn func(d *partDelta, lo, hi int)) {
-	ss.pool.run(len(ss.parts), func(part int) {
-		d := ss.parts[part]
+	part := func(i int) {
+		d := ss.parts[i]
 		d.omega = d.omega[:0]
-		d.verts = d.verts[:0]
-		d.slots = d.slots[:0]
 		d.changed = false
-		fn(d, ss.bounds[part], ss.bounds[part+1])
-	})
+		fn(d, ss.bounds[i], ss.bounds[i+1])
+	}
+	if ss.scan < minParallelScan {
+		for i := range ss.parts {
+			part(i)
+		}
+		return
+	}
+	ss.pool.run(len(ss.parts), part)
 }
 
-// merge applies the recorded deltas on the caller goroutine, in partition
-// order, and folds each partition's metrics into m. Partition order and
-// per-partition scan order are both fixed, and bit clears are idempotent
-// and commutative, so the merged state and counters are deterministic. It
-// reports whether any partition eliminated anything.
+// merge publishes the round on the caller goroutine, in partition order,
+// and folds each partition's metrics into m: the Spans' shared edge words are
+// flushed, the ω eliminations applied, and a vertex whose ω reaches zero is
+// dropped. Partition order and per-partition scan order are both fixed, and
+// bit clears are idempotent and commutative, so the merged state and counters
+// are deterministic. It reports whether any partition eliminated anything.
 //
 // The barrier is also where the partitions' probes are released: their
 // ticks reach the shared tracker before the coordinator polls it, so the
@@ -127,73 +165,33 @@ func (ss *superstep) merge(m *Metrics) bool {
 	for _, d := range ss.parts {
 		m.Add(&d.m)
 		d.m = Metrics{}
+		d.verts.Flush()
+		d.edges.Flush()
 		for _, od := range d.omega {
-			ss.omega[od.v] &^= od.mask
-		}
-		for _, v := range d.verts {
-			ss.s.DeactivateVertex(v)
-		}
-		for _, sl := range d.slots {
-			ss.s.edges.Clear(sl)
+			if ss.omega[od.v] &^= od.mask; ss.omega[od.v] == 0 {
+				ss.s.dropVertex(od.v)
+				ss.dropped = true
+			}
 		}
 		changed = changed || d.changed
 	}
+	ss.scan = ss.s.verts.Count()
 	return changed
 }
 
-// deferEdgeAt records both directed slots of the undirected edge (v, i-th
-// neighbor) for clearing at the barrier — the deferred analogue of
-// State.DeactivateEdgeAt.
-func (d *partDelta) deferEdgeAt(s *State, v graph.VertexID, i int) {
-	u := s.g.Neighbors(v)[i]
-	d.slots = append(d.slots, s.slot(v, i))
-	if j := s.g.EdgeIndex(u, v); j >= 0 {
-		d.slots = append(d.slots, s.slot(u, j))
+// eliminate records the removal of the candidates in rm from ω(v).
+func (d *partDelta) eliminate(v graph.VertexID, rm uint64) {
+	if rm != 0 {
+		d.omega = append(d.omega, omegaDelta{v, rm})
+		d.changed = true
 	}
 }
 
-// maxCandidateSetPar is the superstep schedule of maxCandidateSet.
-func maxCandidateSetPar(g *graph.Graph, t *pattern.Template, restrict *bitvec.Vector, pool *Pool, cc *CancelCheck, m *Metrics) *State {
-	s := seedState(g, restrict)
-	p := newCandsetPrep(t)
-	omega := make(candidateSet, g.NumVertices())
-	ss := newSuperstep(pool, s, omega, cc)
-
-	// Init superstep: label filter. Each partition owns its vertex range,
-	// so ω writes go straight in; deactivations are deferred. Vertices
-	// outside a restriction mask start inactive and keep ω = 0.
-	ss.run(func(d *partDelta, lo, hi int) {
-		s.forEachActiveVertexIn(lo, hi, func(v graph.VertexID) {
-			bits := p.labelBits[g.Label(v)] | p.wildBits
-			omega[v] = bits
-			if bits == 0 {
-				d.verts = append(d.verts, v)
-			}
-		})
-	})
-	ss.merge(m)
-
-	// Edge-filter superstep: label pairs and edge labels (both sides of an
-	// edge may record the same slots; clears are idempotent).
-	ss.run(func(d *partDelta, lo, hi int) {
-		s.forEachActiveVertexIn(lo, hi, func(v graph.VertexID) {
-			ns := g.Neighbors(v)
-			base := int(g.AdjOffset(v))
-			lv := g.Label(v)
-			for i := range ns {
-				if !s.edges.Get(base + i) {
-					continue
-				}
-				if !p.pairs.Matches(lv, g.Label(ns[i])) ||
-					(!p.elWild && !p.elSet[g.EdgeLabelAt(v, i)]) {
-					d.deferEdgeAt(s, v, i)
-				}
-			}
-		})
-	})
-	ss.merge(m)
-
-	// Fixpoint: Jacobi vertex supersteps until no candidate is eliminated.
+// candidateFixpointPar is the superstep schedule of the M* viability
+// fixpoint on the seeded state of ss: Jacobi rounds until no candidate is
+// eliminated. It reports whether it dropped any vertex.
+func candidateFixpointPar(ss *superstep, t *pattern.Template, p *candsetPrep, m *Metrics) (dropped bool) {
+	s, omega := ss.s, ss.omega
 	for {
 		ss.run(func(d *partDelta, lo, hi int) {
 			s.forEachActiveVertexIn(lo, hi, func(v graph.VertexID) {
@@ -212,17 +210,11 @@ func maxCandidateSetPar(g *graph.Graph, t *pattern.Template, restrict *bitvec.Ve
 						rm |= 1 << uint(q)
 					}
 				}
-				if rm != 0 {
-					d.omega = append(d.omega, omegaDelta{v, rm})
-					d.changed = true
-					if omega[v]&^rm == 0 {
-						d.verts = append(d.verts, v)
-					}
-				}
+				d.eliminate(v, rm)
 			})
 		})
 		if !ss.merge(m) {
-			return s
+			return ss.dropped
 		}
 	}
 }
@@ -246,13 +238,7 @@ func lccPar(s *State, omega candidateSet, prof *localProfile, pool *Pool, cc *Ca
 						rm |= 1 << uint(q)
 					}
 				}
-				if rm != 0 {
-					d.omega = append(d.omega, omegaDelta{v, rm})
-					d.changed = true
-					if omega[v]&^rm == 0 {
-						d.verts = append(d.verts, v)
-					}
-				}
+				d.eliminate(v, rm)
 			})
 		})
 		changed := ss.merge(m)
@@ -262,12 +248,18 @@ func lccPar(s *State, omega candidateSet, prof *localProfile, pool *Pool, cc *Ca
 				ns := s.g.Neighbors(v)
 				base := int(s.g.AdjOffset(v))
 				for i, u := range ns {
-					if !s.edges.Get(base+i) || !s.verts.Get(int(u)) {
+					if !s.edges.Get(base + i) {
+						continue
+					}
+					if !s.verts.Get(int(u)) {
+						d.edges.Clear(base + i) // left dangling by dropVertex(u)
 						continue
 					}
 					d.m.LCCMessages++
+					// ω is frozen, so u's partition refutes the reverse
+					// slot in this same superstep.
 					if !edgeSupported(omega, prof, v, u) {
-						d.deferEdgeAt(s, v, i)
+						d.edges.Clear(base + i)
 						d.changed = true
 					}
 				}
@@ -308,12 +300,12 @@ func nlccPar(s *State, omega candidateSet, t *pattern.Template, w *constraint.Wa
 				}
 				return
 			}
-			d.omega = append(d.omega, omegaDelta{v, 1 << uint(q0)})
-			d.changed = true
-			if omega[v]&^(1<<uint(q0)) == 0 {
-				d.verts = append(d.verts, v)
-			}
+			d.eliminate(v, 1<<uint(q0))
 		})
 	})
-	return ss.merge(m)
+	changed := ss.merge(m)
+	if ss.dropped {
+		s.clearDanglingSlots()
+	}
+	return changed
 }

@@ -419,19 +419,27 @@ func verifyExact(s *State, omega candidateSet, t *pattern.Template, cc *CancelCh
 			}
 		}
 		if !omega.any(v) {
-			s.DeactivateVertex(v)
+			s.dropVertex(v)
 		}
 	})
 
 	// Edge phase: certify or refute every remaining active edge. Probes are
 	// 2-seeded with per-orientation matching orders, so no guard store
-	// applies here.
+	// applies here. The scan also clears the slots the vertex phase's
+	// dropVertex calls left dangling.
 	s.ForEachActiveVertex(func(v graph.VertexID) {
 		cc.Tick()
 		ns := g.Neighbors(v)
 		base := int(g.AdjOffset(v))
 		for i, u := range ns {
-			if !s.edges.Get(base+i) || !s.verts.Get(int(u)) || v > u {
+			if !s.edges.Get(base + i) {
+				continue
+			}
+			if !s.verts.Get(int(u)) {
+				s.edges.Clear(base + i)
+				continue
+			}
+			if v > u {
 				continue
 			}
 			if emark.Get(base + i) {

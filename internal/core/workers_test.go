@@ -161,6 +161,50 @@ func TestWorkersRunParallelMatchesRun(t *testing.T) {
 	assertSameResult(t, want, got, tp.String())
 }
 
+// The graphs of this package's suites are far smaller than minParallelScan.
+// Send every superstep through the pool, so that -race watches the partitions
+// run side by side; TestSmallSuperstepsRunInline covers the other path.
+func init() { minParallelScan = 0 }
+
+// prodMinParallelScan is the shipped threshold (package variables are
+// initialised before init runs), for the benchmarks.
+var prodMinParallelScan = minParallelScan
+
+// TestSmallSuperstepsRunInline pins the inline path of superstep.run — the
+// partitions of a small superstep run one after another on the calling
+// goroutine — against the pooled one: same Rho, solutions and counts, and
+// the same counters, for every worker count.
+func TestSmallSuperstepsRunInline(t *testing.T) {
+	defer func(old int) { minParallelScan = old }(minParallelScan)
+	rng := rand.New(rand.NewSource(1706))
+	for trial := 0; trial < 6; trial++ {
+		p := rmat.Graph500(7, int64(1706+trial))
+		p.EdgeFactor = 4
+		g := rmat.Generate(p)
+		tp := randomDecoratedTemplate(rng, g)
+		for _, workers := range []int{1, 2, 3} {
+			cfg := DefaultConfig(trial % 3)
+			cfg.CountMatches = true
+			cfg.Workers = workers
+			run := func(ctx context.Context) (*Result, error) { return RunContext(ctx, g, tp, cfg) }
+			minParallelScan = 0
+			pooled, pooledWork := measureWork(t, run)
+			minParallelScan = g.NumVertices() + 1
+			inline, inlineWork := measureWork(t, run)
+			assertSameResult(t, pooled, inline, tp.String())
+			want, got := counterVector(&pooled.Metrics), counterVector(&inline.Metrics)
+			for i := range want {
+				if want[i] != got[i] {
+					t.Errorf("%v workers=%d: counter %d = %d inline, %d pooled", tp, workers, i, got[i], want[i])
+				}
+			}
+			if pooledWork != inlineWork {
+				t.Errorf("%v workers=%d: %d work units inline, %d pooled", tp, workers, inlineWork, pooledWork)
+			}
+		}
+	}
+}
+
 // counterVector extracts the schedule-sensitive work counters (durations
 // excluded).
 func counterVector(m *Metrics) []int64 {
@@ -206,8 +250,9 @@ func TestWorkersCountersScheduleIndependent(t *testing.T) {
 	}
 }
 
-// assertSlotSymmetry asserts the state-invariant of the edge bit vector:
-// the two directed slots of every edge agree (no dangling one-sided slots).
+// assertSlotSymmetry asserts the State invariant every kernel must restore
+// before it returns: the two directed slots of every edge agree (no dangling
+// one-sided slots), and no slot is active at, or toward, an inactive vertex.
 func assertSlotSymmetry(t *testing.T, s *State, tag string) {
 	t.Helper()
 	g := s.Graph()
@@ -224,37 +269,77 @@ func assertSlotSymmetry(t *testing.T, s *State, tag string) {
 				t.Fatalf("%s: asymmetric slots for edge (%d,%d): %v vs %v",
 					tag, v, u, s.edges.Get(base+i), s.edges.Get(rev))
 			}
+			if s.edges.Get(base+i) && !(s.verts.Get(v) && s.verts.Get(int(u))) {
+				t.Fatalf("%s: active slot (%d,%d) with an inactive endpoint: %v, %v",
+					tag, v, u, s.verts.Get(v), s.verts.Get(int(u)))
+			}
 		}
 	}
 }
 
 // TestSlotSymmetryAfterKernels runs every kernel on both schedules and
-// asserts the directed-slot bit vector stays symmetric throughout —
-// the invariant behind NumActiveDirectedEdges/StateBytes accounting.
+// asserts the State invariant at each kernel's exit — what
+// NumActiveDirectedEdges/StateBytes accounting and CompactState rely on. The
+// kernels drop vertices without touching reverse slots, so the trials must
+// include kernels that really drop some: the test fails if none did.
 func TestSlotSymmetryAfterKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(1705))
+	type input struct {
+		g  *graph.Graph
+		tp *pattern.Template
+	}
+	var inputs []input
 	for trial := 0; trial < 5; trial++ {
-		g := randomEdgeLabeledGraph(rng, 30, 90, 3, 2)
-		tp := randomEdgeLabeledTemplate(rng, 4, 3, 2)
+		inputs = append(inputs, input{randomEdgeLabeledGraph(rng, 30, 90, 3, 2), randomEdgeLabeledTemplate(rng, 4, 3, 2)})
+	}
+	for trial := 0; trial < 5; trial++ {
+		p := rmat.Graph500(7, int64(1705+trial))
+		p.EdgeFactor = 4
+		g := rmat.Generate(p)
+		inputs = append(inputs, input{g, randomDecoratedTemplate(rng, g)})
+	}
+	// A hexagon labelled 0,1,2,0,1,2 passes every local check of the
+	// triangle 0-1-2 and holds no triangle: only the cycle walk refutes it.
+	hex := graph.NewBuilder(6)
+	for v := 0; v < 6; v++ {
+		hex.SetLabel(graph.VertexID(v), graph.Label(v%3))
+		hex.AddEdge(graph.VertexID(v), graph.VertexID((v+1)%6))
+	}
+	inputs = append(inputs, input{hex.Build(), pattern.CycleN([]pattern.Label{0, 1, 2})})
+	dropsIn := map[string]int{}
+	for _, in := range inputs {
+		g, tp := in.g, in.tp
 		for _, workers := range []int{0, 3} {
 			pool := NewPool(workers)
 			var m Metrics
 			s := maxCandidateSet(g, tp, nil, pool, nil, &m)
 			assertSlotSymmetry(t, s, "maxCandidateSet")
+			dropsIn["maxCandidateSet"] += newCandsetPrep(tp).seedState(g, nil, pool, nil, &m).s.NumActiveVertices() - s.NumActiveVertices()
 
 			omega := initCandidates(s, tp)
 			prof := buildLocalProfile(tp)
+			before := s.NumActiveVertices()
 			lcc(s, omega, prof, pool, nil, &m)
 			assertSlotSymmetry(t, s, "lcc")
+			dropsIn["lcc"] += before - s.NumActiveVertices()
 
 			for _, w := range preparedWalks(g, tp, nil) {
+				before = s.NumActiveVertices()
 				nlcc(s, omega, tp, w, nil, pool, nil, &m)
+				assertSlotSymmetry(t, s, "nlcc")
+				dropsIn["nlcc"] += before - s.NumActiveVertices()
 			}
-			assertSlotSymmetry(t, s, "nlcc")
 
+			before = s.NumActiveVertices()
 			verifyExact(s, omega, tp, nil, &m, kernelOpts{})
 			assertSlotSymmetry(t, s, "verifyExact")
+			dropsIn["verifyExact"] += before - s.NumActiveVertices()
 			pool.Close()
+		}
+	}
+	for _, kernel := range []string{"maxCandidateSet", "lcc", "nlcc", "verifyExact"} {
+		if dropsIn[kernel] == 0 {
+			t.Errorf("no trial made %s drop a vertex: the invariant was never at risk there", kernel)
 		}
 	}
 }
