@@ -144,35 +144,73 @@ func (v *Vector) ForEach(fn func(i int)) {
 	}
 }
 
-// ForEachInRange calls fn for every set bit i with lo <= i < hi, in
-// increasing order. It scans word-at-a-time, so sparse ranges cost O(words)
-// rather than O(bits); the parallel kernels use it to walk per-worker vertex
-// partitions.
-func (v *Vector) ForEachInRange(lo, hi int, fn func(i int)) {
+// WordScan walks the non-zero 64-bit words of one bit range of a Vector, with
+// the bits outside the range masked off. It is the one range-scanning
+// primitive: the kernels' per-neighbour loops drive it directly,
+//
+//	for ws := v.Words(lo, hi); ws.Next(); {
+//		for w := ws.Word; w != 0; w &= w - 1 {
+//			i := ws.Base + bits.TrailingZeros64(w)
+//			...
+//		}
+//	}
+//
+// so the bit loop is the caller's own code on a register — no function value
+// is called per set bit — and sparse ranges cost O(words), not O(bits).
+// ForEachInRange and CountInRange are this loop with a callback and a
+// popcount. A word is read when Next reaches it, so bits the loop body writes
+// in words still ahead of the scan are seen, and writes to the current word
+// are not.
+type WordScan struct {
+	// Word is the current word's set bits inside the range; bit b is bit
+	// Base+b of the vector. Valid after Next returned true.
+	Word uint64
+	Base int
+
+	v      *Vector
+	lo, hi int
+}
+
+// Words returns a scan over the bits [lo, hi) of v; out-of-range ends clamp.
+func (v *Vector) Words(lo, hi int) WordScan {
 	if lo < 0 {
 		lo = 0
 	}
 	if hi > v.n {
 		hi = v.n
 	}
-	if lo >= hi {
-		return
+	return WordScan{Base: lo&^(wordBits-1) - wordBits, v: v, lo: lo, hi: hi}
+}
+
+// Next advances to the next word with a set bit in the range and reports
+// whether there is one.
+func (ws *WordScan) Next() bool {
+	for {
+		ws.Base += wordBits
+		if ws.Base >= ws.hi {
+			return false
+		}
+		w := ws.v.words[ws.Base/wordBits]
+		if d := ws.lo - ws.Base; d > 0 {
+			w &= ^uint64(0) << uint(d)
+		}
+		if d := ws.Base + wordBits - ws.hi; d > 0 {
+			w &= ^uint64(0) >> uint(d)
+		}
+		if w != 0 {
+			ws.Word = w
+			return true
+		}
 	}
-	first, last := lo/wordBits, (hi-1)/wordBits
-	for wi := first; wi <= last; wi++ {
-		w := v.words[wi]
-		if wi == first {
-			w &= ^uint64(0) << uint(lo%wordBits)
-		}
-		if wi == last {
-			if r := (wi+1)*wordBits - hi; r > 0 {
-				w &= ^uint64(0) >> uint(r)
-			}
-		}
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(wi*wordBits + b)
-			w &= w - 1
+}
+
+// ForEachInRange calls fn for every set bit i with lo <= i < hi, in
+// increasing order. The per-vertex loops of the superstep partitions use it;
+// anything that runs per neighbour drives Words itself.
+func (v *Vector) ForEachInRange(lo, hi int, fn func(i int)) {
+	for ws := v.Words(lo, hi); ws.Next(); {
+		for w := ws.Word; w != 0; w &= w - 1 {
+			fn(ws.Base + bits.TrailingZeros64(w))
 		}
 	}
 }
@@ -181,28 +219,9 @@ func (v *Vector) ForEachInRange(lo, hi int, fn func(i int)) {
 // word-at-a-time popcounts — the per-partition active-work accounting used
 // by the superstep balance diagnostics and tests.
 func (v *Vector) CountInRange(lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > v.n {
-		hi = v.n
-	}
-	if lo >= hi {
-		return 0
-	}
-	first, last := lo/wordBits, (hi-1)/wordBits
 	total := 0
-	for wi := first; wi <= last; wi++ {
-		w := v.words[wi]
-		if wi == first {
-			w &= ^uint64(0) << uint(lo%wordBits)
-		}
-		if wi == last {
-			if r := (wi+1)*wordBits - hi; r > 0 {
-				w &= ^uint64(0) >> uint(r)
-			}
-		}
-		total += bits.OnesCount64(w)
+	for ws := v.Words(lo, hi); ws.Next(); {
+		total += bits.OnesCount64(ws.Word)
 	}
 	return total
 }

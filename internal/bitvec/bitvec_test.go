@@ -1,7 +1,9 @@
 package bitvec
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -253,6 +255,75 @@ func TestVectorForEachInRange(t *testing.T) {
 				t.Fatalf("n=%d [%d,%d): got[%d]=%d want %d", n, lo, hi, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestWordsTable drives the range-scan primitive over the boundary shapes a
+// CSR slot range takes: empty, a single bit, ranges that end one short of, on
+// and one past a word boundary, ranges inside one word and straddling two,
+// and out-of-range ends, which clamp. Every third bit is set, plus the two
+// bits around each range end, so a wrong mask shows as an extra or a missing
+// index.
+func TestWordsTable(t *testing.T) {
+	const n = 200
+	cases := []struct {
+		name   string
+		lo, hi int
+	}{
+		{"zero bits", 0, 0},
+		{"zero bits mid-word", 37, 37},
+		{"inverted", 90, 20},
+		{"inverted inside one word", 70, 66},
+		{"one bit", 0, 1},
+		{"one bit at word end", 63, 64},
+		{"one bit at word start", 64, 65},
+		{"63 bits", 0, 63},
+		{"64 bits", 0, 64},
+		{"65 bits", 0, 65},
+		{"63 bits unaligned", 5, 68},
+		{"64 bits unaligned", 5, 69},
+		{"65 bits unaligned", 63, 128},
+		{"inside one word", 70, 100},
+		{"straddles one boundary", 120, 130},
+		{"spans three words", 60, 193},
+		{"lo clamps", -5, 10},
+		{"hi clamps", 190, n + 50},
+		{"both clamp", -1 << 20, 1 << 20},
+		{"lo past the end", n + 3, n + 70},
+		{"hi negative", -9, -2},
+	}
+	for _, tc := range cases {
+		v := New(n)
+		for i := 0; i < n; i++ {
+			if i%3 == 0 || i == tc.lo-1 || i == tc.lo || i == tc.hi-1 || i == tc.hi {
+				v.Set(i)
+			}
+		}
+		var want []int
+		for i := 0; i < n; i++ {
+			if v.Get(i) && i >= tc.lo && i < tc.hi {
+				want = append(want, i)
+			}
+		}
+		var got []int
+		for ws := v.Words(tc.lo, tc.hi); ws.Next(); {
+			if ws.Word == 0 {
+				t.Errorf("%s: Next stopped on an empty word at base %d", tc.name, ws.Base)
+			}
+			for w := ws.Word; w != 0; w &= w - 1 {
+				got = append(got, ws.Base+bits.TrailingZeros64(w))
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s [%d,%d): got %v, want %v", tc.name, tc.lo, tc.hi, got, want)
+		}
+		if c := v.CountInRange(tc.lo, tc.hi); c != len(want) {
+			t.Errorf("%s [%d,%d): CountInRange %d, want %d", tc.name, tc.lo, tc.hi, c, len(want))
+		}
+	}
+	// A zero-length vector has no word to read.
+	if ws := New(0).Words(-1, 1); ws.Next() {
+		t.Error("empty vector: Next reported a word")
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -108,5 +109,39 @@ func BenchmarkSearchWorkers(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSearchWDC times the repo benchmark's cold-search.wdc queries
+// in-process at the shape amatchd serves them: WDC-1/2/3 at DefaultConfig(k)
+// with CountMatches, sequential and superstep kernels, level width 1 and 2
+// (the served default on the 2-CPU host is Workers 2 × width 2). Allocations
+// are part of the contract: see the per-query figures in ROADMAP.md.
+func BenchmarkSearchWDC(b *testing.B) {
+	defer func(old int) { minParallelScan = old }(minParallelScan)
+	minParallelScan = prodMinParallelScan
+	g := datagen.WDC(datagen.DefaultWDCConfig())
+	queries := []struct {
+		name string
+		tp   *pattern.Template
+		k    int
+	}{{"WDC-1", datagen.WDC1(), 2}, {"WDC-2", datagen.WDC2(), 2}, {"WDC-3", datagen.WDC3(), 3}}
+	for _, q := range queries {
+		for _, workers := range []int{0, 2} {
+			for _, width := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/workers=%d/width=%d", q.name, workers, width), func(b *testing.B) {
+					cfg := DefaultConfig(q.k)
+					cfg.CountMatches = true
+					cfg.Workers = workers
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := RunParallelContext(context.Background(), g, q.tp, cfg, width); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }

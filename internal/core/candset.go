@@ -112,11 +112,12 @@ func maxCandidateSet(g *graph.Graph, t *pattern.Template, restrict *bitvec.Vecto
 	defer func(start time.Time) { m.CandidateTime += time.Since(start) }(time.Now())
 	p := newCandsetPrep(t)
 	ss := p.seedState(g, restrict, pool, cc, m)
+	defer ss.release()
 	var dropped bool
 	if pool != nil {
-		dropped = candidateFixpointPar(ss, t, p, m)
+		dropped = candidateFixpointPar(ss, p, m)
 	} else {
-		dropped = candidateFixpoint(ss.s, ss.omega, t, p, cc, m)
+		dropped = candidateFixpoint(ss.s, ss.omega, p, cc, m)
 	}
 	// The fixpoint has no edge phase to sweep up after the vertices it
 	// dropped.
@@ -129,27 +130,17 @@ func maxCandidateSet(g *graph.Graph, t *pattern.Template, restrict *bitvec.Vecto
 // candidateFixpoint is the sequential (Gauss-Seidel) schedule of the M*
 // viability fixpoint on a seeded state. It reports whether it dropped any
 // vertex.
-func candidateFixpoint(s *State, omega candidateSet, t *pattern.Template, p *candsetPrep, cc *CancelCheck, m *Metrics) (dropped bool) {
+func candidateFixpoint(s *State, omega candidateSet, p *candsetPrep, cc *CancelCheck, m *Metrics) (dropped bool) {
+	var nbr []uint64 // gather scratch
 	for changed := true; changed; {
 		changed = false
 		s.ForEachActiveVertex(func(v graph.VertexID) {
 			cc.Tick()
-			m.CandidateMessages += int64(s.ActiveDegree(v))
-			// One neighbor scan answers the common per-q questions: the
-			// union of neighboring candidate masks decides every weak
-			// requirement and every count-1 mandatory group in O(1) per q.
-			var nbrUnion uint64
-			s.ForEachActiveNeighbor(v, func(_ int, w graph.VertexID) {
-				nbrUnion |= omega[w]
-			})
-			for q := 0; q < t.NumVertices(); q++ {
-				if !omega.has(v, q) {
-					continue
-				}
-				if !candidateViable(s, omega, p.prof, v, q, p.single, nbrUnion) {
-					omega.remove(v, q)
-					changed = true
-				}
+			nbr = s.gatherOmega(omega, v, nbr)
+			m.CandidateMessages += int64(len(nbr))
+			if rm := p.unviable(omega[v], nbr); rm != 0 {
+				omega[v] &^= rm
+				changed = true
 			}
 			if !omega.any(v) {
 				s.dropVertex(v)
@@ -160,37 +151,41 @@ func candidateFixpoint(s *State, omega candidateSet, t *pattern.Template, p *can
 	return dropped
 }
 
-// candidateViable checks the max-candidate-set requirement for (v, q).
-// nbrUnion is the OR of ω over v's active neighbors, computed once per
-// vertex per round: existence questions distribute over the union, so the
-// weak requirement and single-count mandatory groups need no neighbor scan
-// at all; only multi-count groups still count neighbors.
-func candidateViable(s *State, omega candidateSet, p *constraint.MandatoryProfile, v graph.VertexID, q int, single bool, nbrUnion uint64) bool {
-	if single {
-		return true
+// unviable returns the candidates of ov that fail the max-candidate-set
+// requirement against the gathered candidate masks of the vertex's active
+// neighbours (State.gatherOmega). Existence questions distribute over the
+// union of those masks, so the weak requirement and single-count mandatory
+// groups cost O(1) per candidate; only multi-count groups count neighbours.
+func (p *candsetPrep) unviable(ov uint64, nbr []uint64) (rm uint64) {
+	if p.single {
+		return 0
 	}
+	var nbrUnion uint64
+	for _, ow := range nbr {
+		nbrUnion |= ow
+	}
+	for rest := ov; rest != 0; rest &= rest - 1 {
+		if q := trailingZeros(rest); !p.viable(q, nbr, nbrUnion) {
+			rm |= 1 << uint(q)
+		}
+	}
+	return rm
+}
+
+func (p *candsetPrep) viable(q int, nbr []uint64, nbrUnion uint64) bool {
 	// Weak requirement: at least one active neighbor that can match some H0
 	// neighbor of q (prototypes keep the template connected, so every match
 	// vertex has at least one matched neighbor).
-	if nbrUnion&p.AllNbr(q) == 0 {
+	if nbrUnion&p.prof.AllNbr(q) == 0 {
 		return false
 	}
 	// Mandatory requirement: neighbors covering every mandatory neighbor
 	// group with multiplicity.
-	for _, g := range p.Mandatory(q) {
+	for _, g := range p.prof.Mandatory(q) {
 		if nbrUnion&g.Mask == 0 {
 			return false
 		}
-		if g.Count <= 1 {
-			continue
-		}
-		found := 0
-		s.ForEachActiveNeighbor(v, func(_ int, w graph.VertexID) {
-			if found < g.Count && omega[w]&g.Mask != 0 {
-				found++
-			}
-		})
-		if found < g.Count {
+		if g.Count > 1 && !holdsAtLeast(nbr, g.Mask, g.Count) {
 			return false
 		}
 	}

@@ -89,7 +89,9 @@ func searchTemplateOn(level *State, t *pattern.Template, prof *localProfile, wal
 	}
 	m.VerifyTime += time.Since(phase)
 	if count {
+		phase = time.Now()
 		sol.MatchCount = countMatches(s, omega, t, cc, m, opts)
+		m.CountTime += time.Since(phase)
 	}
 	// A compacted search produced view-local ids; emit original ids so the
 	// public results are independent of whether compaction fired. Matches

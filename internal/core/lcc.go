@@ -16,23 +16,40 @@ func buildLocalProfile(t *pattern.Template) *localProfile {
 	return constraint.BuildLocalProfile(t)
 }
 
-// vertexSatisfiesLocal checks the local constraints of template vertex q at
-// graph vertex v: for every distinct neighbor label of q, v must have at
-// least as many distinct active neighbors holding a candidate in that group
-// as the group's multiplicity.
-func vertexSatisfiesLocal(s *State, omega candidateSet, prof *localProfile, v graph.VertexID, q int) bool {
+// satisfiesLocal checks the local constraints of template vertex q against
+// the gathered candidate masks of a vertex's active neighbours (see
+// State.gatherOmega): for every distinct neighbor label of q, at least as
+// many neighbours must hold a candidate in that group as the group's
+// multiplicity.
+func satisfiesLocal(prof *localProfile, q int, nbr []uint64) bool {
 	for _, g := range prof.Groups(q) {
-		found := 0
-		s.ForEachActiveNeighbor(v, func(_ int, w graph.VertexID) {
-			if found < g.Count && omega[w]&g.Mask != 0 {
-				found++
-			}
-		})
-		if found < g.Count {
+		if !holdsAtLeast(nbr, g.Mask, g.Count) {
 			return false
 		}
 	}
 	return true
+}
+
+// unsatisfiedLocal returns the candidates of ov that fail their local
+// constraints against the gathered neighbour masks.
+func unsatisfiedLocal(prof *localProfile, ov uint64, nbr []uint64) (rm uint64) {
+	for rest := ov; rest != 0; rest &= rest - 1 {
+		if q := trailingZeros(rest); !satisfiesLocal(prof, q, nbr) {
+			rm |= 1 << uint(q)
+		}
+	}
+	return rm
+}
+
+// supportMask returns the candidates an edge's far endpoint must intersect
+// for the edge to support some template edge: the union of the template
+// neighbourhoods of ov's candidates. ω is fixed during an edge phase, so one
+// mask per vertex answers every slot with a single AND.
+func supportMask(prof *localProfile, ov uint64) (need uint64) {
+	for ; ov != 0; ov &= ov - 1 {
+		need |= prof.NbrMask(trailingZeros(ov))
+	}
+	return need
 }
 
 // lcc runs local constraint checking (Alg. 4) to a fixpoint on state s with
@@ -44,24 +61,21 @@ func lcc(s *State, omega candidateSet, prof *localProfile, pool *Pool, cc *Cance
 	if pool != nil {
 		return lccPar(s, omega, prof, pool, cc, m)
 	}
-	t := prof.Template()
+	var nbr []uint64 // gather scratch
 	eliminatedAny := false
 	for {
 		m.LCCIterations++
 		changed := false
 		// Vertex phase: every active vertex "receives visitors" from its
-		// active neighbors and re-validates each candidate q.
+		// active neighbors — one gather, one message per visitor — and
+		// re-validates each candidate q against what they delivered.
 		s.ForEachActiveVertex(func(v graph.VertexID) {
 			cc.Tick()
-			m.LCCMessages += int64(s.ActiveDegree(v))
-			for q := 0; q < t.NumVertices(); q++ {
-				if !omega.has(v, q) {
-					continue
-				}
-				if !vertexSatisfiesLocal(s, omega, prof, v, q) {
-					omega.remove(v, q)
-					changed = true
-				}
+			nbr = s.gatherOmega(omega, v, nbr)
+			m.LCCMessages += int64(len(nbr))
+			if rm := unsatisfiedLocal(prof, omega[v], nbr); rm != 0 {
+				omega[v] &^= rm
+				changed = true
 			}
 			if !omega.any(v) {
 				s.dropVertex(v)
@@ -75,29 +89,30 @@ func lcc(s *State, omega candidateSet, prof *localProfile, pool *Pool, cc *Cance
 		// dropVertex left dangling, so lcc exits with the State invariant.
 		s.ForEachActiveVertex(func(v graph.VertexID) {
 			cc.Tick()
-			ns := s.g.Neighbors(v)
-			base := int(s.g.AdjOffset(v))
-			for i, u := range ns {
-				if !s.edges.Get(base + i) {
-					continue
-				}
-				if !s.verts.Get(int(u)) {
-					s.edges.Clear(base + i)
-					continue
-				}
-				// Each examined active edge slot is one edge-phase message
-				// (one "visitor" per directed slot), mirroring the vertex
-				// phase's per-visitor accounting. A refuted edge is one
-				// message, charged to the endpoint this in-place scan reaches
-				// first: that visit takes the edge down, the later endpoint
-				// only clears its own slot.
-				supported := edgeSupported(omega, prof, v, u)
-				if supported || v < u {
-					m.LCCMessages++
-				}
-				if !supported {
-					s.edges.Clear(base + i)
-					changed = true
+			need := supportMask(prof, omega[v])
+			ns, base, ws := s.slotScan(v)
+			for ws.Next() {
+				for w := ws.Word; w != 0; w &= w - 1 {
+					slot := ws.Base + trailingZeros(w)
+					u := ns[slot-base]
+					if !s.verts.Get(int(u)) {
+						s.edges.Clear(slot)
+						continue
+					}
+					// Each examined active edge slot is one edge-phase message
+					// (one "visitor" per directed slot), mirroring the vertex
+					// phase's per-visitor accounting. A refuted edge is one
+					// message, charged to the endpoint this in-place scan reaches
+					// first: that visit takes the edge down, the later endpoint
+					// only clears its own slot.
+					supported := omega[u]&need != 0
+					if supported || v < u {
+						m.LCCMessages++
+					}
+					if !supported {
+						s.edges.Clear(slot)
+						changed = true
+					}
 				}
 			}
 		})
@@ -107,20 +122,6 @@ func lcc(s *State, omega candidateSet, prof *localProfile, pool *Pool, cc *Cance
 		}
 		return eliminatedAny
 	}
-}
-
-// edgeSupported reports whether edge (v,u) supports some template edge under
-// the current candidates.
-func edgeSupported(omega candidateSet, prof *localProfile, v, u graph.VertexID) bool {
-	ov := omega[v]
-	for ov != 0 {
-		q := trailingZeros(ov)
-		ov &= ov - 1
-		if omega[u]&prof.NbrMask(q) != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }

@@ -109,11 +109,13 @@ type Metrics struct {
 	SockStaleFrames   int64
 
 	// Phase wall times (the paper's Fig. 6 C/S breakdown): candidate-set
-	// generation, LCC fixpoints, NLCC walks and final verification.
+	// generation, LCC fixpoints, NLCC walks, final verification, and — with
+	// Config.CountMatches — match counting on the verified solution subgraph.
 	CandidateTime time.Duration
 	LCCTime       time.Duration
 	NLCCTime      time.Duration
 	VerifyTime    time.Duration
+	CountTime     time.Duration
 }
 
 // TotalMessages returns all visitor/token deliveries.
@@ -166,6 +168,7 @@ func (m *Metrics) Add(other *Metrics) {
 	m.LCCTime += other.LCCTime
 	m.NLCCTime += other.NLCCTime
 	m.VerifyTime += other.VerifyTime
+	m.CountTime += other.CountTime
 }
 
 // String summarizes the metrics.
@@ -204,11 +207,12 @@ type LevelStats struct {
 }
 
 // PhaseSummary renders the phase wall times (the paper's Fig. 6 breakdown
-// into candidate set, search and verification).
+// into candidate set, search and verification, plus match counting).
 func (m *Metrics) PhaseSummary() string {
-	return fmt.Sprintf("candidate=%v lcc=%v nlcc=%v verify=%v",
+	return fmt.Sprintf("candidate=%v lcc=%v nlcc=%v verify=%v count=%v",
 		m.CandidateTime.Round(time.Millisecond),
 		m.LCCTime.Round(time.Millisecond),
 		m.NLCCTime.Round(time.Millisecond),
-		m.VerifyTime.Round(time.Millisecond))
+		m.VerifyTime.Round(time.Millisecond),
+		m.CountTime.Round(time.Millisecond))
 }

@@ -235,28 +235,27 @@ func walkFrom(s *State, omega candidateSet, t *pattern.Template, w *constraint.W
 			}
 			return false
 		}
-		found := false
-		s.ForEachActiveNeighbor(cur, func(_ int, u graph.VertexID) {
-			if found {
-				return
+		ns, base, ws := s.slotScan(cur)
+		for ws.Next() {
+			for bw := ws.Word; bw != 0; bw &= bw - 1 {
+				u := ns[ws.Base+trailingZeros(bw)-base]
+				if !s.verts.Get(int(u)) || !omega.has(u, tq) || !hopOK(u) {
+					continue
+				}
+				if _, taken := owner[u]; taken {
+					continue
+				}
+				m.NLCCMessages++
+				assign[tq] = u
+				owner[u] = tq
+				if step(r+1, u) {
+					return true
+				}
+				delete(assign, tq)
+				delete(owner, u)
 			}
-			if !omega.has(u, tq) || !hopOK(u) {
-				return
-			}
-			if _, taken := owner[u]; taken {
-				return
-			}
-			m.NLCCMessages++
-			assign[tq] = u
-			owner[u] = tq
-			if step(r+1, u) {
-				found = true
-				return
-			}
-			delete(assign, tq)
-			delete(owner, u)
-		})
-		return found
+		}
+		return false
 	}
 	return step(1, v)
 }

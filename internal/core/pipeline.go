@@ -248,11 +248,12 @@ func (e *engine) searchPrototype(level *State, pi int) *Solution {
 func cleanEdges(s *State) *bitvec.Vector {
 	out := bitvec.New(s.g.NumDirectedEdges())
 	s.ForEachActiveVertex(func(v graph.VertexID) {
-		ns := s.g.Neighbors(v)
-		base := int(s.g.AdjOffset(v))
-		for i, u := range ns {
-			if s.edges.Get(base+i) && s.verts.Get(int(u)) {
-				out.Set(base + i)
+		ns, base, ws := s.slotScan(v)
+		for ws.Next() {
+			for w := ws.Word; w != 0; w &= w - 1 {
+				if slot := ws.Base + trailingZeros(w); s.verts.Get(int(ns[slot-base])) {
+					out.Set(slot)
+				}
 			}
 		}
 	})

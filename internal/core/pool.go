@@ -21,6 +21,12 @@ type Pool struct {
 	workers int
 	tasks   chan func()
 	once    sync.Once
+
+	// free holds the partition buffers of finished superstep kernel calls
+	// (see partDelta) for the run's next ones: as many sets as kernel calls
+	// ever ran side by side, i.e. at most the level width.
+	mu   sync.Mutex
+	free [][]*partDelta
 }
 
 // NewPool starts a pool of the given size, or returns nil (sequential) when
@@ -46,6 +52,38 @@ func (p *Pool) Workers() int {
 		return 0
 	}
 	return p.workers
+}
+
+// partBuffers returns parts partition buffers for one superstep kernel call:
+// a set an earlier call of the run recycled, when there is one, so the
+// elimination lists and gather scratches keep the capacity they grew to. A
+// nil pool (the sequential schedule's single inline partition) gets fresh
+// ones.
+func (p *Pool) partBuffers(parts int) []*partDelta {
+	if p != nil {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if n := len(p.free); n > 0 {
+			set := p.free[n-1]
+			p.free = p.free[:n-1]
+			return set
+		}
+	}
+	set := make([]*partDelta, parts)
+	for i := range set {
+		set[i] = &partDelta{}
+	}
+	return set
+}
+
+// recycle takes back a set handed out by partBuffers.
+func (p *Pool) recycle(set []*partDelta) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.free = append(p.free, set)
+	p.mu.Unlock()
 }
 
 // Close stops the workers once every submitted task has drained. Safe to

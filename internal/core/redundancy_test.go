@@ -161,6 +161,58 @@ func TestGuardsReduceVerifyWork(t *testing.T) {
 	}
 }
 
+// TestCountingLeafMatchesEnumeration pins the counting kernel's last order
+// position — which counts its consistent candidates in place instead of
+// assigning each and calling back — against full enumeration, on templates
+// with non-trivial automorphisms and repeated labels (where a wrong
+// injectivity, restriction or guard decision at the leaf changes the count)
+// and under all four symmetry × guard combinations: the count equals the
+// number of mappings enumerateMatches yields and the refmatch oracle's, and
+// both kernels do the same work counter for counter.
+func TestCountingLeafMatchesEnumeration(t *testing.T) {
+	one := func(n int) []pattern.Label { return make([]pattern.Label, n) }
+	templates := map[string]*pattern.Template{
+		"vertex":   pattern.MustNew(one(1), nil),
+		"edge":     pattern.MustNew(one(2), []pattern.Edge{{I: 0, J: 1}}),
+		"triangle": pattern.MustNew(one(3), []pattern.Edge{{I: 0, J: 1}, {I: 1, J: 2}, {I: 0, J: 2}}),
+		"4-clique": pattern.MustNew(one(4), []pattern.Edge{{I: 0, J: 1}, {I: 0, J: 2}, {I: 0, J: 3}, {I: 1, J: 2}, {I: 1, J: 3}, {I: 2, J: 3}}),
+		"star":     pattern.MustNew([]pattern.Label{1, 0, 0, 0}, []pattern.Edge{{I: 0, J: 1}, {I: 0, J: 2}, {I: 0, J: 3}}),
+		"tailed triangle": pattern.MustNew([]pattern.Label{0, 0, 0, 1},
+			[]pattern.Edge{{I: 0, J: 1}, {I: 1, J: 2}, {I: 0, J: 2}, {I: 2, J: 3}}),
+	}
+	rng := rand.New(rand.NewSource(2403))
+	matched := map[string]bool{}
+	for trial := 0; trial < 6; trial++ {
+		// Dense enough that same-label 4-cliques exist.
+		g := randomGraph(rng, 24+rng.Intn(8), 200+rng.Intn(100), 2)
+		for name, tp := range templates {
+			want := refmatch.Count(g, tp, false)
+			matched[name] = matched[name] || want > 0
+			for _, opts := range []kernelOpts{{}, {noSymmetry: true}, {noGuards: true}, {noSymmetry: true, noGuards: true}} {
+				s := NewFullState(g)
+				var cm, em Metrics
+				count := countMatches(s, initCandidates(s, tp), tp, nil, &cm, opts)
+				var yielded int64
+				enumerateMatches(s, initCandidates(s, tp), tp, nil, &em, opts, func([]graph.VertexID) bool {
+					yielded++
+					return true
+				})
+				if count != yielded || count != want {
+					t.Errorf("trial %d %s %+v: counted %d, enumerated %d, oracle %d", trial, name, opts, count, yielded, want)
+				}
+				if cm != em {
+					t.Errorf("trial %d %s %+v: counting and enumerating did different work:\n count %+v\n enum  %+v", trial, name, opts, cm, em)
+				}
+			}
+		}
+	}
+	for name := range templates {
+		if !matched[name] {
+			t.Errorf("%s: no fixture held a match", name)
+		}
+	}
+}
+
 func mustTemplate(t *testing.T, text string) *pattern.Template {
 	t.Helper()
 	tp, err := pattern.Parse(strings.NewReader(text))

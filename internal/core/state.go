@@ -115,13 +115,15 @@ func (s *State) dropVertex(v graph.VertexID) {
 // lookup.
 func (s *State) clearDanglingSlots() {
 	s.ForEachActiveVertex(func(v graph.VertexID) {
-		ns := s.g.Neighbors(v)
-		base := int(s.g.AdjOffset(v))
-		s.edges.ForEachInRange(base, base+len(ns), func(slot int) {
-			if !s.verts.Get(int(ns[slot-base])) {
-				s.edges.Clear(slot)
+		ns, base, ws := s.slotScan(v)
+		for ws.Next() {
+			for w := ws.Word; w != 0; w &= w - 1 {
+				slot := ws.Base + trailingZeros(w)
+				if !s.verts.Get(int(ns[slot-base])) {
+					s.edges.Clear(slot)
+				}
 			}
-		})
+		}
 	})
 }
 
@@ -167,27 +169,52 @@ func (s *State) forEachActiveVertexIn(lo, hi int, fn func(v graph.VertexID)) {
 	s.verts.ForEachInRange(lo, hi, func(i int) { fn(graph.VertexID(i)) })
 }
 
-// ForEachActiveNeighbor calls fn(i, w) for every active neighbor w of u
-// reachable over an active edge slot; i is the neighbor's position in u's
-// adjacency. The active-slot range is scanned word-at-a-time, so heavily
-// pruned adjacencies cost O(words) rather than O(degree).
-func (s *State) ForEachActiveNeighbor(u graph.VertexID, fn func(i int, w graph.VertexID)) {
-	ns := s.g.Neighbors(u)
-	base := int(s.g.AdjOffset(u))
-	s.edges.ForEachInRange(base, base+len(ns), func(slot int) {
-		i := slot - base
-		if w := ns[i]; s.verts.Get(int(w)) {
-			fn(i, w)
-		}
-	})
+// slotScan is the start of every pass over u's active out-slots: u's
+// adjacency, the slot index of its first entry, and a scan of the slots still
+// active (see bitvec.WordScan for the loop; slot i leads to ns[i-base]). Heavily
+// pruned adjacencies cost O(words) rather than O(degree). The far endpoint is
+// the caller's to test: inside a kernel a slot may dangle toward a dropped
+// vertex (see dropVertex).
+func (s *State) slotScan(u graph.VertexID) (ns []graph.VertexID, base int, ws bitvec.WordScan) {
+	ns = s.g.Neighbors(u)
+	base = int(s.g.AdjOffset(u))
+	return ns, base, s.edges.Words(base, base+len(ns))
 }
 
-// ActiveDegree returns the number of active incident edges of u with active
-// far endpoints.
-func (s *State) ActiveDegree(u graph.VertexID) int {
-	d := 0
-	s.ForEachActiveNeighbor(u, func(int, graph.VertexID) { d++ })
-	return d
+// gatherOmega is a constraint-checking kernel's one read of v's
+// neighbourhood per round: it fills buf with ω(w) of every active neighbour w
+// of v — active slot, active far endpoint — in adjacency order and returns
+// it. Its length is v's active degree, the number of visitors v receives this
+// round (Alg. 4); every per-candidate question the kernel then asks ("does
+// some / do c neighbours hold a candidate in this mask") is answered from buf
+// without touching the graph again. v's own processing never changes a
+// neighbour's ω or vertex bit (no self-loops), so buffering reads exactly the
+// values a walk per question would — under the in-place schedule as much as
+// the frozen-snapshot one. buf is the caller's scratch, one per goroutine.
+func (s *State) gatherOmega(omega candidateSet, v graph.VertexID, buf []uint64) []uint64 {
+	buf = buf[:0]
+	ns, base, ws := s.slotScan(v)
+	for ws.Next() {
+		for w := ws.Word; w != 0; w &= w - 1 {
+			if u := ns[ws.Base+trailingZeros(w)-base]; s.verts.Get(int(u)) {
+				buf = append(buf, omega[u])
+			}
+		}
+	}
+	return buf
+}
+
+// holdsAtLeast reports whether at least n of the gathered neighbour masks
+// intersect mask; the count stops as soon as it is reached.
+func holdsAtLeast(nbr []uint64, mask uint64, n int) bool {
+	for _, ow := range nbr {
+		if ow&mask != 0 {
+			if n--; n <= 0 {
+				return true
+			}
+		}
+	}
+	return n <= 0
 }
 
 // NumActiveVertices returns the number of active vertices.

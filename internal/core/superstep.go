@@ -40,11 +40,16 @@ type omegaDelta struct {
 }
 
 // partDelta is one partition's side of a superstep: the ω eliminations it
-// recorded, its writers for the vertex bits and out-slots it owns, its
-// metrics and its cancellation probe. Reused across rounds.
+// recorded, its gather scratch (State.gatherOmega), its writers for the vertex
+// bits and out-slots it owns, its metrics and its cancellation probe. Reused
+// across rounds, and — the two buffers — across the kernel calls of a run: the
+// first LCC round of a prototype search eliminates a candidate at most
+// vertices, so a list regrown from nil per call is most of what the superstep
+// schedule allocates (see Pool.partBuffers).
 type partDelta struct {
 	cc           *CancelCheck
 	omega        []omegaDelta
+	nbr          []uint64
 	verts, edges bitvec.Span
 	m            Metrics
 	changed      bool
@@ -78,7 +83,7 @@ func newSuperstep(pool *Pool, s *State, omega candidateSet, cc *CancelCheck) *su
 	}
 	ss := &superstep{pool: pool, s: s, omega: omega, cc: cc, scan: s.verts.Count()}
 	ss.bounds = partitionBounds(s.g, w)
-	ss.parts = make([]*partDelta, w)
+	ss.parts = pool.partBuffers(w)
 	slotAt := func(v int) int {
 		if v == s.g.NumVertices() {
 			return s.g.NumDirectedEdges()
@@ -87,13 +92,19 @@ func newSuperstep(pool *Pool, s *State, omega candidateSet, cc *CancelCheck) *su
 	}
 	for i := range ss.parts {
 		lo, hi := ss.bounds[i], ss.bounds[i+1]
-		ss.parts[i] = &partDelta{
-			cc:    cc.Fork(),
-			verts: s.verts.Span(lo, hi),
-			edges: s.edges.Span(slotAt(lo), slotAt(hi)),
-		}
+		d := ss.parts[i]
+		d.cc, d.m = cc.Fork(), Metrics{} // a recycled buffer may come from an aborted call
+		d.verts = s.verts.Span(lo, hi)
+		d.edges = s.edges.Span(slotAt(lo), slotAt(hi))
 	}
 	return ss
+}
+
+// release hands the partitions' buffers back to the pool for the run's next
+// kernel call. The superstep must not be used afterwards.
+func (ss *superstep) release() {
+	ss.pool.recycle(ss.parts)
+	ss.parts = nil
 }
 
 // partitionBounds splits the vertex ID space into parts contiguous ranges
@@ -190,27 +201,18 @@ func (d *partDelta) eliminate(v graph.VertexID, rm uint64) {
 // candidateFixpointPar is the superstep schedule of the M* viability
 // fixpoint on the seeded state of ss: Jacobi rounds until no candidate is
 // eliminated. It reports whether it dropped any vertex.
-func candidateFixpointPar(ss *superstep, t *pattern.Template, p *candsetPrep, m *Metrics) (dropped bool) {
+func candidateFixpointPar(ss *superstep, p *candsetPrep, m *Metrics) (dropped bool) {
 	s, omega := ss.s, ss.omega
 	for {
 		ss.run(func(d *partDelta, lo, hi int) {
 			s.forEachActiveVertexIn(lo, hi, func(v graph.VertexID) {
 				d.cc.Tick()
-				d.m.CandidateMessages += int64(s.ActiveDegree(v))
-				// ω is frozen during the superstep, so the round-start
-				// neighbor union serves every q (same values the sequential
-				// schedule reads, since a vertex never borders itself).
-				var nbrUnion uint64
-				s.ForEachActiveNeighbor(v, func(_ int, w graph.VertexID) {
-					nbrUnion |= omega[w]
-				})
-				var rm uint64
-				for q := 0; q < t.NumVertices(); q++ {
-					if omega.has(v, q) && !candidateViable(s, omega, p.prof, v, q, p.single, nbrUnion) {
-						rm |= 1 << uint(q)
-					}
-				}
-				d.eliminate(v, rm)
+				// ω is frozen during the superstep: the gather reads the
+				// round-start values, the same ones the sequential schedule
+				// reads for v (a vertex never borders itself).
+				d.nbr = s.gatherOmega(omega, v, d.nbr)
+				d.m.CandidateMessages += int64(len(d.nbr))
+				d.eliminate(v, p.unviable(omega[v], d.nbr))
 			})
 		})
 		if !ss.merge(m) {
@@ -223,44 +225,40 @@ func candidateFixpointPar(ss *superstep, t *pattern.Template, p *candsetPrep, m 
 // superstep and an edge superstep, each followed by a barrier merge —
 // mirroring the sequential phase structure of Alg. 4.
 func lccPar(s *State, omega candidateSet, prof *localProfile, pool *Pool, cc *CancelCheck, m *Metrics) bool {
-	t := prof.Template()
 	ss := newSuperstep(pool, s, omega, cc)
+	defer ss.release()
 	eliminatedAny := false
 	for {
 		m.LCCIterations++
 		ss.run(func(d *partDelta, lo, hi int) {
 			s.forEachActiveVertexIn(lo, hi, func(v graph.VertexID) {
 				d.cc.Tick()
-				d.m.LCCMessages += int64(s.ActiveDegree(v))
-				var rm uint64
-				for q := 0; q < t.NumVertices(); q++ {
-					if omega.has(v, q) && !vertexSatisfiesLocal(s, omega, prof, v, q) {
-						rm |= 1 << uint(q)
-					}
-				}
-				d.eliminate(v, rm)
+				d.nbr = s.gatherOmega(omega, v, d.nbr)
+				d.m.LCCMessages += int64(len(d.nbr))
+				d.eliminate(v, unsatisfiedLocal(prof, omega[v], d.nbr))
 			})
 		})
 		changed := ss.merge(m)
 		ss.run(func(d *partDelta, lo, hi int) {
 			s.forEachActiveVertexIn(lo, hi, func(v graph.VertexID) {
 				d.cc.Tick()
-				ns := s.g.Neighbors(v)
-				base := int(s.g.AdjOffset(v))
-				for i, u := range ns {
-					if !s.edges.Get(base + i) {
-						continue
-					}
-					if !s.verts.Get(int(u)) {
-						d.edges.Clear(base + i) // left dangling by dropVertex(u)
-						continue
-					}
-					d.m.LCCMessages++
-					// ω is frozen, so u's partition refutes the reverse
-					// slot in this same superstep.
-					if !edgeSupported(omega, prof, v, u) {
-						d.edges.Clear(base + i)
-						d.changed = true
+				need := supportMask(prof, omega[v])
+				ns, base, ws := s.slotScan(v)
+				for ws.Next() {
+					for w := ws.Word; w != 0; w &= w - 1 {
+						slot := ws.Base + trailingZeros(w)
+						u := ns[slot-base]
+						if !s.verts.Get(int(u)) {
+							d.edges.Clear(slot) // left dangling by dropVertex(u)
+							continue
+						}
+						d.m.LCCMessages++
+						// ω is frozen, so u's partition refutes the reverse
+						// slot in this same superstep.
+						if omega[u]&need == 0 {
+							d.edges.Clear(slot)
+							d.changed = true
+						}
 					}
 				}
 			})
@@ -283,6 +281,7 @@ func lccPar(s *State, omega candidateSet, prof *localProfile, pool *Pool, cc *Ca
 func nlccPar(s *State, omega candidateSet, t *pattern.Template, w *constraint.Walk, cache *Cache, pool *Pool, cc *CancelCheck, m *Metrics) bool {
 	q0 := w.Seq[0]
 	ss := newSuperstep(pool, s, omega, cc)
+	defer ss.release()
 	ss.run(func(d *partDelta, lo, hi int) {
 		s.forEachActiveVertexIn(lo, hi, func(v graph.VertexID) {
 			d.cc.Tick()

@@ -111,6 +111,9 @@ type enumerator struct {
 	exp    *int64 // node-expansion counter (a Metrics field)
 	found  bool
 	minDep int
+
+	// count is the number of matches a counting run (nil callback) completed.
+	count int64
 }
 
 func newEnumerator(s *State, omega candidateSet, t *pattern.Template, cc *CancelCheck, m *Metrics) *enumerator {
@@ -123,6 +126,7 @@ func newEnumerator(s *State, omega candidateSet, t *pattern.Template, cc *Cancel
 		assigned: make([]graph.VertexID, t.NumVertices()),
 		isSet:    make([]bool, t.NumVertices()),
 		depth:    make([]int, t.NumVertices()),
+		restrs:   make([][]restrCheck, t.NumVertices()),
 		aut:      1,
 		exp:      &m.EnumExpansions,
 		minDep:   noDep,
@@ -152,7 +156,6 @@ func (e *enumerator) applySymmetry() {
 	for i, q := range e.order {
 		pos[q] = i
 	}
-	e.restrs = make([][]restrCheck, len(e.order))
 	for _, r := range rs {
 		if pos[r.A] > pos[r.B] {
 			e.restrs[pos[r.A]] = append(e.restrs[pos[r.A]], restrCheck{other: r.B, uLess: true})
@@ -196,7 +199,8 @@ func orderFrom(t *pattern.Template, seeds []int) []int {
 
 // run explores all completions of the current partial assignment; fn
 // receives each complete match (slice reused) and returns false to stop.
-// run returns false when fn stopped the search.
+// run returns false when fn stopped the search. A nil fn counts instead:
+// every match adds one to e.count (see try for where).
 func (e *enumerator) run(idx int, fn func([]graph.VertexID) bool) bool {
 	if idx == len(e.order) {
 		e.found = true
@@ -206,94 +210,112 @@ func (e *enumerator) run(idx int, fn func([]graph.VertexID) bool) bool {
 	// Pick an assigned template neighbor to source candidates from. The
 	// candidate stream reads that neighbor's image, so the subtree depends
 	// on its position.
-	var src graph.VertexID
-	hasSrc := false
 	for _, r := range e.t.Neighbors(q) {
-		if e.isSet[r] {
-			src = e.assigned[r]
-			hasSrc = true
-			e.dep(e.depth[r])
-			break
+		if !e.isSet[r] {
+			continue
 		}
-	}
-	try := func(u graph.VertexID) bool {
-		e.cc.Tick()
-		if !e.omega.has(u, q) {
-			return true
-		}
-		if e.guards.lookup(q, u) {
-			e.m.GuardHits++
-			return true
-		}
-		for _, rc := range e.restrs[idx] {
-			o := e.assigned[rc.other]
-			if rc.uLess == (u >= o) {
-				e.dep(e.depth[rc.other])
-				return true
+		e.dep(e.depth[r])
+		ns, base, ws := e.s.slotScan(e.assigned[r])
+		for ws.Next() {
+			for w := ws.Word; w != 0; w &= w - 1 {
+				u := ns[ws.Base+trailingZeros(w)-base]
+				if e.s.verts.Get(int(u)) && !e.try(idx, q, u, fn) {
+					return false
+				}
 			}
 		}
-		// Injectivity: u must not already be the image of another template
-		// vertex (≤|T| assigned slots, so a linear scan beats a map).
-		for r, set := range e.isSet {
-			if set && e.assigned[r] == u {
-				e.dep(e.depth[r])
-				return true
-			}
-		}
-		e.m.VerifyMessages++
-		// All template edges from q to already-placed vertices must be
-		// active graph edges with acceptable edge labels.
-		for _, r := range e.t.Neighbors(q) {
-			if !e.isSet[r] {
-				continue
-			}
-			if !e.s.EdgeActiveBetween(u, e.assigned[r]) || !templateEdgeLabelOK(e.s, e.t, q, r, u, e.assigned[r]) {
-				e.dep(e.depth[r])
-				return true
-			}
-		}
-		e.assigned[q] = u
-		e.isSet[q] = true
-		e.depth[q] = idx
-		*e.exp++
-		savedFound, savedMin := e.found, e.minDep
-		e.found, e.minDep = false, noDep
-		ok := e.run(idx+1, fn)
-		subFound, subMin := e.found, e.minDep
-		e.isSet[q] = false
-		// Guardable iff the subtree was fully explored, matchless, and its
-		// pruning depended on nothing assigned before this position.
-		if ok && !subFound && subMin >= idx {
-			e.guards.set(q, u, e.m)
-		}
-		e.found = savedFound || subFound
-		e.minDep = savedMin
-		e.dep(subMin)
-		return ok
-	}
-	if e.restrs == nil {
-		// No symmetry breaking for this template/order: keep restrs
-		// indexable without a nil check per candidate.
-		e.restrs = make([][]restrCheck, len(e.order))
-	}
-	if hasSrc {
-		cont := true
-		e.s.ForEachActiveNeighbor(src, func(_ int, u graph.VertexID) {
-			if cont {
-				cont = try(u)
-			}
-		})
-		return cont
+		return true
 	}
 	// No placed neighbor (only possible for the very first vertex): scan
 	// all active vertices.
-	cont := true
-	e.s.ForEachActiveVertex(func(u graph.VertexID) {
-		if cont {
-			cont = try(u)
+	for ws := e.s.verts.Words(0, e.s.verts.Len()); ws.Next(); {
+		for w := ws.Word; w != 0; w &= w - 1 {
+			if !e.try(idx, q, graph.VertexID(ws.Base+trailingZeros(w)), fn) {
+				return false
+			}
 		}
-	})
-	return cont
+	}
+	return true
+}
+
+// consistent reports whether graph vertex u can extend the partial assignment
+// as the image of q = order[idx]: a candidate for q, not guarded, inside the
+// symmetry restrictions, not already an image, and joined to the image of
+// every placed template neighbour of q by an active, label-compatible edge.
+// Every rejection that read an earlier assignment records the dependency.
+func (e *enumerator) consistent(idx, q int, u graph.VertexID) bool {
+	e.cc.Tick()
+	if !e.omega.has(u, q) {
+		return false
+	}
+	if e.guards.lookup(q, u) {
+		e.m.GuardHits++
+		return false
+	}
+	for _, rc := range e.restrs[idx] {
+		o := e.assigned[rc.other]
+		if rc.uLess == (u >= o) {
+			e.dep(e.depth[rc.other])
+			return false
+		}
+	}
+	// Injectivity: u must not already be the image of another template
+	// vertex (≤|T| assigned slots, so a linear scan beats a map).
+	for r, set := range e.isSet {
+		if set && e.assigned[r] == u {
+			e.dep(e.depth[r])
+			return false
+		}
+	}
+	e.m.VerifyMessages++
+	// All template edges from q to already-placed vertices must be
+	// active graph edges with acceptable edge labels.
+	for _, r := range e.t.Neighbors(q) {
+		if !e.isSet[r] {
+			continue
+		}
+		if !e.s.EdgeActiveBetween(u, e.assigned[r]) || !templateEdgeLabelOK(e.s, e.t, q, r, u, e.assigned[r]) {
+			e.dep(e.depth[r])
+			return false
+		}
+	}
+	return true
+}
+
+// try assigns u to q = order[idx] when that is consistent and explores the
+// subtree below. It returns false when fn stopped the search.
+func (e *enumerator) try(idx, q int, u graph.VertexID, fn func([]graph.VertexID) bool) bool {
+	if !e.consistent(idx, q, u) {
+		return true
+	}
+	*e.exp++
+	if fn == nil && idx == len(e.order)-1 {
+		// Counting leaf: a consistent candidate at the last position is a
+		// match, so count it where it stands — no assignment, no recursion,
+		// no call per match. This is everything the general path below does
+		// for such a candidate: its subtree is that one match, found with no
+		// further dependency, and a subtree holding a match is never guarded.
+		e.count++
+		e.found = true
+		return true
+	}
+	e.assigned[q] = u
+	e.isSet[q] = true
+	e.depth[q] = idx
+	savedFound, savedMin := e.found, e.minDep
+	e.found, e.minDep = false, noDep
+	ok := e.run(idx+1, fn)
+	subFound, subMin := e.found, e.minDep
+	e.isSet[q] = false
+	// Guardable iff the subtree was fully explored, matchless, and its
+	// pruning depended on nothing assigned before this position.
+	if ok && !subFound && subMin >= idx {
+		e.guards.set(q, u, e.m)
+	}
+	e.found = savedFound || subFound
+	e.minDep = savedMin
+	e.dep(subMin)
+	return ok
 }
 
 // seed pre-assigns template vertex q to graph vertex u at order position
@@ -338,28 +360,58 @@ func templateEdgeLabelOK(s *State, t *pattern.Template, q, r int, gu, gv graph.V
 	return ok && gl == tl
 }
 
-// findSeeded searches for one match with the given (template vertex → graph
-// vertex) seeds; it returns the match or nil. A non-nil guards store must
-// have been built for the same matching order orderFrom(t, seedQ) and may
-// only be reused while state and candidates shrink monotonically; guards
-// never change which first witness is found — they skip subtrees proven to
-// hold no match at all.
-func findSeeded(s *State, omega candidateSet, t *pattern.Template, cc *CancelCheck, m *Metrics, guards *guardStore, seedQ []int, seedV []graph.VertexID) []graph.VertexID {
+// prober runs the seeded first-match probes of one verifyExact call — tens of
+// thousands per query — on one enumerator: the matching order is computed
+// once per seed tuple and the per-probe state is reset, not reallocated.
+type prober struct {
+	e *enumerator
+	// orders caches orderFrom per seed tuple, indexed by orderKey.
+	orders [][]int
+}
+
+func newProber(s *State, omega candidateSet, t *pattern.Template, cc *CancelCheck, m *Metrics) *prober {
 	e := newEnumerator(s, omega, t, cc, m)
 	e.exp = &m.VerifyExpansions
-	e.guards = guards
+	n := t.NumVertices()
+	return &prober{e: e, orders: make([][]int, n*(n+1))}
+}
+
+// orderKey indexes prober.orders: one or two seed template vertices.
+func (p *prober) orderKey(seedQ []int) int {
+	key := seedQ[0] * (p.e.t.NumVertices() + 1)
+	if len(seedQ) > 1 {
+		key += seedQ[1] + 1
+	}
+	return key
+}
+
+// stopAtFirst is the probes' match callback.
+func stopAtFirst([]graph.VertexID) bool { return false }
+
+// find searches for one match with the given (template vertex → graph
+// vertex) seeds; it returns the match — valid until the next find — or nil.
+// A non-nil guards store must only ever be used with one seed tuple (guards
+// are relative to the matching order orderFrom(t, seedQ)) and only while
+// state and candidates shrink monotonically; guards never change which first
+// witness is found — they skip subtrees proven to hold no match at all.
+func (p *prober) find(guards *guardStore, seedQ []int, seedV []graph.VertexID) []graph.VertexID {
+	e := p.e
+	clear(e.isSet)
+	e.found, e.minDep, e.guards = false, noDep, guards
 	for i, q := range seedQ {
 		if !e.seed(q, seedV[i], i) {
 			return nil
 		}
 	}
-	e.order = orderFrom(t, seedQ)
-	var found []graph.VertexID
-	e.run(len(seedQ), func(match []graph.VertexID) bool {
-		found = append([]graph.VertexID(nil), match...)
-		return false
-	})
-	return found
+	key := p.orderKey(seedQ)
+	if p.orders[key] == nil {
+		p.orders[key] = orderFrom(e.t, seedQ)
+	}
+	e.order = p.orders[key]
+	if e.run(len(seedQ), stopAtFirst) {
+		return nil
+	}
+	return e.assigned
 }
 
 // verifyExact is the final verification phase of SEARCH_PROTOTYPE: it
@@ -385,6 +437,7 @@ func verifyExact(s *State, omega candidateSet, t *pattern.Template, cc *CancelCh
 		}
 	}
 
+	probe := newProber(s, omega, t, cc, m)
 	markMatch := func(match []graph.VertexID) {
 		for tq, gv := range match {
 			vmark[gv] |= 1 << uint(tq)
@@ -412,7 +465,7 @@ func verifyExact(s *State, omega candidateSet, t *pattern.Template, cc *CancelCh
 			if stores != nil {
 				gs = stores[q]
 			}
-			if match := findSeeded(s, omega, t, cc, m, gs, []int{q}, []graph.VertexID{v}); match != nil {
+			if match := probe.find(gs, []int{q}, []graph.VertexID{v}); match != nil {
 				markMatch(match)
 			} else {
 				omega.remove(v, q)
@@ -427,45 +480,38 @@ func verifyExact(s *State, omega candidateSet, t *pattern.Template, cc *CancelCh
 	// 2-seeded with per-orientation matching orders, so no guard store
 	// applies here. The scan also clears the slots the vertex phase's
 	// dropVertex calls left dangling.
+	edgeParticipates := func(v, u graph.VertexID) bool {
+		for _, te := range t.Edges() {
+			for _, ori := range [2][2]int{{te.I, te.J}, {te.J, te.I}} {
+				if !vmark.has(v, ori[0]) || !vmark.has(u, ori[1]) {
+					continue
+				}
+				m.VerifySearches++
+				if match := probe.find(nil, []int{ori[0], ori[1]}, []graph.VertexID{v, u}); match != nil {
+					markMatch(match)
+					return true
+				}
+			}
+		}
+		return false
+	}
 	s.ForEachActiveVertex(func(v graph.VertexID) {
 		cc.Tick()
-		ns := g.Neighbors(v)
-		base := int(g.AdjOffset(v))
-		for i, u := range ns {
-			if !s.edges.Get(base + i) {
-				continue
-			}
-			if !s.verts.Get(int(u)) {
-				s.edges.Clear(base + i)
-				continue
-			}
-			if v > u {
-				continue
-			}
-			if emark.Get(base + i) {
-				continue
-			}
-			participates := false
-			for _, te := range t.Edges() {
-				for _, ori := range [2][2]int{{te.I, te.J}, {te.J, te.I}} {
-					if !vmark.has(v, ori[0]) || !vmark.has(u, ori[1]) {
-						continue
-					}
-					m.VerifySearches++
-					if match := findSeeded(s, omega, t, cc, m, nil, []int{ori[0], ori[1]}, []graph.VertexID{v, u}); match != nil {
-						markMatch(match)
-						participates = true
-					}
-					if participates {
-						break
-					}
+		ns, base, ws := s.slotScan(v)
+		for ws.Next() {
+			for w := ws.Word; w != 0; w &= w - 1 {
+				slot := ws.Base + trailingZeros(w)
+				u := ns[slot-base]
+				if !s.verts.Get(int(u)) {
+					s.edges.Clear(slot)
+					continue
 				}
-				if participates {
-					break
+				if v > u || emark.Get(slot) {
+					continue
 				}
-			}
-			if !participates {
-				s.DeactivateEdgeAt(v, i)
+				if !edgeParticipates(v, u) {
+					s.DeactivateEdgeAt(v, slot-base)
+				}
 			}
 		}
 	})
@@ -485,12 +531,8 @@ func countMatches(s *State, omega candidateSet, t *pattern.Template, cc *CancelC
 	if !opts.noGuards {
 		e.guards = newGuardStore(t.NumVertices(), s.Graph().NumVertices(), cc)
 	}
-	var count int64
-	e.run(0, func([]graph.VertexID) bool {
-		count++
-		return true
-	})
-	return count * e.aut
+	e.run(0, nil)
+	return e.count * e.aut
 }
 
 // enumerateMatches calls fn for every match; fn returns false to stop. The

@@ -255,6 +255,7 @@ func (r *metricsRegistry) writeProm(w io.Writer, inFlight, waiting int, heapByte
 	fmt.Fprintf(w, "amatchd_pipeline_phase_seconds_total{phase=\"lcc\"} %g\n", p.LCCTime.Seconds())
 	fmt.Fprintf(w, "amatchd_pipeline_phase_seconds_total{phase=\"nlcc\"} %g\n", p.NLCCTime.Seconds())
 	fmt.Fprintf(w, "amatchd_pipeline_phase_seconds_total{phase=\"verify\"} %g\n", p.VerifyTime.Seconds())
+	fmt.Fprintf(w, "amatchd_pipeline_phase_seconds_total{phase=\"count\"} %g\n", p.CountTime.Seconds())
 	fmt.Fprintf(w, "# HELP amatchd_kernel_expansions_total Partial-embedding extensions performed by the search kernels, by phase.\n")
 	fmt.Fprintf(w, "# TYPE amatchd_kernel_expansions_total counter\n")
 	fmt.Fprintf(w, "amatchd_kernel_expansions_total{phase=\"verify\"} %d\n", p.VerifyExpansions)

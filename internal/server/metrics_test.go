@@ -14,7 +14,8 @@ import (
 
 // TestWritePromCompactionCounters pins the Prometheus text rendering of the
 // compaction counters and the active-fraction gauge, including the
-// no-checks-yet divide-by-zero guard.
+// no-checks-yet divide-by-zero guard, and of the per-phase wall times, which
+// must fold across queries (match counting included).
 func TestWritePromCompactionCounters(t *testing.T) {
 	r := newMetricsRegistry()
 
@@ -40,11 +41,14 @@ func TestWritePromCompactionCounters(t *testing.T) {
 		CompactionBytesReclaimed: 4096,
 		CompactionFracBefore:     0.25 + 0.5 + 0.75,
 		CompactionFracAfter:      1 + 0.5 + 0.75,
+		VerifyTime:               250 * time.Millisecond,
+		CountTime:                500 * time.Millisecond,
 	})
 	r.observePipeline(&core.Metrics{
 		CompactionChecks:     1,
 		CompactionFracBefore: 0.5,
 		CompactionFracAfter:  0.5,
+		CountTime:            1500 * time.Millisecond,
 	})
 	r.record("match", outcomeOK, 5*time.Millisecond)
 
@@ -59,6 +63,8 @@ func TestWritePromCompactionCounters(t *testing.T) {
 		"# TYPE amatchd_pipeline_active_fraction gauge",
 		"amatchd_pipeline_active_fraction{stage=\"pre\"} 0.5\n",
 		"amatchd_pipeline_active_fraction{stage=\"post\"} 0.6875\n",
+		"amatchd_pipeline_phase_seconds_total{phase=\"verify\"} 0.25\n",
+		"amatchd_pipeline_phase_seconds_total{phase=\"count\"} 2\n",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("missing %q in:\n%s", want, got)
