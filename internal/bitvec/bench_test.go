@@ -53,9 +53,9 @@ func BenchmarkVectorOr(b *testing.B) {
 	}
 }
 
-// The next benchmarks pair each word-at-a-time primitive with its per-bit
-// reference, so the candidate-set kernels' switch to AndInto and range scans
-// is backed by before/after numbers (`go test -bench . ./internal/bitvec/`).
+// The next benchmarks pair the word-at-a-time range scan with its per-bit
+// reference, so the kernels' switch to range scans is backed by before/after
+// numbers (`go test -bench . ./internal/bitvec/`).
 
 const benchBits = 1 << 16
 
@@ -71,30 +71,6 @@ func benchVectors(density float64) (*Vector, *Vector) {
 		}
 	}
 	return a, b
-}
-
-func BenchmarkAndPerBit(bm *testing.B) {
-	a, b := benchVectors(0.5)
-	dst := New(benchBits)
-	bm.ReportAllocs()
-	for n := 0; n < bm.N; n++ {
-		for i := 0; i < benchBits; i++ {
-			if a.Get(i) && b.Get(i) {
-				dst.Set(i)
-			} else {
-				dst.Clear(i)
-			}
-		}
-	}
-}
-
-func BenchmarkAndInto(bm *testing.B) {
-	a, b := benchVectors(0.5)
-	dst := New(benchBits)
-	bm.ReportAllocs()
-	for n := 0; n < bm.N; n++ {
-		dst.AndInto(a, b)
-	}
 }
 
 func BenchmarkRangeScanPerBit(bm *testing.B) {
@@ -132,22 +108,5 @@ func BenchmarkMatrixRowForEach(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := 0
 		m.RowForEach(i&1023, func(int) { n++ })
-	}
-}
-
-func TestAndInto(t *testing.T) {
-	a, b := benchVectors(0.5)
-	want := a.Clone()
-	want.And(b)
-	got := New(benchBits)
-	got.AndInto(a, b)
-	if !got.Equal(want) {
-		t.Fatal("AndInto disagrees with And")
-	}
-	// Aliasing: v.AndInto(v, mask) is the in-place masked intersection.
-	aliased := a.Clone()
-	aliased.AndInto(aliased, b)
-	if !aliased.Equal(want) {
-		t.Fatal("aliased AndInto disagrees with And")
 	}
 }

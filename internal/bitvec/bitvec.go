@@ -94,17 +94,6 @@ func (v *Vector) And(other *Vector) {
 	}
 }
 
-// AndInto sets v to a&b, word-at-a-time. All three vectors must have equal
-// length; v may alias a or b (so v.AndInto(v, mask) is an in-place masked
-// intersection).
-func (v *Vector) AndInto(a, b *Vector) {
-	v.checkLen(a)
-	v.checkLen(b)
-	for i := range v.words {
-		v.words[i] = a.words[i] & b.words[i]
-	}
-}
-
 // AndNot clears in v every bit set in other.
 func (v *Vector) AndNot(other *Vector) {
 	v.checkLen(other)

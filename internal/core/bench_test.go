@@ -112,6 +112,43 @@ func BenchmarkSearchWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkCountWDC times the count phase alone — what CountMatches adds to
+// the repo benchmark's cold-search.wdc queries — on the per-prototype
+// solution states of WDC-1/2/3. The pipeline runs once, outside the timer;
+// each iteration then counts every prototype on its exact solution subgraph
+// the way CountOn does (label candidates, symmetry breaking, guards).
+func BenchmarkCountWDC(b *testing.B) {
+	g := datagen.WDC(datagen.DefaultWDCConfig())
+	for _, q := range []struct {
+		name string
+		tp   *pattern.Template
+		k    int
+	}{{"WDC-1", datagen.WDC1(), 2}, {"WDC-2", datagen.WDC2(), 2}, {"WDC-3", datagen.WDC3(), 3}} {
+		res, err := Run(g, q.tp, DefaultConfig(q.k))
+		if err != nil {
+			b.Fatal(err)
+		}
+		states := make([]*State, len(res.Solutions))
+		for pi, sol := range res.Solutions {
+			states[pi] = &State{g: g, verts: sol.Verts, edges: sol.Edges}
+		}
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for pi, s := range states {
+					tp := res.Set.Protos[pi].Template
+					var m Metrics
+					benchCount = countMatches(s, initCandidates(s, tp), tp, nil, &m, kernelOpts{})
+				}
+			}
+		})
+	}
+}
+
+// benchCount keeps the compiler from discarding a benchmarked count.
+var benchCount int64
+
 // BenchmarkSearchWDC times the repo benchmark's cold-search.wdc queries
 // in-process at the shape amatchd serves them: WDC-1/2/3 at DefaultConfig(k)
 // with CountMatches, sequential and superstep kernels, level width 1 and 2

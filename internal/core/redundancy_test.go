@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sort"
 	"strings"
@@ -161,35 +162,84 @@ func TestGuardsReduceVerifyWork(t *testing.T) {
 	}
 }
 
-// TestCountingLeafMatchesEnumeration pins the counting kernel's last order
-// position — which counts its consistent candidates in place instead of
-// assigning each and calling back — against full enumeration, on templates
-// with non-trivial automorphisms and repeated labels (where a wrong
-// injectivity, restriction or guard decision at the leaf changes the count)
-// and under all four symmetry × guard combinations: the count equals the
-// number of mappings enumerateMatches yields and the refmatch oracle's, and
-// both kernels do the same work counter for counter.
+// TestCountingLeafMatchesEnumeration pins the counting kernel against full
+// enumeration and the refmatch oracle under all four symmetry × guard
+// combinations. Counting differs from enumerating in two places: its last
+// order position counts consistent candidates in place, and it folds pendant
+// trees into per-vertex weights (planCount). The shapes cover templates with
+// non-trivial automorphisms and repeated labels (where a wrong injectivity,
+// restriction or guard decision at the leaf changes the count), shapes the
+// fold must take — tails, stars, pendants on two core vertices, a tree that
+// folds down to its root, a labelled tail edge — and shapes it must refuse:
+// a pendant whose label repeats in the core, a wildcard pendant, pendants
+// inside a symmetry restriction, and same-label leaves told apart only by
+// edge labels. The plan accessor pins which is which. A plan that folds
+// nothing does the same work as enumeration counter for counter; a plan that
+// folds expands and messages no more than enumeration does.
 func TestCountingLeafMatchesEnumeration(t *testing.T) {
 	one := func(n int) []pattern.Label { return make([]pattern.Label, n) }
-	templates := map[string]*pattern.Template{
-		"vertex":   pattern.MustNew(one(1), nil),
-		"edge":     pattern.MustNew(one(2), []pattern.Edge{{I: 0, J: 1}}),
-		"triangle": pattern.MustNew(one(3), []pattern.Edge{{I: 0, J: 1}, {I: 1, J: 2}, {I: 0, J: 2}}),
-		"4-clique": pattern.MustNew(one(4), []pattern.Edge{{I: 0, J: 1}, {I: 0, J: 2}, {I: 0, J: 3}, {I: 1, J: 2}, {I: 1, J: 3}, {I: 2, J: 3}}),
-		"star":     pattern.MustNew([]pattern.Label{1, 0, 0, 0}, []pattern.Edge{{I: 0, J: 1}, {I: 0, J: 2}, {I: 0, J: 3}}),
-		"tailed triangle": pattern.MustNew([]pattern.Label{0, 0, 0, 1},
-			[]pattern.Edge{{I: 0, J: 1}, {I: 1, J: 2}, {I: 0, J: 2}, {I: 2, J: 3}}),
+	labelled := func(ls []pattern.Label, es []pattern.Edge, els []pattern.Label) *pattern.Template {
+		tp, err := pattern.NewEdgeLabeled(ls, es, els, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tp
+	}
+	triangle := []pattern.Edge{{I: 0, J: 1}, {I: 1, J: 2}, {I: 0, J: 2}}
+	plus := func(es ...pattern.Edge) []pattern.Edge { return append(append([]pattern.Edge{}, triangle...), es...) }
+	const w = pattern.Wildcard
+	// Graph kinds: 2 or 4 vertex labels, or 4 vertex and 2 edge labels.
+	const (
+		twoLabels = iota
+		fourLabels
+		edgeLabels
+	)
+	shapes := map[string]struct {
+		tp    *pattern.Template
+		graph int
+		folds int // folded template vertices, under every knob combination
+	}{
+		"vertex":   {pattern.MustNew(one(1), nil), twoLabels, 0},
+		"edge":     {pattern.MustNew(one(2), []pattern.Edge{{I: 0, J: 1}}), twoLabels, 0},
+		"triangle": {pattern.MustNew(one(3), triangle), twoLabels, 0},
+		"4-clique": {pattern.MustNew(one(4), []pattern.Edge{{I: 0, J: 1}, {I: 0, J: 2}, {I: 0, J: 3}, {I: 1, J: 2}, {I: 1, J: 3}, {I: 2, J: 3}}), twoLabels, 0},
+		"star":     {pattern.MustNew([]pattern.Label{1, 0, 0, 0}, []pattern.Edge{{I: 0, J: 1}, {I: 0, J: 2}, {I: 0, J: 3}}), twoLabels, 0},
+		// Fold-eligible.
+		"tailed triangle":     {pattern.MustNew([]pattern.Label{0, 0, 0, 1}, plus(pattern.Edge{I: 2, J: 3})), twoLabels, 1},
+		"two-edge tail":       {pattern.MustNew([]pattern.Label{0, 1, 0, 2, 3}, plus(pattern.Edge{I: 2, J: 3}, pattern.Edge{I: 3, J: 4})), fourLabels, 2},
+		"distinct-label star": {pattern.MustNew([]pattern.Label{0, 1, 2, 3}, []pattern.Edge{{I: 0, J: 1}, {I: 0, J: 2}, {I: 0, J: 3}}), fourLabels, 3},
+		"two pendants":        {pattern.MustNew([]pattern.Label{0, 0, 1, 2, 3}, plus(pattern.Edge{I: 0, J: 3}, pattern.Edge{I: 1, J: 4})), fourLabels, 2},
+		"tree to root":        {pattern.MustNew([]pattern.Label{0, 1, 2, 3}, []pattern.Edge{{I: 0, J: 1}, {I: 0, J: 2}, {I: 1, J: 3}}), fourLabels, 3},
+		"labelled tail":       {labelled([]pattern.Label{0, 0, 1, 2}, plus(pattern.Edge{I: 2, J: 3}), []pattern.Label{w, w, w, 1}), edgeLabels, 1},
+		// Fold-blocked.
+		"pendant repeats core label": {pattern.MustNew([]pattern.Label{0, 0, 1, 1}, plus(pattern.Edge{I: 0, J: 3})), twoLabels, 0},
+		"wildcard pendant":           {pattern.MustNew([]pattern.Label{0, 0, 0, w}, plus(pattern.Edge{I: 2, J: 3})), twoLabels, 0},
+		"restricted pendants":        {pattern.MustNew([]pattern.Label{0, 1, 1, 2, 2}, plus(pattern.Edge{I: 1, J: 3}, pattern.Edge{I: 2, J: 4})), fourLabels, 0},
+		"edge-label twins":           {labelled([]pattern.Label{0, 1, 1}, []pattern.Edge{{I: 0, J: 1}, {I: 0, J: 2}}, []pattern.Label{0, 1}), edgeLabels, 0},
+		"tail blocked at its tip":    {pattern.MustNew([]pattern.Label{0, 1, 0, 2, 1}, plus(pattern.Edge{I: 2, J: 3}, pattern.Edge{I: 3, J: 4})), fourLabels, 0},
 	}
 	rng := rand.New(rand.NewSource(2403))
 	matched := map[string]bool{}
 	for trial := 0; trial < 6; trial++ {
 		// Dense enough that same-label 4-cliques exist.
-		g := randomGraph(rng, 24+rng.Intn(8), 200+rng.Intn(100), 2)
-		for name, tp := range templates {
+		graphs := [...]*graph.Graph{
+			twoLabels:  randomGraph(rng, 24+rng.Intn(8), 200+rng.Intn(100), 2),
+			fourLabels: randomGraph(rng, 24+rng.Intn(8), 200+rng.Intn(100), 4),
+			edgeLabels: randomEdgeLabeledGraph(rng, 24+rng.Intn(8), 200+rng.Intn(100), 4, 2),
+		}
+		for name, sh := range shapes {
+			g, tp := graphs[sh.graph], sh.tp
 			want := refmatch.Count(g, tp, false)
 			matched[name] = matched[name] || want > 0
 			for _, opts := range []kernelOpts{{}, {noSymmetry: true}, {noGuards: true}, {noSymmetry: true, noGuards: true}} {
 				s := NewFullState(g)
+				folds := 0
+				if p := planCount(s, initCandidates(s, tp), tp, opts, nil); p.fold != nil {
+					folds = len(p.fold.folded)
+				}
+				if folds != sh.folds {
+					t.Errorf("trial %d %s %+v: %d vertices folded, want %d", trial, name, opts, folds, sh.folds)
+				}
 				var cm, em Metrics
 				count := countMatches(s, initCandidates(s, tp), tp, nil, &cm, opts)
 				var yielded int64
@@ -200,16 +250,61 @@ func TestCountingLeafMatchesEnumeration(t *testing.T) {
 				if count != yielded || count != want {
 					t.Errorf("trial %d %s %+v: counted %d, enumerated %d, oracle %d", trial, name, opts, count, yielded, want)
 				}
-				if cm != em {
+				if folds == 0 && cm != em {
 					t.Errorf("trial %d %s %+v: counting and enumerating did different work:\n count %+v\n enum  %+v", trial, name, opts, cm, em)
+				}
+				if cm.EnumExpansions > em.EnumExpansions || cm.VerifyMessages > em.VerifyMessages {
+					t.Errorf("trial %d %s %+v: folded count did more work than enumeration: expansions %d > %d or messages %d > %d",
+						trial, name, opts, cm.EnumExpansions, em.EnumExpansions, cm.VerifyMessages, em.VerifyMessages)
 				}
 			}
 		}
 	}
-	for name := range templates {
+	for name := range shapes {
 		if !matched[name] {
 			t.Errorf("%s: no fixture held a match", name)
 		}
+	}
+
+	// A restriction alone blocks a fold: the tailed triangle's tail is
+	// ω-exclusive, and folds until a restriction names it.
+	g := randomGraph(rng, 24, 200, 2)
+	tp := shapes["tailed triangle"].tp
+	s := NewFullState(g)
+	peel, parent := peelTails(tp, rootVertex(tp))
+	if got, _ := foldable(s, initCandidates(s, tp), peel, parent, nil); got != 1<<3 {
+		t.Fatalf("tail not foldable without restrictions: mask %b", got)
+	}
+	if got, _ := foldable(s, initCandidates(s, tp), peel, parent, []pattern.Restriction{{A: 0, B: 3}}); got != 0 {
+		t.Fatalf("restricted tail still folds: mask %b", got)
+	}
+}
+
+// TestCountBudgetBindsInWeightPass pins that the fold's weight pass is
+// charged: on a star that folds down to its root, the enumerator ticks once
+// per active vertex and every other work unit is a slot the weight pass
+// read, so a MaxWork of half the count's unbudgeted work runs out inside the
+// weight pass, and the count aborts with the budget error.
+func TestCountBudgetBindsInWeightPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	g := randomGraph(rng, 600, 12000, 4)
+	tp := pattern.MustNew([]pattern.Label{0, 1, 2, 3}, []pattern.Edge{{I: 0, J: 1}, {I: 0, J: 2}, {I: 0, J: 3}})
+	count := func(maxWork int64) (n, used int64, err error) {
+		tracker := NewBudgetTracker(Budget{MaxWork: maxWork})
+		defer func() { used = tracker.WorkUsed() }()
+		defer RecoverCancel(&err)
+		var m Metrics
+		return CountOn(WithBudgetTracker(context.Background(), tracker), NewFullState(g), tp, &m), 0, nil
+	}
+	n, work, err := count(1 << 62)
+	if err != nil || n != refmatch.Count(g, tp, false) {
+		t.Fatalf("unbudgeted count %d (err %v), oracle %d", n, err, refmatch.Count(g, tp, false))
+	}
+	if work < 4*int64(g.NumVertices()) {
+		t.Fatalf("count charged %d work units for %d vertices: the weight pass is not most of the work", work, g.NumVertices())
+	}
+	if _, used, err := count(work / 2); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("MaxWork %d of %d: count finished (err %v, %d used)", work/2, work, err, used)
 	}
 }
 

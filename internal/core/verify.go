@@ -88,7 +88,7 @@ type enumerator struct {
 	cc    *CancelCheck
 	m     *Metrics
 
-	order    []int            // template vertices in assignment order
+	matchOrder
 	assigned []graph.VertexID // template vertex -> graph vertex
 	isSet    []bool
 	depth    []int // template vertex -> its position in order, when set
@@ -112,8 +112,60 @@ type enumerator struct {
 	found  bool
 	minDep int
 
-	// count is the number of matches a counting run (nil callback) completed.
+	// count is the number of matches a counting run (nil callback) completed;
+	// fold, when non-nil, holds the pendant trees that run multiplies in at
+	// its last order position instead of enumerating (see count.go).
 	count int64
+	fold  *tailFold
+}
+
+// matchOrder is a matching order and, per order position, the edge checks a
+// candidate there must pass against the template neighbours placed before it
+// — in t.Neighbors order, so a failing check records the same dependency the
+// first failing neighbour always has. The first check's neighbour is the one
+// candidates are sourced from.
+type matchOrder struct {
+	order  []int // template vertices in assignment order
+	checks [][]edgeCheck
+}
+
+// edgeCheck is one placed template neighbour r of an order position: the
+// candidate must be joined to r's image by an active graph edge carrying
+// label, or any label when the template edge is a wildcard.
+type edgeCheck struct {
+	r     int
+	label pattern.Label
+	any   bool
+}
+
+// newMatchOrder hoists the template side of every edge test out of the
+// candidate loop: the placed neighbours of each position and their edge-label
+// requirements are read from t once per order, not once per candidate.
+func newMatchOrder(t *pattern.Template, order []int) matchOrder {
+	pos := make([]int, t.NumVertices())
+	for q := range pos {
+		pos[q] = len(order) // not enumerated: never placed
+	}
+	for i, q := range order {
+		pos[q] = i
+	}
+	checks := make([][]edgeCheck, len(order))
+	for i, q := range order {
+		for _, r := range t.Neighbors(q) {
+			if pos[r] < i {
+				l, _ := t.EdgeLabelBetween(q, r)
+				checks[i] = append(checks[i], edgeCheck{r: r, label: l, any: l == pattern.Wildcard})
+			}
+		}
+	}
+	return matchOrder{order: order, checks: checks}
+}
+
+// joined reports whether u is joined to v by an active edge that c's template
+// edge accepts: one adjacency search answers both the slot and the label.
+func (s *State) joined(u, v graph.VertexID, c edgeCheck) bool {
+	i := s.g.EdgeIndex(u, v)
+	return i >= 0 && s.edges.Get(s.slot(u, i)) && (c.any || s.g.EdgeLabelAt(u, i) == c.label)
 }
 
 func newEnumerator(s *State, omega candidateSet, t *pattern.Template, cc *CancelCheck, m *Metrics) *enumerator {
@@ -141,17 +193,26 @@ func (e *enumerator) dep(d int) {
 	}
 }
 
-// applySymmetry installs the template's restriction set against the already
-// chosen order. Each restriction A<B is anchored at whichever endpoint the
-// order assigns later, so it is checked the moment both images exist.
-func (e *enumerator) applySymmetry() {
-	auts := pattern.Automorphisms(e.t)
+// symmetryOf returns t's automorphism group and the restriction set that
+// breaks it, or nils when t has no non-trivial automorphism.
+func symmetryOf(t *pattern.Template) ([][]int, []pattern.Restriction) {
+	auts := pattern.Automorphisms(t)
+	if len(auts) <= 1 {
+		return nil, nil
+	}
+	return auts, pattern.RestrictionsFor(t.NumVertices(), auts)
+}
+
+// restrict installs the automorphism group auts and its restriction set rs
+// against the already chosen order. Each restriction A<B is anchored at
+// whichever endpoint the order assigns later, so it is checked the moment
+// both images exist. Every restricted vertex must be in the order.
+func (e *enumerator) restrict(auts [][]int, rs []pattern.Restriction) {
 	if len(auts) <= 1 {
 		return
 	}
 	e.auts = auts
 	e.aut = int64(len(auts))
-	rs := pattern.RestrictionsFor(e.t.NumVertices(), auts)
 	pos := make([]int, e.t.NumVertices())
 	for i, q := range e.order {
 		pos[q] = i
@@ -166,19 +227,26 @@ func (e *enumerator) applySymmetry() {
 }
 
 // orderFrom returns a template vertex order beginning with seeds in which
-// every later vertex is adjacent to an earlier one.
-func orderFrom(t *pattern.Template, seeds []int) []int {
+// every later vertex is adjacent to an earlier one. Vertices skip marks are
+// left out (nil skips none); the rest must stay connected to the seeds.
+func orderFrom(t *pattern.Template, seeds []int, skip []bool) []int {
 	n := t.NumVertices()
 	order := make([]int, 0, n)
 	in := make([]bool, n)
+	want := n
+	for _, s := range skip {
+		if s {
+			want--
+		}
+	}
 	for _, q := range seeds {
 		order = append(order, q)
 		in[q] = true
 	}
-	for len(order) < n {
+	for len(order) < want {
 		bestQ, bestScore := -1, -1
 		for q := 0; q < n; q++ {
-			if in[q] {
+			if in[q] || skip != nil && skip[q] {
 				continue
 			}
 			score := 0
@@ -207,13 +275,11 @@ func (e *enumerator) run(idx int, fn func([]graph.VertexID) bool) bool {
 		return fn(e.assigned)
 	}
 	q := e.order[idx]
-	// Pick an assigned template neighbor to source candidates from. The
-	// candidate stream reads that neighbor's image, so the subtree depends
+	// Source candidates from the first placed template neighbour. The
+	// candidate stream reads that neighbour's image, so the subtree depends
 	// on its position.
-	for _, r := range e.t.Neighbors(q) {
-		if !e.isSet[r] {
-			continue
-		}
+	if cs := e.checks[idx]; len(cs) > 0 {
+		r := cs[0].r
 		e.dep(e.depth[r])
 		ns, base, ws := e.s.slotScan(e.assigned[r])
 		for ws.Next() {
@@ -270,12 +336,9 @@ func (e *enumerator) consistent(idx, q int, u graph.VertexID) bool {
 	e.m.VerifyMessages++
 	// All template edges from q to already-placed vertices must be
 	// active graph edges with acceptable edge labels.
-	for _, r := range e.t.Neighbors(q) {
-		if !e.isSet[r] {
-			continue
-		}
-		if !e.s.EdgeActiveBetween(u, e.assigned[r]) || !templateEdgeLabelOK(e.s, e.t, q, r, u, e.assigned[r]) {
-			e.dep(e.depth[r])
+	for _, c := range e.checks[idx] {
+		if !e.s.joined(u, e.assigned[c.r], c) {
+			e.dep(e.depth[c.r])
 			return false
 		}
 	}
@@ -290,13 +353,23 @@ func (e *enumerator) try(idx, q int, u graph.VertexID, fn func([]graph.VertexID)
 	}
 	*e.exp++
 	if fn == nil && idx == len(e.order)-1 {
-		// Counting leaf: a consistent candidate at the last position is a
-		// match, so count it where it stands — no assignment, no recursion,
-		// no call per match. This is everything the general path below does
-		// for such a candidate: its subtree is that one match, found with no
-		// further dependency, and a subtree holding a match is never guarded.
-		e.count++
-		e.found = true
+		// Counting leaf: a consistent candidate at the last position
+		// completes to as many matches as the folded pendant trees allow
+		// (one when nothing folded), so count them where they stand — no
+		// assignment, no recursion, no call per match. This is everything
+		// the general path below does for such a candidate: a subtree
+		// holding a match is never guarded, and an empty one depends on the
+		// position whose image a zero factor read.
+		n, zdep := e.completions(idx, q, u)
+		if n > 0 {
+			e.count += n
+			e.found = true
+			return true
+		}
+		if zdep >= idx {
+			e.guards.set(q, u, e.m)
+		}
+		e.dep(zdep)
 		return true
 	}
 	e.assigned[q] = u
@@ -329,14 +402,8 @@ func (e *enumerator) seed(q int, u graph.VertexID, pos int) bool {
 			return false
 		}
 	}
-	for _, r := range e.t.Neighbors(q) {
-		if !e.isSet[r] {
-			continue
-		}
-		if !e.s.EdgeActiveBetween(u, e.assigned[r]) {
-			return false
-		}
-		if !templateEdgeLabelOK(e.s, e.t, q, r, u, e.assigned[r]) {
+	for _, c := range e.checks[pos] {
+		if !e.s.joined(u, e.assigned[c.r], c) {
 			return false
 		}
 	}
@@ -365,15 +432,15 @@ func templateEdgeLabelOK(s *State, t *pattern.Template, q, r int, gu, gv graph.V
 // once per seed tuple and the per-probe state is reset, not reallocated.
 type prober struct {
 	e *enumerator
-	// orders caches orderFrom per seed tuple, indexed by orderKey.
-	orders [][]int
+	// orders caches the matching order per seed tuple, indexed by orderKey.
+	orders []matchOrder
 }
 
 func newProber(s *State, omega candidateSet, t *pattern.Template, cc *CancelCheck, m *Metrics) *prober {
 	e := newEnumerator(s, omega, t, cc, m)
 	e.exp = &m.VerifyExpansions
 	n := t.NumVertices()
-	return &prober{e: e, orders: make([][]int, n*(n+1))}
+	return &prober{e: e, orders: make([]matchOrder, n*(n+1))}
 }
 
 // orderKey indexes prober.orders: one or two seed template vertices.
@@ -398,16 +465,16 @@ func (p *prober) find(guards *guardStore, seedQ []int, seedV []graph.VertexID) [
 	e := p.e
 	clear(e.isSet)
 	e.found, e.minDep, e.guards = false, noDep, guards
+	key := p.orderKey(seedQ)
+	if p.orders[key].order == nil {
+		p.orders[key] = newMatchOrder(e.t, orderFrom(e.t, seedQ, nil))
+	}
+	e.matchOrder = p.orders[key]
 	for i, q := range seedQ {
 		if !e.seed(q, seedV[i], i) {
 			return nil
 		}
 	}
-	key := p.orderKey(seedQ)
-	if p.orders[key] == nil {
-		p.orders[key] = orderFrom(e.t, seedQ)
-	}
-	e.order = p.orders[key]
 	if e.run(len(seedQ), stopAtFirst) {
 		return nil
 	}
@@ -518,23 +585,6 @@ func verifyExact(s *State, omega candidateSet, t *pattern.Template, cc *CancelCh
 	return emark
 }
 
-// countMatches enumerates every match of t within the active state and
-// returns the total number of distinct vertex mappings. With symmetry
-// breaking enabled it explores one representative per automorphism orbit
-// and multiplies by the orbit size — the result is identical either way.
-func countMatches(s *State, omega candidateSet, t *pattern.Template, cc *CancelCheck, m *Metrics, opts kernelOpts) int64 {
-	e := newEnumerator(s, omega, t, cc, m)
-	e.order = orderFrom(t, []int{rootVertex(t)})
-	if !opts.noSymmetry {
-		e.applySymmetry()
-	}
-	if !opts.noGuards {
-		e.guards = newGuardStore(t.NumVertices(), s.Graph().NumVertices(), cc)
-	}
-	e.run(0, nil)
-	return e.count * e.aut
-}
-
 // enumerateMatches calls fn for every match; fn returns false to stop. The
 // match slice is reused between calls. With symmetry breaking the
 // enumeration order differs from the naive kernel's, but the multiset of
@@ -542,9 +592,9 @@ func countMatches(s *State, omega candidateSet, t *pattern.Template, cc *CancelC
 // the full automorphism group.
 func enumerateMatches(s *State, omega candidateSet, t *pattern.Template, cc *CancelCheck, m *Metrics, opts kernelOpts, fn func([]graph.VertexID) bool) {
 	e := newEnumerator(s, omega, t, cc, m)
-	e.order = orderFrom(t, []int{rootVertex(t)})
+	e.matchOrder = newMatchOrder(t, orderFrom(t, []int{rootVertex(t)}, nil))
 	if !opts.noSymmetry {
-		e.applySymmetry()
+		e.restrict(symmetryOf(t))
 	}
 	if !opts.noGuards {
 		e.guards = newGuardStore(t.NumVertices(), s.Graph().NumVertices(), cc)
