@@ -211,8 +211,8 @@ type (
 	DistConfig = dist.Config
 	// DistOptions tune the distributed pipeline: an embedded Options plus
 	// the runtime's own Rebalance and ShrinkToRanks. Options fields the
-	// distributed runtime cannot honour (Restrict, NoSymmetry, NoGuards, a
-	// private CacheBytes cap) are rejected, not ignored.
+	// distributed runtime cannot honour (Restrict, a private CacheBytes
+	// cap) are rejected, not ignored.
 	DistOptions = dist.Options
 	// DistResult is the distributed run's output; solutions are bit-exact
 	// with Match's.

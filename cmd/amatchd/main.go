@@ -21,8 +21,6 @@
 //	        [-ingest] [-ingest-maxbody 16777216]
 //	        [-wal-dir DIR] [-wal-sync always|interval|none]
 //	        [-wal-checkpoint-every N] [-wal-segment-bytes N]
-//	        [-chaos-seed S -chaos-drop 0.1 -chaos-dup 0.1
-//	         -chaos-crash 100 -chaos-ranks 4]
 //	        [-ranks-addr host:p1,host:p2 -ranks-timeout 5s
 //	         -ranks-dial-timeout 30s]
 //
@@ -71,12 +69,6 @@
 // shared across queries. Both are correctness-neutral: exact verification
 // never depended on either cache.
 //
-// The -chaos-* flags opt the server into fault-injected serving: queries
-// run on the simulated distributed engine (internal/dist) with seeded
-// message drops/duplications and rank crashes, exercising the
-// at-least-once delivery and checkpoint/recovery machinery while serving
-// bit-identical results; fault counters surface on /metrics.
-//
 // -ranks-addr turns the server into a thin coordinator over a group of
 // amatchrank worker processes: /match and /explore requests are validated
 // locally, then routed over TCP (round-robin with failover) to a worker
@@ -120,11 +112,6 @@ func main() {
 		concurrency  = flag.Int("concurrency", 0, "max in-flight queries (0 = GOMAXPROCS-aware default)")
 		queueDepth   = flag.Int("queue", 0, "admission queue depth beyond in-flight (0 = 2×concurrency, -1 = none)")
 		maxBody      = flag.Int64("maxbody", 1<<20, "max request body bytes")
-		chaosSeed    = flag.Int64("chaos-seed", -1, "fault-schedule seed; >= 0 enables chaos mode (queries run on the fault-injected distributed engine)")
-		chaosDrop    = flag.Float64("chaos-drop", 0, "per-transmission drop probability in chaos mode")
-		chaosDup     = flag.Float64("chaos-dup", 0, "per-transmission duplication probability in chaos mode")
-		chaosCrash   = flag.Int("chaos-crash", 0, "crash rank 0 after this many deliveries per traversal in chaos mode (0 = no crashes)")
-		chaosRanks   = flag.Int("chaos-ranks", 4, "simulated distributed ranks in chaos mode")
 		partialGrace = flag.Duration("partial-grace", 0, "slow-query watchdog window: queries crossing -querytimeout get this long to wind down into a partial result before a hard kill (0 = querytimeout/4, min 1s; negative disables the downgrade)")
 		memWatermark = flag.Uint64("mem-watermark", 0, "shed new queries with 503 while the live Go heap exceeds this many bytes (0 = disabled)")
 		ingest       = flag.Bool("ingest", false, "enable POST /ingest live mutation batches (unauthenticated graph writes — only expose on trusted networks)")
@@ -152,25 +139,11 @@ func main() {
 	cfg.MaxConcurrent = *concurrency
 	cfg.QueueDepth = *queueDepth
 	cfg.MaxBodyBytes = *maxBody
-	cfg.ChaosRanks = *chaosRanks
 	cfg.PartialGrace = *partialGrace
 	cfg.MemHighWatermark = *memWatermark
 	cfg.EnableIngest = *ingest
 	cfg.IngestMaxBodyBytes = *ingestBody
 	cfg.Logger = logger
-	// -chaos-seed >= 0 opts the server into fault-injected serving: queries
-	// run on the distributed engine with this fault plane, and the chaos
-	// differential suite's guarantee is that results stay bit-identical.
-	if *chaosSeed >= 0 {
-		cfg.Chaos = &dist.Faults{
-			Seed:      *chaosSeed,
-			Drop:      *chaosDrop,
-			Duplicate: *chaosDup,
-		}
-		if *chaosCrash > 0 {
-			cfg.Chaos.Crash = &dist.CrashEvent{Rank: 0, After: *chaosCrash}
-		}
-	}
 	// Bind the listener and start serving behind a ready gate before
 	// recovery and rank dialing begin: probes and smoke scripts see a live
 	// port (503 + Retry-After on every route) instead of connection

@@ -50,7 +50,7 @@ func TestExpiredDeadline(t *testing.T) {
 // TestMidRunCancellation cancels the context while the pipeline is deep in
 // its phase loops and checks that the run aborts instead of completing.
 func TestMidRunCancellation(t *testing.T) {
-	g, tpl := datagen.RMATWithPattern(13)
+	g, tpl := datagen.RMATWithPattern(15)
 	// Calibrate: the uncancelled query must outlast the amortized probes'
 	// reaction latency (a few ms) by a healthy margin, or a cancel fired
 	// partway can legitimately race query completion.

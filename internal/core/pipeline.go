@@ -69,16 +69,6 @@ type Config struct {
 	// for the same background graph (vertex-id space). CacheBytes is
 	// ignored — the store carries its own cap.
 	SharedCache *Cache
-	// NoSymmetry disables automorphism symmetry breaking in the match
-	// counting/enumeration kernels (ablation). The optimized path explores
-	// one representative per match orbit and restores the full count and
-	// mapping set by the orbit size, so counts and solutions are identical
-	// either way; only the enumeration order and EnumExpansions differ.
-	NoSymmetry bool
-	// NoGuards disables failure-guard pruning in the backtracking verifier
-	// and enumerator (ablation). Guards only skip subtrees proven
-	// matchless, so Rho, solutions and counts are bit-identical either way.
-	NoGuards bool
 	// Restrict, when non-nil, seeds the pipeline's active set from the
 	// given vertex mask (length NumVertices) instead of the full graph: the
 	// run computes exactly the matches of the subgraph induced by the
@@ -87,6 +77,10 @@ type Config struct {
 	// delta; a nil Restrict is today's full-graph behavior, bit-identical
 	// counters included.
 	Restrict *bitvec.Vector
+	// kernelOpts switches the backtracking kernels' redundancy eliminations
+	// off. Only this package's tests set it, as an oracle for the
+	// eliminations' result invariance; the zero value runs them all.
+	kernelOpts kernelOpts
 }
 
 // DefaultConfig returns the fully optimized configuration for edit-distance
@@ -101,11 +95,8 @@ func DefaultConfig(k int) Config {
 	}
 }
 
-// kernel maps the public ablation knobs onto the backtracking kernels'
-// option set.
-func (c *Config) kernel() kernelOpts {
-	return kernelOpts{noSymmetry: c.NoSymmetry, noGuards: c.NoGuards}
-}
+// kernel returns the backtracking kernels' option set.
+func (c *Config) kernel() kernelOpts { return c.kernelOpts }
 
 // Solution is the solution subgraph G*_{δ,p} of one prototype (Def. 2):
 // exactly the vertices and directed edge slots participating in at least one

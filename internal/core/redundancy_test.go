@@ -27,8 +27,7 @@ func knobConfigs(k int) []Config {
 		for _, noGuard := range []bool{false, true} {
 			cfg := DefaultConfig(k)
 			cfg.CountMatches = true
-			cfg.NoSymmetry = noSym
-			cfg.NoGuards = noGuard
+			cfg.kernelOpts = kernelOpts{noSymmetry: noSym, noGuards: noGuard}
 			out = append(out, cfg)
 		}
 	}
@@ -58,7 +57,7 @@ func TestKnobDifferentialRandomized(t *testing.T) {
 			}
 			if !res.Rho.Equal(base.Rho) {
 				t.Fatalf("trial %d: Rho differs between knob configs 0 and %d (noSym=%v noGuards=%v)",
-					trial, ci, cfg.NoSymmetry, cfg.NoGuards)
+					trial, ci, cfg.kernelOpts.noSymmetry, cfg.kernelOpts.noGuards)
 			}
 			for pi := range res.Solutions {
 				if res.Solutions[pi].MatchCount != base.Solutions[pi].MatchCount {
@@ -103,7 +102,7 @@ func TestSymmetryBreakingReducesExpansions(t *testing.T) {
 			run := func(noSym bool) (int64, int64) {
 				cfg := DefaultConfig(0)
 				cfg.CountMatches = true
-				cfg.NoSymmetry = noSym
+				cfg.kernelOpts.noSymmetry = noSym
 				res, err := Run(g, tp, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -137,7 +136,7 @@ func TestGuardsReduceVerifyWork(t *testing.T) {
 	run := func(noGuards bool) *Result {
 		cfg := DefaultConfig(1)
 		cfg.CountMatches = true
-		cfg.NoGuards = noGuards
+		cfg.kernelOpts.noGuards = noGuards
 		res, err := Run(g, tp, cfg)
 		if err != nil {
 			t.Fatal(err)

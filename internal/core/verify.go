@@ -7,8 +7,8 @@ import (
 )
 
 // kernelOpts toggles the redundancy-elimination features of the backtracking
-// kernels. The zero value enables everything; Config.NoSymmetry/NoGuards are
-// the public ablation knobs that map onto it. Both features are
+// kernels. The zero value enables everything; only tests set anything else,
+// through Config's unexported kernelOpts field. Both features are
 // correctness-neutral: symmetry breaking explores one representative per
 // match orbit and restores the full count/enumeration by the orbit size, and
 // guards only skip subtrees proven matchless, so Rho, solution subgraphs and

@@ -223,8 +223,6 @@ func TestUnsupportedOptionsRejected(t *testing.T) {
 		set   func(*Options)
 	}{
 		{"Restrict", func(o *Options) { o.Restrict = bitvec.New(g.NumVertices()) }},
-		{"NoSymmetry", func(o *Options) { o.NoSymmetry = true }},
-		{"NoGuards", func(o *Options) { o.NoGuards = true }},
 		{"CacheBytes", func(o *Options) { o.CacheBytes = 1 << 10 }},
 		{"", func(o *Options) {
 			o.CacheBytes = 1 << 10

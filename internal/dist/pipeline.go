@@ -42,19 +42,14 @@ func DefaultOptions(k int) Options {
 
 // unsupported names the first core.Config field set in opts that the
 // distributed engine has no implementation for: the traversals always span
-// the whole graph (Restrict), finalization runs the verification kernels
-// with every redundancy elimination on (NoSymmetry, NoGuards), and the
-// private distCache has no eviction to cap (CacheBytes; a SharedCache
-// carries its own cap, so there the field is ignored exactly as in core).
+// the whole graph (Restrict), and the private distCache has no eviction to
+// cap (CacheBytes; a SharedCache carries its own cap, so there the field is
+// ignored exactly as in core).
 func (opts *Options) unsupported() error {
 	field := ""
 	switch {
 	case opts.Restrict != nil:
 		field = "Restrict"
-	case opts.NoSymmetry:
-		field = "NoSymmetry"
-	case opts.NoGuards:
-		field = "NoGuards"
 	case opts.CacheBytes != 0 && opts.SharedCache == nil:
 		field = "CacheBytes"
 	default:
@@ -192,7 +187,7 @@ func run(ctx context.Context, e *Engine, t *pattern.Template, opts Options) (*Re
 		}
 		level, levelFrac = next, nextFrac
 	}
-	e.FoldFaultMetrics(&res.VerifyMetrics)
+	e.foldFaultMetrics(&res.VerifyMetrics)
 	return res, nil
 }
 
@@ -269,7 +264,7 @@ func finishPartialDist(e *Engine, res *Result, cause error) (*Result, error) {
 	for dist := next; dist >= 0; dist-- {
 		res.Levels = append(res.Levels, core.LevelStats{Dist: dist, Prototypes: res.Set.CountAt(dist)})
 	}
-	e.FoldFaultMetrics(&res.VerifyMetrics)
+	e.foldFaultMetrics(&res.VerifyMetrics)
 	return res, cause
 }
 

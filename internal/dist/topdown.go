@@ -109,6 +109,6 @@ func runTopDown(ctx context.Context, e *Engine, t *pattern.Template, opts Option
 			break
 		}
 	}
-	e.FoldFaultMetrics(&res.VerifyMetrics)
+	e.foldFaultMetrics(&res.VerifyMetrics)
 	return res, nil
 }

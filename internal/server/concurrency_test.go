@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -111,6 +112,42 @@ func TestCanceledWhileQueued(t *testing.T) {
 	}
 }
 
+// TestSchedulerAdmissionAfterQueuedCancels is the admission-token regression
+// test: a request canceled while queued must return its queue token. The
+// cancel loop runs far past the queue capacity — if a token leaked per
+// cancel, acquire would start failing with errOverloaded within three
+// iterations, and the final fresh request would be shut out.
+func TestSchedulerAdmissionAfterQueuedCancels(t *testing.T) {
+	s := newScheduler(1, 2)
+	hold, err := s.acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 25; i++ {
+		if _, err := s.acquire(canceled); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel %d: err = %v, want context.Canceled (queue token leak)", i, err)
+		}
+	}
+	if w := s.waiting(); w != 0 {
+		t.Fatalf("waiting = %d after canceled acquires, want 0", w)
+	}
+
+	hold()
+	ctx, cancelFresh := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancelFresh()
+	release, err := s.acquire(ctx)
+	if err != nil {
+		t.Fatalf("fresh acquire after cancels: %v", err)
+	}
+	release()
+	if s.inFlight() != 0 || s.waiting() != 0 {
+		t.Errorf("scheduler not drained: inFlight=%d waiting=%d", s.inFlight(), s.waiting())
+	}
+}
+
 // TestQueryTimeoutMidRun runs a real query on the RMAT bench graph under a
 // timeout far below its runtime and checks the slow-query watchdog downgrades
 // it to a partial result (200, partial flag set) instead of letting the
@@ -146,10 +183,14 @@ func TestQueryTimeoutMidRun(t *testing.T) {
 
 // TestQueryTimeoutHardKill disables the watchdog downgrade (PartialGrace<0)
 // and checks the pre-governance behavior is preserved: the context deadline
-// fires at QueryTimeout and the query is aborted with 504.
+// fires at QueryTimeout and the query is aborted with 504. The hook holds the
+// query for ten deadlines before the pipeline starts, so the outcome never
+// depends on how fast the pipeline runs.
 func TestQueryTimeoutHardKill(t *testing.T) {
 	g, tpl := datagen.RMATWithPattern(13)
 	s := NewWithConfig(g, Config{QueryTimeout: 2 * time.Millisecond, PartialGrace: -1})
+	testHookMatch = func(*MatchRequest) { time.Sleep(20 * time.Millisecond) }
+	defer func() { testHookMatch = nil }()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

@@ -298,34 +298,6 @@ func (r *metricsRegistry) writeProm(w io.Writer, inFlight, waiting int, heapByte
 	fmt.Fprintf(w, "amatchd_pipeline_active_fraction{stage=\"pre\"} %g\n", preFrac)
 	fmt.Fprintf(w, "amatchd_pipeline_active_fraction{stage=\"post\"} %g\n", postFrac)
 
-	fmt.Fprintf(w, "# HELP amatchd_fault_injected_total Faults injected by the distributed chaos transport, by kind.\n")
-	fmt.Fprintf(w, "# TYPE amatchd_fault_injected_total counter\n")
-	fmt.Fprintf(w, "amatchd_fault_injected_total{kind=\"drop\"} %d\n", p.FaultDrops)
-	fmt.Fprintf(w, "amatchd_fault_injected_total{kind=\"duplicate\"} %d\n", p.FaultDups)
-	fmt.Fprintf(w, "amatchd_fault_injected_total{kind=\"reorder\"} %d\n", p.FaultReorders)
-	fmt.Fprintf(w, "amatchd_fault_injected_total{kind=\"delay\"} %d\n", p.FaultDelays)
-	fmt.Fprintf(w, "# HELP amatchd_retransmissions_total Unacked messages retransmitted by the fault-tolerant transport.\n")
-	fmt.Fprintf(w, "# TYPE amatchd_retransmissions_total counter\n")
-	fmt.Fprintf(w, "amatchd_retransmissions_total %d\n", p.Retries)
-	fmt.Fprintf(w, "# HELP amatchd_redeliveries_total Duplicate deliveries suppressed by receiver dedup.\n")
-	fmt.Fprintf(w, "# TYPE amatchd_redeliveries_total counter\n")
-	fmt.Fprintf(w, "amatchd_redeliveries_total %d\n", p.Redeliveries)
-	fmt.Fprintf(w, "# HELP amatchd_rank_checkpoints_total Per-rank state checkpoints taken at traversal attempt starts.\n")
-	fmt.Fprintf(w, "# TYPE amatchd_rank_checkpoints_total counter\n")
-	fmt.Fprintf(w, "amatchd_rank_checkpoints_total %d\n", p.RankCheckpoints)
-	fmt.Fprintf(w, "# HELP amatchd_checkpoint_bytes_total Serialized checkpoint bytes written.\n")
-	fmt.Fprintf(w, "# TYPE amatchd_checkpoint_bytes_total counter\n")
-	fmt.Fprintf(w, "amatchd_checkpoint_bytes_total %d\n", p.CheckpointBytes)
-	fmt.Fprintf(w, "# HELP amatchd_rank_crashes_total Injected rank crashes.\n")
-	fmt.Fprintf(w, "# TYPE amatchd_rank_crashes_total counter\n")
-	fmt.Fprintf(w, "amatchd_rank_crashes_total %d\n", p.RankCrashes)
-	fmt.Fprintf(w, "# HELP amatchd_rank_restores_total Rank states restored from checkpoints after crashes.\n")
-	fmt.Fprintf(w, "# TYPE amatchd_rank_restores_total counter\n")
-	fmt.Fprintf(w, "amatchd_rank_restores_total %d\n", p.RankRestores)
-	fmt.Fprintf(w, "# HELP amatchd_rank_stalls_total Injected rank stalls.\n")
-	fmt.Fprintf(w, "# TYPE amatchd_rank_stalls_total counter\n")
-	fmt.Fprintf(w, "amatchd_rank_stalls_total %d\n", p.RankStalls)
-
 	fmt.Fprintf(w, "# HELP amatchd_result_cache_hits_total /match queries served from the cross-query result cache (verbatim hits plus coalesced single-flight followers).\n")
 	fmt.Fprintf(w, "# TYPE amatchd_result_cache_hits_total counter\n")
 	fmt.Fprintf(w, "amatchd_result_cache_hits_total %d\n", cg.resultHits)

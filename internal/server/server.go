@@ -74,18 +74,6 @@ type Config struct {
 	// QueryTimeout bounds each query's pipeline time; 0 disables (the
 	// request context still cancels on client disconnect).
 	QueryTimeout time.Duration
-	// Chaos, when non-nil, routes queries through the distributed engine
-	// with the given fault plane instead of the in-process parallel
-	// pipeline — the fault-injection serving mode behind amatchd's
-	// -chaos-* flags. Results are bit-identical to the normal path (the
-	// chaos differential suite's guarantee); fault counters surface on
-	// /metrics.
-	Chaos *dist.Faults
-	// ChaosRanks is the distributed deployment size in chaos mode
-	// (default 4). Each query builds its own engine: rank ownership
-	// mutates during a run, so engines cannot be shared across concurrent
-	// queries.
-	ChaosRanks int
 	// MaxBodyBytes caps the request body (default 1 MiB; larger bodies
 	// get 413).
 	MaxBodyBytes int64
@@ -104,8 +92,7 @@ type Config struct {
 	// /match responses are cached under the template's canonical key (byte
 	// capped, LRU) and served verbatim to isomorphic queries; concurrent
 	// identical queries are coalesced into one pipeline run (single
-	// flight). 0 disables. Partial results are never cached. Chaos mode
-	// bypasses the cache so injected faults keep exercising the pipeline.
+	// flight). 0 disables. Partial results are never cached.
 	ResultCacheBytes int64
 	// SharedNLCC promotes the per-query NLCC work-recycling cache to one
 	// store shared by every query on this graph epoch, so constraint walks
@@ -210,9 +197,6 @@ func (c Config) withDefaults() Config {
 	if c.IngestMaxBodyBytes <= 0 {
 		c.IngestMaxBodyBytes = 16 << 20
 	}
-	if c.ChaosRanks < 1 {
-		c.ChaosRanks = 4
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -231,7 +215,6 @@ type Server struct {
 	snaps *graph.SnapshotStore
 
 	cfg     Config
-	engine  engine
 	sched   *scheduler
 	metrics *metricsRegistry
 	mem     *memWatcher
@@ -262,11 +245,8 @@ func NewWithConfig(g *graph.Graph, cfg Config) *Server {
 		mem:     newMemWatcher(cfg.MemHighWatermark),
 		log:     cfg.Logger,
 	}
-	s.engine = s.newEngine()
 	s.stats.Store(s.computeStats(g, cfg.StartEpoch))
-	// Chaos mode runs without the result cache so injected faults keep
-	// exercising the full pipeline.
-	if cfg.ResultCacheBytes > 0 && cfg.Chaos == nil {
+	if cfg.ResultCacheBytes > 0 {
 		s.rcache = newResultCache(cfg.ResultCacheBytes)
 		s.flights = newFlightGroup()
 	}
@@ -604,10 +584,6 @@ func (s *Server) writePipelineError(w http.ResponseWriter, r *http.Request, q *r
 		// exploration): report it like a server-side deadline.
 		s.metrics.noteBudgetExhausted(false)
 		s.reject(w, r, q, http.StatusGatewayTimeout, outcomeBudget, err.Error(), slog.Int("k", k))
-	case errors.Is(err, dist.ErrQuiescenceDeadline):
-		// The distributed runtime could not quiesce under the injected
-		// fault schedule — a server-side deadline, not a client error.
-		s.reject(w, r, q, http.StatusGatewayTimeout, outcomeTimeout, err.Error(), slog.Int("k", k))
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		s.writeContextError(w, r, q, err, fmt.Sprintf("query exceeded timeout %v", s.cfg.QueryTimeout), slog.Int("k", k))
 	default:
@@ -615,17 +591,13 @@ func (s *Server) writePipelineError(w http.ResponseWriter, r *http.Request, q *r
 	}
 }
 
-// pipelineConfig builds the one per-query pipeline configuration /match,
-// /explore and chaos mode all run under: the fully optimized defaults for
-// the request's k with the server's worker, compaction and cache settings
-// folded in. (Chaos mode hands it to the distributed engine, which rejects
-// the knobs it cannot honour — see dist.Options.)
+// pipelineConfig builds the one per-query pipeline configuration /match and
+// /explore both run under: the fully optimized defaults for the request's k
+// with the server's worker, compaction and cache settings folded in.
 func (s *Server) pipelineConfig(req *MatchRequest) core.Config {
 	cfg := core.DefaultConfig(req.K)
 	cfg.CountMatches = req.Count
 	cfg.CacheBytes = s.cfg.CacheBytes
-	// The shared NLCC store is correctness-neutral even under injected
-	// faults (verification is exact), so chaos-mode queries recycle too.
 	cfg.SharedCache = s.nlccShared
 	if s.cfg.Workers > 0 {
 		cfg.Workers = s.cfg.Workers
@@ -640,74 +612,12 @@ func (s *Server) pipelineConfig(req *MatchRequest) core.Config {
 	return cfg
 }
 
-// engine is the pair of pipeline entry points a server's queries run on,
-// chosen once at construction. Both engines speak core's result shapes, so
-// the skeleton and the response builders never learn which one ran.
-type engine struct {
-	match   func(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg core.Config) (*core.Result, error)
-	explore func(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg core.Config) (*core.TopDownResult, error)
-}
-
-// newEngine selects the in-process parallel pipeline or, with Config.Chaos
-// set, the fault-injected distributed runtime.
-func (s *Server) newEngine() engine {
-	if s.cfg.Chaos != nil {
-		return engine{match: s.chaosMatch, explore: s.chaosExplore}
-	}
-	return engine{match: s.localMatch, explore: core.RunTopDownContext}
-}
-
-func (s *Server) localMatch(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg core.Config) (*core.Result, error) {
-	return core.RunParallelContext(ctx, g, t, cfg, s.cfg.Parallelism)
-}
-
-// chaosMatch and chaosExplore reduce the distributed runtime's results to
-// the fields the wire responses read.
-func (s *Server) chaosMatch(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg core.Config) (*core.Result, error) {
-	d, err := runChaos(s, g, cfg, func(e *dist.Engine, o dist.Options) (*dist.Result, error) {
-		return dist.RunContext(ctx, e, t, o)
-	})
-	if d == nil {
-		return nil, err
-	}
-	return &core.Result{Set: d.Set, Solutions: d.Solutions, Levels: d.Levels, Partial: d.Partial, Metrics: d.VerifyMetrics}, err
-}
-
-func (s *Server) chaosExplore(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg core.Config) (*core.TopDownResult, error) {
-	d, err := runChaos(s, g, cfg, func(e *dist.Engine, o dist.Options) (*dist.TopDownResult, error) {
-		return dist.RunTopDownContext(ctx, e, t, o)
-	})
-	if d == nil {
-		return nil, err
-	}
-	return &core.TopDownResult{FoundDist: d.FoundDist, PrototypesSearched: d.PrototypesSearched, MatchingVertices: d.MatchingVertices, Metrics: d.VerifyMetrics}, err
-}
-
-// runChaos runs one query on its own distributed deployment over the query's
-// pinned snapshot with the server's fault plane attached (rank ownership
-// mutates during a run, so engines are never shared across queries). A run
-// that yields no result — error or panic — still has its fault counters
-// folded into /metrics: the engine dies with the query, and without this a
-// deadline abort would silently discard the stalls/retries/crashes that
-// caused it.
-func runChaos[D any](s *Server, g *graph.Graph, cfg core.Config, run func(*dist.Engine, dist.Options) (*D, error)) (res *D, err error) {
-	eng := dist.NewEngine(g, dist.Config{Ranks: s.cfg.ChaosRanks, Faults: s.cfg.Chaos})
-	defer func() {
-		if res == nil {
-			var m core.Metrics
-			eng.FoldFaultMetrics(&m)
-			s.metrics.observePipeline(&m)
-		}
-	}()
-	return run(eng, dist.Options{Config: cfg, Rebalance: true})
-}
-
 // runQuery is the one path every query takes from "request accepted" to
 // "slot released": memory shed → deadline → admission → budget → pipeline →
 // error mapping → metrics → release. run executes the endpoint's pipeline
-// on s.engine and, still holding the slot (it reads pipeline state), builds
-// the wire response; it returns the work counters to fold into /metrics and
-// whether the result is an anytime partial. run executes inside the panic
+// and, still holding the slot (it reads pipeline state), builds the wire
+// response; it returns the work counters to fold into /metrics and whether
+// the result is an anytime partial. run executes inside the panic
 // boundary, so a bug on the handler goroutine is isolated to this query.
 //
 // runQuery reports false when it has already written an error response and
@@ -806,7 +716,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		if h := testHookMatch; h != nil {
 			h(req)
 		}
-		res, err := s.engine.match(ctx, snap.Graph(), t, cfg)
+		res, err := core.RunParallelContext(ctx, snap.Graph(), t, cfg, s.cfg.Parallelism)
 		if err != nil && (res == nil || !res.Partial) {
 			return nil, false, err
 		}
@@ -943,7 +853,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var resp ExploreResponse
 	if !s.runQuery(w, r, q, req, func(ctx context.Context, cfg core.Config) (*core.Metrics, bool, error) {
 		cfg.CountMatches = false // exploration reports no counts
-		res, err := s.engine.explore(ctx, snap.Graph(), t, cfg)
+		res, err := core.RunTopDownContext(ctx, snap.Graph(), t, cfg)
 		if err != nil {
 			return nil, false, err
 		}

@@ -295,6 +295,11 @@ func TestCheckpointPersistsExternalTable(t *testing.T) {
 	if !rec.FromCheckpoint {
 		t.Fatal("recovery ignored the checkpoint")
 	}
+	// A checkpoint at the final epoch leaves no tail to replay.
+	if rec.Replayed != 0 || rec.CheckpointEpoch != 1 || rec.Epoch != 1 {
+		t.Fatalf("recovery = replayed %d, checkpoint epoch %d, epoch %d; want 0, 1, 1",
+			rec.Replayed, rec.CheckpointEpoch, rec.Epoch)
+	}
 	if !reflect.DeepEqual(rec.Graph.ExternalTable(), g.ExternalTable()) {
 		t.Fatalf("external table lost across checkpoint: got %v want %v",
 			rec.Graph.ExternalTable(), g.ExternalTable())
