@@ -71,7 +71,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		matchesOut   = fs.String("matches", "", "write the base prototype's match enumeration (TSV) to this file")
 		flips        = fs.Bool("flips", false, "also search single-edge-flip variants of the template")
 		timeout      = fs.Duration("timeout", 0, "abort the search after this long (0 = no limit)")
-		workers      = fs.Int("workers", 0, "worker count for the per-vertex constraint-checking kernels (0 = sequential)")
+		workers      = fs.Int("workers", 0, "worker count for the candidate-set computation; the other kernels are sequential (0 = none)")
 		compactBelow = fs.Float64("compact-below", 0.5, "compact the search state into a dense graph view when its active fraction drops below this threshold (0 disables)")
 		maxWork      = fs.Int64("max-work", 0, "abort the search after this many pipeline work units, keeping completed levels as an exact partial result (0 = no limit)")
 		maxBytes     = fs.Int64("max-bytes", 0, "bound the search's auxiliary allocations (state clones, compacted views) to this many bytes (0 = no limit)")

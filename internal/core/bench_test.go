@@ -15,8 +15,8 @@ import (
 // BenchmarkMaxCandidateSet times M* generation alone on the R-MAT workload
 // shape of the repo benchmark's cold-candset.rmat (scale 14 here): seeding is
 // O(m) over the whole graph while the fixpoint only sees what survived, so
-// this is where a seeding regression shows. Workers 0 is the sequential
-// schedule, 2 the superstep one.
+// this is where a seeding regression shows. Workers 0 runs the supersteps on
+// the calling goroutine, 2 on a two-worker pool.
 func BenchmarkMaxCandidateSet(b *testing.B) {
 	defer func(old int) { minParallelScan = old }(minParallelScan)
 	minParallelScan = prodMinParallelScan
@@ -151,8 +151,9 @@ var benchCount int64
 
 // BenchmarkSearchWDC times the repo benchmark's cold-search.wdc queries
 // in-process at the shape amatchd serves them: WDC-1/2/3 at DefaultConfig(k)
-// with CountMatches, sequential and superstep kernels, level width 1 and 2
-// (the served default on the 2-CPU host is Workers 2 × width 2). Allocations
+// with CountMatches, M* inline (Workers 0) and on a two-worker pool
+// (Workers 2), level width 1 and 2 (the served default on a 2-CPU host is
+// Workers 2 × width 2). Allocations
 // are part of the contract: see the per-query figures in ROADMAP.md.
 func BenchmarkSearchWDC(b *testing.B) {
 	defer func(old int) { minParallelScan = old }(minParallelScan)

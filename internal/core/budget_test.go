@@ -82,9 +82,8 @@ func assertPartialPrefix(t *testing.T, want, got *Result, tag string) {
 // TestPartialDifferentialRMAT is the anytime-partial property test: on
 // seeded R-MAT graphs with randomized templates, a run whose work budget is a
 // fraction of the full run's work must return a Partial result whose
-// completed levels are bit-identical to the unbudgeted run — across the
-// sequential path, the superstep kernels and the prototype-parallel driver,
-// and with compaction forced on.
+// completed levels are bit-identical to the unbudgeted run — with M* inline
+// and pooled, at level width > 1, and with compaction forced on.
 func TestPartialDifferentialRMAT(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	partials := 0
@@ -256,22 +255,16 @@ func TestBudgetTrackerDims(t *testing.T) {
 // TestBudgetChargeScheduleIndependent puts the budget charge under the same
 // schedule-independent contract as Rho, solutions and counters. For a seeded
 // R-MAT query and for the serving layer's 6-vertex test graph, the work a
-// complete run charges must be
-//
-//   - equal across Workers {1,2,3} × parallelism {1,3} for every entry point,
-//     and equal between RunContext and RunParallelContext (they are one code
-//     path): every superstep vertex visit, token hop and verification probe
-//     ticks exactly once whichever goroutine runs it, and no probe dies with
-//     uncharged ticks;
-//   - within 25% of that for Workers=0: the sequential reference kernels
-//     iterate Gauss-Seidel style — they see same-round eliminations early —
-//     so they converge in different (usually fewer) rounds than the Jacobi
-//     supersteps and legitimately tick a little less or more.
+// complete run charges must be equal across Workers {0,1,2,3} × parallelism
+// {1,3} for every entry point, and equal between RunContext and
+// RunParallelContext (they are one code path): every M* superstep vertex
+// visit, LCC visit, token hop and verification probe ticks exactly once
+// whichever goroutine runs it, and no probe dies with uncharged ticks.
 //
 // One cell is exempt from the equality: work recycling at parallelism > 1.
 // Sibling prototypes of a level share walk ids, so which of two concurrent
 // searches pays for a shared walk is a race by design (the cache is
-// correctness-neutral, not cost-neutral); that cell is held to the 25% band
+// correctness-neutral, not cost-neutral); that cell is held to a 25% band
 // instead. A one-unit budget must exhaust in every cell.
 func TestBudgetChargeScheduleIndependent(t *testing.T) {
 	rg := rmat.Generate(rmat.Graph500(9, 4001))
@@ -318,7 +311,7 @@ func TestBudgetChargeScheduleIndependent(t *testing.T) {
 	}
 	for _, fx := range fixtures {
 		for _, recycle := range []bool{true, false} {
-			want := map[string]int64{} // group → the Workers>=1 charge
+			want := map[string]int64{} // group → the first cell's charge
 			for _, en := range entries {
 				for _, par := range []int{1, 3} {
 					for _, workers := range []int{1, 2, 3, 0} {
@@ -336,7 +329,7 @@ func TestBudgetChargeScheduleIndependent(t *testing.T) {
 						switch {
 						case !seen:
 							want[en.group] = used
-						case workers >= 1 && !(recycle && par > 1):
+						case !(recycle && par > 1):
 							if used != ref {
 								t.Errorf("%s: charged %d work units, want %d", tag, used, ref)
 							}

@@ -62,7 +62,7 @@ func (c *CancelCheck) Fork() *CancelCheck {
 // shared tracker. It never aborts — it is safe to defer on a path already
 // unwinding from an abort — so exhaustion it causes is observed by the next
 // Check on any probe of the run: the coordinator's at a superstep barrier or
-// level end. The probe stays usable; the superstep kernels Release their
+// level end. The probe stays usable; the M* supersteps Release their
 // partition probes at every barrier.
 func (c *CancelCheck) Release() {
 	if c == nil || c.tracker == nil || c.sinceCharge == 0 {
@@ -89,7 +89,7 @@ func (c *CancelCheck) Tick() {
 // Check polls the context and the budget immediately and aborts the pipeline
 // when either has fired. Entry points call it up front so a query with an
 // already-expired deadline returns before any graph work starts; the
-// superstep kernels call it at each barrier merge so budget exhaustion is
+// M* supersteps call it at each barrier merge so budget exhaustion is
 // observed at superstep granularity even when worker probes are mid-batch.
 func (c *CancelCheck) Check() {
 	if c == nil {

@@ -20,16 +20,16 @@ func MaxCandidateSet(g *graph.Graph, t *pattern.Template, m *Metrics) *State {
 	return maxCandidateSet(g, t, nil, nil, nil, m)
 }
 
-// MaxCandidateSetWorkers is MaxCandidateSet running the fixpoint on workers
-// parallel workers (0 = sequential). Results are bit-identical either way.
+// MaxCandidateSetWorkers is MaxCandidateSet running the seed and the
+// fixpoint supersteps on workers parallel workers (0 = the calling
+// goroutine). Results and counters are identical for every value.
 func MaxCandidateSetWorkers(g *graph.Graph, t *pattern.Template, workers int, m *Metrics) *State {
 	pool := NewPool(workers)
 	defer pool.Close()
 	return maxCandidateSet(g, t, nil, pool, nil, m)
 }
 
-// candsetPrep holds the per-template lookup tables shared by the sequential
-// and superstep schedules of maxCandidateSet.
+// candsetPrep holds the per-template lookup tables of maxCandidateSet.
 type candsetPrep struct {
 	labelBits labelTable
 	wildBits  uint64
@@ -90,8 +90,8 @@ func (p *candsetPrep) seed(g *graph.Graph, restrict *bitvec.Vector, omega candid
 }
 
 // seedState runs seed over the whole graph into a fresh State and ω, and
-// returns the superstep that holds them. Both schedules seed through it: with
-// no pool the superstep is a single partition run on the calling goroutine.
+// returns the superstep that holds them. With no pool the superstep is a
+// single partition run on the calling goroutine.
 func (p *candsetPrep) seedState(g *graph.Graph, restrict *bitvec.Vector, pool *Pool, cc *CancelCheck, m *Metrics) *superstep {
 	omega := make(candidateSet, g.NumVertices())
 	ss := newSuperstep(pool, NewEmptyState(g), omega, cc)
@@ -106,49 +106,18 @@ func (p *candsetPrep) seedState(g *graph.Graph, restrict *bitvec.Vector, pool *P
 // maxCandidateSet is MaxCandidateSet with an optional restriction mask (the
 // pipeline seeds from the induced subgraph of the mask's vertices instead of
 // the full graph — the incremental-maintenance dirty region), a worker pool
-// (nil = the sequential reference schedule) and a cancellation probe
-// threaded through the fixpoint loops.
+// for the seed and the fixpoint supersteps (nil = the calling goroutine) and
+// a cancellation probe threaded through the fixpoint loop.
 func maxCandidateSet(g *graph.Graph, t *pattern.Template, restrict *bitvec.Vector, pool *Pool, cc *CancelCheck, m *Metrics) *State {
 	defer func(start time.Time) { m.CandidateTime += time.Since(start) }(time.Now())
 	p := newCandsetPrep(t)
 	ss := p.seedState(g, restrict, pool, cc, m)
-	defer ss.release()
-	var dropped bool
-	if pool != nil {
-		dropped = candidateFixpointPar(ss, p, m)
-	} else {
-		dropped = candidateFixpoint(ss.s, ss.omega, p, cc, m)
-	}
 	// The fixpoint has no edge phase to sweep up after the vertices it
 	// dropped.
-	if dropped {
+	if candidateFixpointPar(ss, p, m) {
 		ss.s.clearDanglingSlots()
 	}
 	return ss.s
-}
-
-// candidateFixpoint is the sequential (Gauss-Seidel) schedule of the M*
-// viability fixpoint on a seeded state. It reports whether it dropped any
-// vertex.
-func candidateFixpoint(s *State, omega candidateSet, p *candsetPrep, cc *CancelCheck, m *Metrics) (dropped bool) {
-	var nbr []uint64 // gather scratch
-	for changed := true; changed; {
-		changed = false
-		s.ForEachActiveVertex(func(v graph.VertexID) {
-			cc.Tick()
-			nbr = s.gatherOmega(omega, v, nbr)
-			m.CandidateMessages += int64(len(nbr))
-			if rm := p.unviable(omega[v], nbr); rm != 0 {
-				omega[v] &^= rm
-				changed = true
-			}
-			if !omega.any(v) {
-				s.dropVertex(v)
-				changed, dropped = true, true
-			}
-		})
-	}
-	return dropped
 }
 
 // unviable returns the candidates of ov that fail the max-candidate-set

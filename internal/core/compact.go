@@ -12,11 +12,11 @@ import (
 // kernels stop paying for the dead regions of the original CSR.
 //
 // Compaction is semantically invisible. The view's vertex remap is monotone
-// (see graph.NewView), so every kernel — the LCC fixpoints, the NLCC walks,
-// the superstep partitioner and the verification phase — replays the exact
-// trajectory it would have on the original graph, and the per-search results
-// are translated back to original ids before they are emitted. Work-recycling
-// cache keys are translated eagerly (see nlcc/nlccPar), keeping recycled
+// (see graph.NewView), so every kernel — the LCC fixpoints, the NLCC walks
+// and the verification phase — replays the exact trajectory it would have on
+// the original graph, and the per-search results are translated back to
+// original ids before they are emitted. Work-recycling cache keys are
+// translated eagerly (see nlcc), keeping recycled
 // verdicts shareable across compacted and uncompacted searches.
 
 // ActiveFraction returns the fraction of s's underlying graph (vertices plus

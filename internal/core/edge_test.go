@@ -222,7 +222,7 @@ func TestFinalizeExactFromLooseState(t *testing.T) {
 		tp := randomTemplate(rng, 4, 3)
 		s := NewFullState(g) // the loosest possible superset
 		var m Metrics
-		edges := FinalizeExact(context.Background(), s, tp, 0, &m)
+		edges := FinalizeExact(context.Background(), s, tp, &m)
 		wantVs, wantEs := refmatch.SolutionSubgraph(g, tp)
 		for v := 0; v < g.NumVertices(); v++ {
 			if s.VertexActive(graph.VertexID(v)) != wantVs[graph.VertexID(v)] {

@@ -26,7 +26,7 @@ func ExactMatch(g *graph.Graph, t *pattern.Template, freqOrdering, countMatches 
 	}
 	prof := buildLocalProfile(t)
 	walks := preparedWalks(g, t, freq)
-	sol := searchTemplateOn(s, t, prof, walks, nil, nil, nil, countMatches, &m, kernelOpts{})
+	sol := searchTemplateOn(s, t, prof, walks, nil, nil, countMatches, &m, kernelOpts{})
 	return sol, m
 }
 
@@ -52,10 +52,9 @@ func preparedWalks(g *graph.Graph, t *pattern.Template, freq constraint.LabelFre
 
 // searchTemplateOn implements Alg. 2 for one template on a given starting
 // state (which is not modified): LCC fixpoint, NLCC pruning walks with
-// re-LCC after eliminations, then exact final verification. A non-nil pool
-// runs the pruning kernels on the superstep schedule; the verification and
-// counting phases stay on the calling goroutine.
-func searchTemplateOn(level *State, t *pattern.Template, prof *localProfile, walks []*constraint.Walk, cache *Cache, pool *Pool, cc *CancelCheck, count bool, m *Metrics, opts kernelOpts) *Solution {
+// re-LCC after eliminations, then exact final verification. Every phase runs
+// on the calling goroutine.
+func searchTemplateOn(level *State, t *pattern.Template, prof *localProfile, walks []*constraint.Walk, cache *Cache, cc *CancelCheck, count bool, m *Metrics, opts kernelOpts) *Solution {
 	m.PrototypesSearched++
 	// Charge the search's two big allocations — the state clone and the
 	// candidate masks — against the run's byte budget before making them.
@@ -63,17 +62,17 @@ func searchTemplateOn(level *State, t *pattern.Template, prof *localProfile, wal
 	s := level.Clone()
 	omega := initCandidates(s, t)
 	phase := time.Now()
-	lcc(s, omega, prof, pool, cc, m)
+	lcc(s, omega, prof, cc, m)
 	m.LCCTime += time.Since(phase)
 
 	for _, w := range walks {
 		cc.Tick()
 		phase = time.Now()
-		changed := nlcc(s, omega, t, w, cache, pool, cc, m)
+		changed := nlcc(s, omega, t, w, cache, cc, m)
 		m.NLCCTime += time.Since(phase)
 		if changed {
 			phase = time.Now()
-			lcc(s, omega, prof, pool, cc, m)
+			lcc(s, omega, prof, cc, m)
 			m.LCCTime += time.Since(phase)
 		}
 	}

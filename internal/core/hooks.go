@@ -11,19 +11,16 @@ import (
 // SearchOn runs the full single-template search (Alg. 2) on an explicit
 // starting state, exposing the per-prototype engine step to other packages
 // (the distributed runtime's parallel-prototype-search mode and the
-// deployment-size experiments). The level state is not modified. The
-// pruning kernels run on workers parallel workers (0 = sequential). A fired
+// deployment-size experiments). The level state is not modified. A fired
 // ctx aborts the search with a cancellation panic recovered by
 // RecoverCancel — callers that pass a cancellable context must defer it.
-func SearchOn(ctx context.Context, level *State, t *pattern.Template, cache *Cache, freq constraint.LabelFreq, count bool, workers int, m *Metrics) *Solution {
+func SearchOn(ctx context.Context, level *State, t *pattern.Template, cache *Cache, freq constraint.LabelFreq, count bool, m *Metrics) *Solution {
 	cc := NewCancelCheck(ctx)
 	// Phases shorter than one probe interval must not be free, or
 	// small-graph work never hits the budget.
 	defer cc.Release()
 	cc.Check()
-	pool := NewPool(workers)
-	defer pool.Close()
-	return searchTemplateOn(level, t, preparedProfile(t), preparedWalks(level.Graph(), t, freq), cache, pool, cc, count, m, kernelOpts{})
+	return searchTemplateOn(level, t, preparedProfile(t), preparedWalks(level.Graph(), t, freq), cache, cc, count, m, kernelOpts{})
 }
 
 // preparedProfile builds the local-constraint profile for t.
@@ -35,18 +32,15 @@ func preparedProfile(t *pattern.Template) *localProfile { return buildLocalProfi
 // mutates s and returns the participating directed-edge bit vector. The
 // distributed engine calls this after gathering its pruned subgraph — the
 // in-process analogue of the paper's "reload the pruned graph on a smaller
-// deployment" step. The LCC fixpoint runs on workers parallel workers
-// (0 = sequential). A fired ctx aborts with a cancellation panic recovered
+// deployment" step. A fired ctx aborts with a cancellation panic recovered
 // by RecoverCancel.
-func FinalizeExact(ctx context.Context, s *State, t *pattern.Template, workers int, m *Metrics) *bitvec.Vector {
+func FinalizeExact(ctx context.Context, s *State, t *pattern.Template, m *Metrics) *bitvec.Vector {
 	cc := NewCancelCheck(ctx)
 	defer cc.Release()
 	cc.Check()
-	pool := NewPool(workers)
-	defer pool.Close()
 	omega := initCandidates(s, t)
 	prof := buildLocalProfile(t)
-	lcc(s, omega, prof, pool, cc, m)
+	lcc(s, omega, prof, cc, m)
 	if constraint.Analyze(t).LocalSufficient {
 		return cleanEdges(s)
 	}
@@ -59,9 +53,9 @@ func FinalizeExact(ctx context.Context, s *State, t *pattern.Template, workers i
 // It packages the distributed engine's gather-and-finalize step so callers
 // can compact the gathered state first (CompactState) without handling the
 // id translation themselves.
-func FinalizeSolution(ctx context.Context, s *State, t *pattern.Template, workers int, count bool, m *Metrics) *Solution {
+func FinalizeSolution(ctx context.Context, s *State, t *pattern.Template, count bool, m *Metrics) *Solution {
 	sol := &Solution{Proto: -1, MatchCount: -1}
-	sol.Edges = FinalizeExact(ctx, s, t, workers, m)
+	sol.Edges = FinalizeExact(ctx, s, t, m)
 	sol.Verts = s.VertexBits().Clone()
 	if count {
 		sol.MatchCount = CountOn(ctx, s, t, m)

@@ -215,7 +215,7 @@ func TestIncrementalContractErrors(t *testing.T) {
 
 // TestRestrictFullMaskIdentical: a Restrict mask covering every vertex must
 // be bit-identical to an unrestricted run — results AND deterministic
-// counters — on both the sequential and superstep schedules.
+// counters — with M* inline (Workers 0) and on a two-worker pool.
 func TestRestrictFullMaskIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := randomGraph(rng, 30, 80, 3)

@@ -55,12 +55,12 @@ func supportMask(prof *localProfile, ov uint64) (need uint64) {
 // lcc runs local constraint checking (Alg. 4) to a fixpoint on state s with
 // candidate set omega for prototype template t. It eliminates candidate
 // entries, vertices and edges, and returns whether anything was eliminated.
-// A non-nil pool switches to the superstep (Jacobi) schedule in lccPar;
-// both reach the same fixpoint.
-func lcc(s *State, omega candidateSet, prof *localProfile, pool *Pool, cc *CancelCheck, m *Metrics) bool {
-	if pool != nil {
-		return lccPar(s, omega, prof, pool, cc, m)
-	}
+// The loops are Gauss-Seidel: a vertex sees the eliminations of vertices
+// scanned before it in the same round. Elimination is monotone, so any
+// schedule reaches the same greatest fixpoint, and this one takes fewer
+// rounds than Jacobi supersteps would. Parallelism comes from the concurrent
+// prototype searches of a level, not from splitting one sweep.
+func lcc(s *State, omega candidateSet, prof *localProfile, cc *CancelCheck, m *Metrics) bool {
 	var nbr []uint64 // gather scratch
 	eliminatedAny := false
 	for {

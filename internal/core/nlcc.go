@@ -165,12 +165,8 @@ func (c *Cache) Bytes() int64 {
 // deactivated when no candidates remain). With a non-nil cache, vertices
 // recorded as satisfying w.ID skip the walk (work recycling); fresh
 // successes are recorded. It returns whether any candidate or vertex was
-// eliminated. A non-nil pool runs the initiator scan on the superstep
-// schedule in nlccPar; the walks themselves stay per-vertex either way.
-func nlcc(s *State, omega candidateSet, t *pattern.Template, w *constraint.Walk, cache *Cache, pool *Pool, cc *CancelCheck, m *Metrics) bool {
-	if pool != nil {
-		return nlccPar(s, omega, t, w, cache, pool, cc, m)
-	}
+// eliminated.
+func nlcc(s *State, omega candidateSet, t *pattern.Template, w *constraint.Walk, cache *Cache, cc *CancelCheck, m *Metrics) bool {
 	q0 := w.Seq[0]
 	changed, dropped := false, false
 	s.ForEachActiveVertex(func(v graph.VertexID) {

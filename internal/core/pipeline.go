@@ -33,12 +33,12 @@ type Config struct {
 	LabelPairRefinement bool
 	// CountMatches computes per-prototype match counts during the search.
 	CountMatches bool
-	// Workers is the size of the shared worker pool the constraint-checking
-	// kernels (candidate-set fixpoint, LCC phases, NLCC initiator scans) run
-	// on, with superstep (BSP) semantics. 0 keeps the sequential reference
-	// schedule. Rho and Solutions are bit-identical for every value;
-	// counters are deterministic per value and identical across all
-	// Workers >= 1.
+	// Workers is the size of the worker pool the maximum-candidate-set
+	// computation (the O(m) seed and the fixpoint supersteps) runs on; 0 and
+	// 1 run it on the calling goroutine. The per-prototype kernels (LCC, NLCC,
+	// verification, counting) are sequential and take their parallelism from
+	// the level width instead. Rho, Solutions and every counter are identical
+	// for every value.
 	Workers int
 	// CompactBelow triggers physical search-space reduction: when a level
 	// state's active fraction (vertices plus directed slots) drops below
@@ -172,9 +172,8 @@ type engine struct {
 	// walks and the local profile.
 	walks    map[int][]*constraint.Walk
 	profiles map[int]*localProfile
-	// pool is the run-wide kernel worker pool (nil = sequential kernels),
-	// shared by every prototype search of the run — including concurrent
-	// ones — and closed by the run entry points via close().
+	// pool is the maximum-candidate-set computation's worker pool (nil =
+	// the calling goroutine), closed by the run entry points via close().
 	pool *Pool
 }
 
@@ -229,7 +228,7 @@ func (e *engine) profileFor(pi int) *localProfile {
 // exact verification phase. The input level state is not modified.
 func (e *engine) searchPrototype(level *State, pi int) *Solution {
 	t := e.set.Protos[pi].Template
-	sol := searchTemplateOn(level, t, e.profileFor(pi), e.walksFor(pi), e.cache, e.pool, e.cc, e.cfg.CountMatches, &e.metrics, e.cfg.kernel())
+	sol := searchTemplateOn(level, t, e.profileFor(pi), e.walksFor(pi), e.cache, e.cc, e.cfg.CountMatches, &e.metrics, e.cfg.kernel())
 	sol.Proto = pi
 	return sol
 }
@@ -382,7 +381,7 @@ func (e *engine) searchLevel(res *Result, level *State, dist, width int) (next *
 		if dist < set.MaxDist && len(set.Protos[pi].Children) == 0 {
 			searchState = res.Candidate
 		}
-		sol := searchTemplateOn(searchState, set.Protos[pi].Template, e.profiles[pi], e.walks[pi], e.cache, e.pool, cc, e.cfg.CountMatches, &metrics[idx], e.cfg.kernel())
+		sol := searchTemplateOn(searchState, set.Protos[pi].Template, e.profiles[pi], e.walks[pi], e.cache, cc, e.cfg.CountMatches, &metrics[idx], e.cfg.kernel())
 		sol.Proto = pi
 		sols[idx] = sol
 	})

@@ -2,34 +2,25 @@ package core
 
 import "sync"
 
-// Pool is a fixed-size worker pool shared by the superstep kernels of a run
-// (§4's vertex-level data parallelism). One pool serves every kernel call of
-// a pipeline run — including the concurrent prototype searches of a level —
-// so the total kernel concurrency of a run is bounded by the pool size
-// rather than by searches × workers.
+// Pool is a fixed-size worker pool for the supersteps of the
+// maximum-candidate-set computation (§4's vertex-level data parallelism):
+// its O(m) seed and its fixpoint rounds.
 //
-// A nil *Pool is valid and means "sequential": the kernels fall back to the
-// reference Gauss-Seidel loops, preserving the exact pre-parallel behavior
-// and counter values. NewPool returns nil for workers <= 0, so callers can
-// thread Config.Workers straight through.
+// A nil *Pool is valid and means "the calling goroutine": the superstep runs
+// as a single partition inline, with the same results and counters. NewPool
+// returns nil for workers <= 0, so callers can thread Config.Workers straight
+// through.
 //
-// Kernel supersteps must only be submitted from outside the pool (the run's
-// search goroutines), never from a pool worker itself: run blocks until all
-// of its parts finish, so nested submission could deadlock a fully busy
-// pool.
+// Supersteps must only be submitted from outside the pool, never from a pool
+// worker itself: run blocks until all of its parts finish, so nested
+// submission could deadlock a fully busy pool.
 type Pool struct {
 	workers int
 	tasks   chan func()
 	once    sync.Once
-
-	// free holds the partition buffers of finished superstep kernel calls
-	// (see partDelta) for the run's next ones: as many sets as kernel calls
-	// ever ran side by side, i.e. at most the level width.
-	mu   sync.Mutex
-	free [][]*partDelta
 }
 
-// NewPool starts a pool of the given size, or returns nil (sequential) when
+// NewPool starts a pool of the given size, or returns nil (inline) when
 // workers <= 0. Callers own the pool and must Close it.
 func NewPool(workers int) *Pool {
 	if workers <= 0 {
@@ -46,44 +37,12 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers returns the pool size; 0 for a nil (sequential) pool.
+// Workers returns the pool size; 0 for a nil (inline) pool.
 func (p *Pool) Workers() int {
 	if p == nil {
 		return 0
 	}
 	return p.workers
-}
-
-// partBuffers returns parts partition buffers for one superstep kernel call:
-// a set an earlier call of the run recycled, when there is one, so the
-// elimination lists and gather scratches keep the capacity they grew to. A
-// nil pool (the sequential schedule's single inline partition) gets fresh
-// ones.
-func (p *Pool) partBuffers(parts int) []*partDelta {
-	if p != nil {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if n := len(p.free); n > 0 {
-			set := p.free[n-1]
-			p.free = p.free[:n-1]
-			return set
-		}
-	}
-	set := make([]*partDelta, parts)
-	for i := range set {
-		set[i] = &partDelta{}
-	}
-	return set
-}
-
-// recycle takes back a set handed out by partBuffers.
-func (p *Pool) recycle(set []*partDelta) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.free = append(p.free, set)
-	p.mu.Unlock()
 }
 
 // Close stops the workers once every submitted task has drained. Safe to

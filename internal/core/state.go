@@ -163,8 +163,7 @@ func (s *State) ForEachActiveVertex(fn func(v graph.VertexID)) {
 }
 
 // forEachActiveVertexIn calls fn for every active vertex in [lo, hi), in
-// increasing order — the partitioned scan the superstep kernels run per
-// worker.
+// increasing order — the partitioned scan the M* supersteps run per worker.
 func (s *State) forEachActiveVertexIn(lo, hi int, fn func(v graph.VertexID)) {
 	s.verts.ForEachInRange(lo, hi, func(i int) { fn(graph.VertexID(i)) })
 }

@@ -4,33 +4,28 @@ import (
 	"sort"
 
 	"approxmatch/internal/bitvec"
-	"approxmatch/internal/constraint"
 	"approxmatch/internal/graph"
-	"approxmatch/internal/pattern"
 )
 
-// This file implements the parallel (Jacobi-style) schedule of the
-// constraint-checking kernels. Each fixpoint round becomes a superstep with
-// BSP semantics: workers scan disjoint vertex partitions of the round-start
-// State/candidateSet snapshot, and a barrier merge publishes the round's
-// eliminations before the next round begins. What other partitions read
-// during a round — ω and the vertex bits — stays frozen: those eliminations
-// are recorded into a per-partition delta and applied at the barrier. What
-// only its owner reads — a vertex's own out-slots — is written during the
-// round by the owning partition, through a bitvec.Span, which holds back just
-// the two words a partition's slot range can share with its neighbours.
+// This file implements the superstep (Jacobi-style) schedule of the
+// maximum-candidate-set computation: its O(m) seed and its viability
+// fixpoint. Each fixpoint round is a superstep with BSP semantics: workers
+// scan disjoint vertex partitions of the round-start State/candidateSet
+// snapshot, and a barrier merge publishes the round's eliminations before the
+// next round begins. What other partitions read during a round — ω and the
+// vertex bits — stays frozen: those eliminations are recorded into a
+// per-partition delta and applied at the barrier. What only its owner reads —
+// a vertex's own out-slots — is written during the round by the owning
+// partition, through a bitvec.Span, which holds back just the two words a
+// partition's slot range can share with its neighbours.
 //
 // Eliminations are monotone (bits only ever go from set to clear) and every
-// per-vertex verdict is computed from the snapshot, so the parallel
-// schedule performs chaotic iteration of the same monotone operator as the
-// sequential Gauss-Seidel loops and converges to the same greatest
-// fixpoint. Intermediate trajectories differ — the sequential loops see
-// same-round eliminations early — but the exact verification phase (and,
-// for locally-sufficient templates, the final LCC fixpoint itself) makes
-// `Rho`/`Solutions` bit-identical regardless of schedule. Counters are
-// deterministic for any fixed worker count, and identical across all
-// parallel worker counts N >= 1, because each vertex's per-round work
-// depends only on the round-start snapshot, not on the partitioning.
+// per-vertex verdict is computed from the round-start snapshot, so the rounds
+// reach the same greatest fixpoint as any other schedule, and the counters
+// do not depend on the worker count: each vertex's per-round work
+// depends only on the snapshot, not on the partitioning. The per-prototype
+// kernels (lcc, nlcc) stay Gauss-Seidel; a run takes their parallelism from
+// the concurrent prototype searches of a level.
 
 // omegaDelta records candidate-mask bits to remove from ω(v) at the next
 // barrier.
@@ -42,10 +37,7 @@ type omegaDelta struct {
 // partDelta is one partition's side of a superstep: the ω eliminations it
 // recorded, its gather scratch (State.gatherOmega), its writers for the vertex
 // bits and out-slots it owns, its metrics and its cancellation probe. Reused
-// across rounds, and — the two buffers — across the kernel calls of a run: the
-// first LCC round of a prototype search eliminates a candidate at most
-// vertices, so a list regrown from nil per call is most of what the superstep
-// schedule allocates (see Pool.partBuffers).
+// across the rounds of one computation.
 type partDelta struct {
 	cc           *CancelCheck
 	omega        []omegaDelta
@@ -55,7 +47,7 @@ type partDelta struct {
 	changed      bool
 }
 
-// superstep coordinates the parallel rounds of one kernel call: fixed
+// superstep coordinates the parallel rounds of one M* computation: fixed
 // vertex partitions (edge-balanced by CSR offset), one delta buffer and one
 // forked cancellation probe per partition.
 type superstep struct {
@@ -83,7 +75,7 @@ func newSuperstep(pool *Pool, s *State, omega candidateSet, cc *CancelCheck) *su
 	}
 	ss := &superstep{pool: pool, s: s, omega: omega, cc: cc, scan: s.verts.Count()}
 	ss.bounds = partitionBounds(s.g, w)
-	ss.parts = pool.partBuffers(w)
+	ss.parts = make([]*partDelta, w)
 	slotAt := func(v int) int {
 		if v == s.g.NumVertices() {
 			return s.g.NumDirectedEdges()
@@ -92,19 +84,13 @@ func newSuperstep(pool *Pool, s *State, omega candidateSet, cc *CancelCheck) *su
 	}
 	for i := range ss.parts {
 		lo, hi := ss.bounds[i], ss.bounds[i+1]
-		d := ss.parts[i]
-		d.cc, d.m = cc.Fork(), Metrics{} // a recycled buffer may come from an aborted call
-		d.verts = s.verts.Span(lo, hi)
-		d.edges = s.edges.Span(slotAt(lo), slotAt(hi))
+		ss.parts[i] = &partDelta{
+			cc:    cc.Fork(),
+			verts: s.verts.Span(lo, hi),
+			edges: s.edges.Span(slotAt(lo), slotAt(hi)),
+		}
 	}
 	return ss
-}
-
-// release hands the partitions' buffers back to the pool for the run's next
-// kernel call. The superstep must not be used afterwards.
-func (ss *superstep) release() {
-	ss.pool.recycle(ss.parts)
-	ss.parts = nil
 }
 
 // partitionBounds splits the vertex ID space into parts contiguous ranges
@@ -208,8 +194,7 @@ func candidateFixpointPar(ss *superstep, p *candsetPrep, m *Metrics) (dropped bo
 			s.forEachActiveVertexIn(lo, hi, func(v graph.VertexID) {
 				d.cc.Tick()
 				// ω is frozen during the superstep: the gather reads the
-				// round-start values, the same ones the sequential schedule
-				// reads for v (a vertex never borders itself).
+				// round-start values (a vertex never borders itself).
 				d.nbr = s.gatherOmega(omega, v, d.nbr)
 				d.m.CandidateMessages += int64(len(d.nbr))
 				d.eliminate(v, p.unviable(omega[v], d.nbr))
@@ -219,92 +204,4 @@ func candidateFixpointPar(ss *superstep, p *candsetPrep, m *Metrics) (dropped bo
 			return ss.dropped
 		}
 	}
-}
-
-// lccPar is the superstep schedule of lcc: per iteration, a vertex
-// superstep and an edge superstep, each followed by a barrier merge —
-// mirroring the sequential phase structure of Alg. 4.
-func lccPar(s *State, omega candidateSet, prof *localProfile, pool *Pool, cc *CancelCheck, m *Metrics) bool {
-	ss := newSuperstep(pool, s, omega, cc)
-	defer ss.release()
-	eliminatedAny := false
-	for {
-		m.LCCIterations++
-		ss.run(func(d *partDelta, lo, hi int) {
-			s.forEachActiveVertexIn(lo, hi, func(v graph.VertexID) {
-				d.cc.Tick()
-				d.nbr = s.gatherOmega(omega, v, d.nbr)
-				d.m.LCCMessages += int64(len(d.nbr))
-				d.eliminate(v, unsatisfiedLocal(prof, omega[v], d.nbr))
-			})
-		})
-		changed := ss.merge(m)
-		ss.run(func(d *partDelta, lo, hi int) {
-			s.forEachActiveVertexIn(lo, hi, func(v graph.VertexID) {
-				d.cc.Tick()
-				need := supportMask(prof, omega[v])
-				ns, base, ws := s.slotScan(v)
-				for ws.Next() {
-					for w := ws.Word; w != 0; w &= w - 1 {
-						slot := ws.Base + trailingZeros(w)
-						u := ns[slot-base]
-						if !s.verts.Get(int(u)) {
-							d.edges.Clear(slot) // left dangling by dropVertex(u)
-							continue
-						}
-						d.m.LCCMessages++
-						// ω is frozen, so u's partition refutes the reverse
-						// slot in this same superstep.
-						if omega[u]&need == 0 {
-							d.edges.Clear(slot)
-							d.changed = true
-						}
-					}
-				}
-			})
-		})
-		if ss.merge(m) {
-			changed = true
-		}
-		if !changed {
-			return eliminatedAny
-		}
-		eliminatedAny = true
-	}
-}
-
-// nlccPar is the superstep schedule of the nlcc initiator scan: the walks
-// themselves stay per-vertex and read only the frozen snapshot; the shared
-// work-recycling Cache is already safe for concurrent use, and its keys are
-// per (constraint, initiator vertex), so in-scan records never influence
-// another initiator's verdict.
-func nlccPar(s *State, omega candidateSet, t *pattern.Template, w *constraint.Walk, cache *Cache, pool *Pool, cc *CancelCheck, m *Metrics) bool {
-	q0 := w.Seq[0]
-	ss := newSuperstep(pool, s, omega, cc)
-	defer ss.release()
-	ss.run(func(d *partDelta, lo, hi int) {
-		s.forEachActiveVertexIn(lo, hi, func(v graph.VertexID) {
-			d.cc.Tick()
-			if !omega.has(v, q0) {
-				return
-			}
-			if cache != nil && cache.Satisfied(w.ID, s.origID(v)) {
-				d.m.CacheHits++
-				return
-			}
-			d.m.TokensInitiated++
-			if walkFrom(s, omega, t, w, v, d.cc, &d.m) {
-				if cache != nil {
-					cache.Record(w.ID, s.origID(v))
-				}
-				return
-			}
-			d.eliminate(v, 1<<uint(q0))
-		})
-	})
-	changed := ss.merge(m)
-	if ss.dropped {
-		s.clearDanglingSlots()
-	}
-	return changed
 }

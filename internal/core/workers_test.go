@@ -40,7 +40,7 @@ func randomDecoratedTemplate(rng *rand.Rand, g *graph.Graph) *pattern.Template {
 		edges = append(edges, pattern.Edge{I: rng.Intn(v), J: v})
 	}
 	// Close a cycle often: cyclic templates generate non-local (CC/PC)
-	// constraints, so the NLCC superstep path gets exercised.
+	// constraints, so the NLCC walks get exercised.
 	if n >= 3 && rng.Intn(3) != 0 {
 		e := pattern.Edge{I: 0, J: n - 1}
 		dup := false
@@ -141,8 +141,8 @@ func TestWorkersDifferentialEdgeLabels(t *testing.T) {
 }
 
 // TestWorkersRunParallelMatchesRun crosses both parallelism layers:
-// concurrent prototype searches sharing one kernel pool must still match
-// the fully sequential run.
+// concurrent prototype searches on a pooled M* must still match the fully
+// sequential run.
 func TestWorkersRunParallelMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(1703))
 	g := randomGraph(rng, 40, 110, 3)
@@ -215,12 +215,12 @@ func counterVector(m *Metrics) []int64 {
 	}
 }
 
-// TestWorkersCountersScheduleIndependent asserts the superstep counters are
-// schedule-independent: every parallel worker count N >= 1 reports the same
-// message/iteration counters, because per-round work depends only on the
-// round-start snapshot, not on the partitioning. (The sequential reference
-// path may legitimately differ — its in-place loops see same-round
-// eliminations early.)
+// TestWorkersCountersScheduleIndependent asserts the counters do not depend
+// on Workers: every worker count, 0 included, reports the same
+// message/iteration counters. Workers only sizes the M* supersteps, whose
+// per-round work depends only on the round-start snapshot, not on the
+// partitioning; every other kernel runs the same sequential loop whatever
+// the value.
 func TestWorkersCountersScheduleIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(1704))
 	for trial := 0; trial < 4; trial++ {
@@ -233,7 +233,7 @@ func TestWorkersCountersScheduleIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := counterVector(&base.Metrics)
-		for _, workers := range []int{2, 5} {
+		for _, workers := range []int{0, 2, 5} {
 			cfg.Workers = workers
 			res, err := Run(g, tp, cfg)
 			if err != nil {
@@ -277,8 +277,8 @@ func assertSlotSymmetry(t *testing.T, s *State, tag string) {
 	}
 }
 
-// TestSlotSymmetryAfterKernels runs every kernel on both schedules and
-// asserts the State invariant at each kernel's exit — what
+// TestSlotSymmetryAfterKernels runs every kernel — M* inline and on a
+// 3-worker pool — and asserts the State invariant at each kernel's exit — what
 // NumActiveDirectedEdges/StateBytes accounting and CompactState rely on. The
 // kernels drop vertices without touching reverse slots, so the trials must
 // include kernels that really drop some: the test fails if none did.
@@ -309,33 +309,34 @@ func TestSlotSymmetryAfterKernels(t *testing.T) {
 	dropsIn := map[string]int{}
 	for _, in := range inputs {
 		g, tp := in.g, in.tp
+		var s *State
+		var m Metrics
 		for _, workers := range []int{0, 3} {
 			pool := NewPool(workers)
-			var m Metrics
-			s := maxCandidateSet(g, tp, nil, pool, nil, &m)
+			s = maxCandidateSet(g, tp, nil, pool, nil, &m)
 			assertSlotSymmetry(t, s, "maxCandidateSet")
 			dropsIn["maxCandidateSet"] += newCandsetPrep(tp).seedState(g, nil, pool, nil, &m).s.NumActiveVertices() - s.NumActiveVertices()
-
-			omega := initCandidates(s, tp)
-			prof := buildLocalProfile(tp)
-			before := s.NumActiveVertices()
-			lcc(s, omega, prof, pool, nil, &m)
-			assertSlotSymmetry(t, s, "lcc")
-			dropsIn["lcc"] += before - s.NumActiveVertices()
-
-			for _, w := range preparedWalks(g, tp, nil) {
-				before = s.NumActiveVertices()
-				nlcc(s, omega, tp, w, nil, pool, nil, &m)
-				assertSlotSymmetry(t, s, "nlcc")
-				dropsIn["nlcc"] += before - s.NumActiveVertices()
-			}
-
-			before = s.NumActiveVertices()
-			verifyExact(s, omega, tp, nil, &m, kernelOpts{})
-			assertSlotSymmetry(t, s, "verifyExact")
-			dropsIn["verifyExact"] += before - s.NumActiveVertices()
 			pool.Close()
 		}
+
+		omega := initCandidates(s, tp)
+		prof := buildLocalProfile(tp)
+		before := s.NumActiveVertices()
+		lcc(s, omega, prof, nil, &m)
+		assertSlotSymmetry(t, s, "lcc")
+		dropsIn["lcc"] += before - s.NumActiveVertices()
+
+		for _, w := range preparedWalks(g, tp, nil) {
+			before = s.NumActiveVertices()
+			nlcc(s, omega, tp, w, nil, nil, &m)
+			assertSlotSymmetry(t, s, "nlcc")
+			dropsIn["nlcc"] += before - s.NumActiveVertices()
+		}
+
+		before = s.NumActiveVertices()
+		verifyExact(s, omega, tp, nil, &m, kernelOpts{})
+		assertSlotSymmetry(t, s, "verifyExact")
+		dropsIn["verifyExact"] += before - s.NumActiveVertices()
 	}
 	for _, kernel := range []string{"maxCandidateSet", "lcc", "nlcc", "verifyExact"} {
 		if dropsIn[kernel] == 0 {

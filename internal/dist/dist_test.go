@@ -337,7 +337,7 @@ func TestParallelPrototypeSearch(t *testing.T) {
 		templates[i] = tp
 	}
 	res := SearchPrototypesParallel(mcs, templates, 3, 2, nil)
-	want := core.SearchOn(context.Background(), mcs, tp, nil, nil, false, 0, &m)
+	want := core.SearchOn(context.Background(), mcs, tp, nil, nil, false, &m)
 	for i, sol := range res.Solutions {
 		if !sol.Verts.Equal(want.Verts) {
 			t.Errorf("parallel search %d differs", i)
@@ -432,7 +432,7 @@ func TestReplicaSetMatchesSequential(t *testing.T) {
 	opts := Options{Config: core.Config{CountMatches: true}}
 	sols := rs.Search(templates, nil, opts)
 	for i := range templates {
-		want := core.SearchOn(context.Background(), mcs, templates[i], nil, nil, true, 0, &m)
+		want := core.SearchOn(context.Background(), mcs, templates[i], nil, nil, true, &m)
 		if !sols[i].Verts.Equal(want.Verts) {
 			t.Errorf("template %d: vertex sets differ (replica=%d want=%d)",
 				i, sols[i].Verts.Count(), want.Verts.Count())

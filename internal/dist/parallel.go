@@ -50,7 +50,7 @@ func SearchPrototypesParallel(level *core.State, templates []*pattern.Template, 
 			defer func() { <-sem }()
 			var m core.Metrics
 			t0 := time.Now()
-			sol := core.SearchOn(context.Background(), level, t, nil, freq, false, 0, &m)
+			sol := core.SearchOn(context.Background(), level, t, nil, freq, false, &m)
 			d := time.Since(t0)
 			mu.Lock()
 			res.Solutions[i] = sol

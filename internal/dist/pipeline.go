@@ -15,9 +15,10 @@ import (
 )
 
 // Options are the pipeline's core.Config plus the distributed engine's own
-// two knobs. The embedded fields mean what they mean in core: Workers sizes
-// the pool of the shared core kernels the run calls back into (the
-// gather-and-finalize step), CompactBelow also compacts the gathered
+// two knobs. The embedded fields mean what they mean in core, except Workers,
+// which has no effect here: the engine computes its own candidate set, and
+// the core kernels it calls back into (the gather-and-finalize step) run on
+// the calling goroutine. CompactBelow also compacts the gathered
 // per-prototype subgraphs and lets rank repartitioning walk the compacted
 // vertex list, Budget charging rides the core probes of the finalization
 // phase plus the checks between distributed phases, and SharedCache replaces
@@ -294,7 +295,7 @@ func (e *Engine) searchPrototypeDist(ctx context.Context, level *core.State, t *
 	// analogue of reloading the pruned graph on a small deployment (§4).
 	cs := ds.toCoreState()
 	cs = core.CompactStateBudgeted(cs, opts.CompactBelow, vm, cc)
-	return core.FinalizeSolution(ctx, cs, t, opts.Workers, opts.CountMatches, vm)
+	return core.FinalizeSolution(ctx, cs, t, opts.CountMatches, vm)
 }
 
 // containmentState mirrors the sequential engine's Obs.-1 construction:

@@ -103,7 +103,7 @@ func (e *Engine) searchOnReplica(t *pattern.Template, freq constraint.LabelFreq,
 	cs := ds.toCoreState()
 	var vm core.Metrics
 	cs = core.CompactState(cs, opts.CompactBelow, &vm)
-	return core.FinalizeSolution(context.Background(), cs, t, opts.Workers, opts.CountMatches, &vm)
+	return core.FinalizeSolution(context.Background(), cs, t, opts.CountMatches, &vm)
 }
 
 // translate maps a replica-coordinate solution back to the original graph.

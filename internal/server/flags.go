@@ -15,7 +15,7 @@ func RegisterFlags(fs *flag.FlagSet) func() (graphPath string, cfg Config) {
 	graphPath := fs.String("graph", "", "background graph edge-list file (required)")
 	fs.IntVar(&cfg.MaxEditDistance, "maxk", 6, "largest accepted edit distance")
 	fs.DurationVar(&cfg.QueryTimeout, "querytimeout", 30*time.Second, "per-query pipeline timeout (0 = none)")
-	fs.IntVar(&cfg.Workers, "workers", 0, "per-query kernel workers (0 = scheduler-aware default, -1 = sequential)")
+	fs.IntVar(&cfg.Workers, "workers", 0, "per-query workers for the candidate-set computation; the other kernels are sequential (0 = scheduler-aware default, -1 = none)")
 	fs.Float64Var(&cfg.CompactBelow, "compact-below", 0.5, "compact the search state into a dense graph view when its active fraction drops below this threshold (0 disables)")
 	fs.Int64Var(&cfg.MaxWork, "max-work", 0, "per-query pipeline work-unit budget; exhausted /match queries return an exact partial result (0 = no limit)")
 	fs.Int64Var(&cfg.MaxBytes, "max-bytes", 0, "per-query auxiliary allocation budget in bytes (0 = no limit)")

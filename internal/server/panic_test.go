@@ -119,9 +119,9 @@ func TestMemWatermarkSheds503(t *testing.T) {
 	}
 }
 
-// forEachSchedule runs fn once per kernel schedule the server can pick —
-// sequential and superstep kernels (Workers) crossed with sequential and
-// level-parallel prototype search (Parallelism) — with both pinned, so what
+// forEachSchedule runs fn once per kernel schedule the server can pick — M*
+// inline and on a pool (Workers) crossed with sequential and level-parallel
+// prototype search (Parallelism) — with both pinned, so what
 // a test asserts about budget charging never depends on the defaults the
 // host's GOMAXPROCS would derive.
 func forEachSchedule(t *testing.T, cfg Config, fn func(t *testing.T, cfg Config)) {

@@ -59,11 +59,13 @@ type Config struct {
 	// Parallelism is the per-query core.RunParallelContext width
 	// (default: max(2, GOMAXPROCS/MaxConcurrent)).
 	Parallelism int
-	// Workers is the per-query worker count for the constraint-checking
-	// kernels (core.Config.Workers). 0 picks a scheduler-aware default —
-	// GOMAXPROCS/MaxConcurrent, so slots × workers never exceeds
-	// GOMAXPROCS, falling back to the sequential kernels when that quota
-	// is a single core. Negative forces the sequential kernels.
+	// Workers is the per-query worker count for the maximum-candidate-set
+	// computation (core.Config.Workers); the other kernels are sequential
+	// and parallelize across prototypes (Parallelism). 0 picks a
+	// scheduler-aware default — GOMAXPROCS/MaxConcurrent, so slots × workers
+	// never exceeds GOMAXPROCS, or the calling goroutine when that quota is
+	// a single core. Negative forces the calling goroutine. Answers and
+	// counters are the same for every value.
 	Workers int
 	// CompactBelow is the per-query physical-compaction threshold
 	// (core.Config.CompactBelow). 0 keeps the pipeline default (0.5);
@@ -183,8 +185,8 @@ func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0) / c.MaxConcurrent
 		if c.Workers <= 1 {
-			// One core per slot: the superstep schedule would only add
-			// barrier overhead, so keep the sequential reference kernels.
+			// One core per slot: a pool would only add barrier overhead,
+			// so run M* on the query's own goroutine.
 			c.Workers = -1
 		}
 	}
