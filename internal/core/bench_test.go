@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"approxmatch/internal/datagen"
 	"approxmatch/internal/graph"
@@ -153,8 +154,10 @@ var benchCount int64
 // in-process at the shape amatchd serves them: WDC-1/2/3 at DefaultConfig(k)
 // with CountMatches, M* inline (Workers 0) and on a two-worker pool
 // (Workers 2), level width 1 and 2 (the served default on a 2-CPU host is
-// Workers 2 × width 2). Allocations
-// are part of the contract: see the per-query figures in ROADMAP.md.
+// Workers 2 × width 2). Allocations are part of the contract: see the
+// per-query figures in ROADMAP.md. lcc-ms/op is the LCC phase's share
+// (Metrics.LCCTime, summed over the level's concurrent searches, so at width
+// 2 it can exceed the wall time's share).
 func BenchmarkSearchWDC(b *testing.B) {
 	defer func(old int) { minParallelScan = old }(minParallelScan)
 	minParallelScan = prodMinParallelScan
@@ -173,11 +176,15 @@ func BenchmarkSearchWDC(b *testing.B) {
 					cfg.Workers = workers
 					b.ReportAllocs()
 					b.ResetTimer()
+					var lcc time.Duration
 					for i := 0; i < b.N; i++ {
-						if _, err := RunParallelContext(context.Background(), g, q.tp, cfg, width); err != nil {
+						res, err := RunParallelContext(context.Background(), g, q.tp, cfg, width)
+						if err != nil {
 							b.Fatal(err)
 						}
+						lcc += res.Metrics.LCCTime
 					}
+					b.ReportMetric(float64(lcc.Microseconds())/1e3/float64(b.N), "lcc-ms/op")
 				})
 			}
 		}

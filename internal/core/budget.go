@@ -23,7 +23,7 @@ import (
 // at the end of every prototype search, right before the coordinator
 // re-checks the budget — and byte charges happen only at the pipeline's few
 // large allocation sites (state clones, candidate masks, containment states,
-// compacted views).
+// compacted views, bit-sliced LCC blocks).
 
 // ErrBudgetExhausted is the sentinel for budget exhaustion, the sibling of
 // the context cancellation path: errors.Is(err, ErrBudgetExhausted) reports
@@ -42,8 +42,8 @@ type Budget struct {
 	MaxWork int64
 	// MaxBytes caps the run's cumulative auxiliary allocation: per-search
 	// state clones and candidate masks, containment states, compacted
-	// views. The background graph itself is not charged (it is shared and
-	// loaded once). 0 means unlimited.
+	// views, bit-sliced LCC blocks. The background graph itself is not
+	// charged (it is shared and loaded once). 0 means unlimited.
 	MaxBytes int64
 	// MaxWall caps the run's wall time, measured from the first charge.
 	// Unlike a context deadline, wall exhaustion still yields a partial

@@ -21,8 +21,9 @@ const cancelInterval = 256
 // so budget accounting rides the existing amortization for free: the hot
 // loops still only pay a local counter increment per tick.
 //
-// A CancelCheck is NOT safe for concurrent use: every prototype search and
-// every superstep partition Forks its own (forks share the underlying
+// A CancelCheck is NOT safe for concurrent use: every level work item (one
+// prototype search, or a bit-sliced LCC block and its searches) and every
+// superstep partition Forks its own (forks share the underlying
 // tracker, whose counters are atomic) and Releases it when its unit of work
 // ends, so the run's charge is the sum of its ticks regardless of how the
 // work was spread over goroutines.
@@ -84,6 +85,20 @@ func (c *CancelCheck) Tick() {
 		return
 	}
 	c.Check()
+}
+
+// tickN is n Tick calls at once, polling when the count crosses a multiple of
+// cancelInterval. The bit-sliced LCC charges one tick per lane per vertex
+// visit with it, so a block's charge is exactly its lanes' lcc charges.
+func (c *CancelCheck) tickN(n int) {
+	if c == nil {
+		return
+	}
+	c.sinceCharge += uint32(n)
+	before := c.n
+	if c.n += uint32(n); c.n/cancelInterval != before/cancelInterval {
+		c.Check()
+	}
 }
 
 // Check polls the context and the budget immediately and aborts the pipeline

@@ -55,16 +55,28 @@ func preparedWalks(g *graph.Graph, t *pattern.Template, freq constraint.LabelFre
 // re-LCC after eliminations, then exact final verification. Every phase runs
 // on the calling goroutine.
 func searchTemplateOn(level *State, t *pattern.Template, prof *localProfile, walks []*constraint.Walk, cache *Cache, cc *CancelCheck, count bool, m *Metrics, opts kernelOpts) *Solution {
-	m.PrototypesSearched++
-	// Charge the search's two big allocations — the state clone and the
-	// candidate masks — against the run's byte budget before making them.
-	cc.ChargeBytes(level.StateBytes() + 8*int64(level.g.NumVertices()))
+	chargeSearch(level, cc, m)
 	s := level.Clone()
 	omega := initCandidates(s, t)
 	phase := time.Now()
 	lcc(s, omega, prof, cc, m)
 	m.LCCTime += time.Since(phase)
+	return finishSearch(s, omega, t, prof, walks, cache, cc, count, m, opts)
+}
 
+// chargeSearch counts a prototype search and charges its two big
+// allocations — the state copy and the candidate masks — against the run's
+// byte budget before they are made.
+func chargeSearch(level *State, cc *CancelCheck, m *Metrics) {
+	m.PrototypesSearched++
+	cc.ChargeBytes(level.StateBytes() + 8*int64(level.g.NumVertices()))
+}
+
+// finishSearch is Alg. 2 after the first LCC fixpoint: s and omega are the
+// search's own state and ω at that fixpoint, by lcc or by a lane of
+// lccBlock.
+func finishSearch(s *State, omega candidateSet, t *pattern.Template, prof *localProfile, walks []*constraint.Walk, cache *Cache, cc *CancelCheck, count bool, m *Metrics, opts kernelOpts) *Solution {
+	var phase time.Time
 	for _, w := range walks {
 		cc.Tick()
 		phase = time.Now()

@@ -58,8 +58,11 @@ func supportMask(prof *localProfile, ov uint64) (need uint64) {
 // The loops are Gauss-Seidel: a vertex sees the eliminations of vertices
 // scanned before it in the same round. Elimination is monotone, so any
 // schedule reaches the same greatest fixpoint, and this one takes fewer
-// rounds than Jacobi supersteps would. Parallelism comes from the concurrent
-// prototype searches of a level, not from splitting one sweep.
+// rounds than Jacobi supersteps would. lcc runs one prototype; the first
+// fixpoint of a level's prototypes usually runs as lanes of lccBlock, which
+// ends every lane exactly where lcc would, counters included. lcc serves the
+// re-checks after NLCC eliminations, levels too small to block, childless
+// prototypes and the single-template entry points.
 func lcc(s *State, omega candidateSet, prof *localProfile, cc *CancelCheck, m *Metrics) bool {
 	var nbr []uint64 // gather scratch
 	eliminatedAny := false

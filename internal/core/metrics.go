@@ -71,6 +71,14 @@ type Metrics struct {
 	CompactionFracBefore float64
 	CompactionFracAfter  float64
 
+	// LCCBlocks counts bit-sliced LCC blocks run: each ran the first LCC
+	// fixpoint of up to 64 prototypes of a level at once (see lccBlock).
+	// LCCBlocksDeclined counts levels that would have run blocks but whose
+	// block memory did not fit under the run's byte budget (the level runs
+	// lcc per prototype instead — slower, never different).
+	LCCBlocks         int64
+	LCCBlocksDeclined int64
+
 	// Fault-plane counters (distributed runtime only; zero on the
 	// sequential path). FaultDrops/FaultDups/FaultReorders/FaultDelays
 	// count injected message faults; Retries counts retransmissions of
@@ -145,6 +153,8 @@ func (m *Metrics) Add(other *Metrics) {
 	m.CompactionBytesReclaimed += other.CompactionBytesReclaimed
 	m.CompactionFracBefore += other.CompactionFracBefore
 	m.CompactionFracAfter += other.CompactionFracAfter
+	m.LCCBlocks += other.LCCBlocks
+	m.LCCBlocksDeclined += other.LCCBlocksDeclined
 	m.FaultDrops += other.FaultDrops
 	m.FaultDups += other.FaultDups
 	m.FaultReorders += other.FaultReorders

@@ -166,7 +166,7 @@ type engine struct {
 	metrics Metrics
 	// cc is the run's root cancellation probe (nil when the run's context
 	// can never fire and carries no budget). It serves the coordinator
-	// goroutine; every bottom-up prototype search Forks its own.
+	// goroutine; every bottom-up level work item Forks its own.
 	cc *CancelCheck
 	// walks caches, per prototype index, the oriented/ordered pruning
 	// walks and the local profile.
@@ -346,17 +346,18 @@ var testHookPrototypeSearch func(proto int)
 // discarded), which is what makes the Partial contract airtight: committed
 // levels are always whole levels.
 //
-// Each search gets its own forked probe, released when the search returns,
-// and its own Metrics, folded in prototype order once they all have — so
-// neither the budget charge nor the counters depend on the width.
+// The level runs as work items (planLevel), each on one goroutine with its
+// own forked probe, released when the item returns; every search has its
+// own Metrics, folded in prototype order once they all have — so neither the
+// budget charge nor the counters depend on the width.
 func (e *engine) searchLevel(res *Result, level *State, dist, width int) (next *State, err error) {
 	defer recoverBudgetAbort(&err)
 	e.cc.Check()
 	set := res.Set
 	start := time.Now()
-	// Compact, and build the level's walks and profiles, on the coordinator
-	// goroutine before any search launches: the view, the engine metrics
-	// and the engine's lazy maps are not synchronized.
+	// Compact, plan, and build the level's walks and profiles, on the
+	// coordinator goroutine before any search launches: the view, the engine
+	// metrics and the engine's lazy maps are not synchronized.
 	frac := ActiveFraction(level)
 	state := e.compact(level)
 	ids := set.At(dist)
@@ -364,26 +365,13 @@ func (e *engine) searchLevel(res *Result, level *State, dist, width int) (next *
 		e.walksFor(pi)
 		e.profileFor(pi)
 	}
+	items := e.planLevel(state, ids, dist, width)
 	sols := make([]*Solution, len(ids))
 	metrics := make([]Metrics, len(ids))
-	abortErr := forEachBounded(len(ids), width, func(idx int) {
-		pi := ids[idx]
+	abortErr := forEachBounded(len(items), width, func(it int) {
 		cc := e.cc.Fork()
 		defer cc.Release()
-		if h := testHookPrototypeSearch; h != nil {
-			h(pi)
-		}
-		// The containment rule only covers prototypes derivable into the
-		// previous level: a (rare) childless prototype — every legal
-		// removal disconnects it — must be searched on the full candidate
-		// set.
-		searchState := state
-		if dist < set.MaxDist && len(set.Protos[pi].Children) == 0 {
-			searchState = res.Candidate
-		}
-		sol := searchTemplateOn(searchState, set.Protos[pi].Template, e.profiles[pi], e.walks[pi], e.cache, cc, e.cfg.CountMatches, &metrics[idx], e.cfg.kernel())
-		sol.Proto = pi
-		sols[idx] = sol
+		e.searchItem(res, state, dist, ids, items[it], cc, sols, metrics)
 	})
 	// Fold the searches' counters before any abort: work actually performed
 	// must reach the caller (and /metrics) even when the level dies.
@@ -397,6 +385,106 @@ func (e *engine) searchLevel(res *Result, level *State, dist, width int) (next *
 	// overran the budget only in its probes' tails must not commit.
 	e.cc.Check()
 	return e.commitLevel(res, sols, dist, frac, state.View() != nil, start), nil
+}
+
+// levelItem is one unit of a level's work: positions into the level's
+// prototype ids, increasing, searched one after the other on one goroutine.
+// The positions in lanes (a subsequence of idx) run their first LCC fixpoint
+// together, one lane each of one lccBlock; the others run searchTemplateOn.
+type levelItem struct {
+	idx, lanes []int
+}
+
+// planLevel splits a level into work items. The prototypes that start from
+// the level state are split into blockCount(…, width) blocks of consecutive
+// positions, one item each, when the blocks' memory fits the budget; every
+// other case — too few lanes, a declined charge — makes one item per
+// prototype, each a plain searchTemplateOn. An item spans every position from
+// its first lane to the next item's, so at width 1 the searches keep the
+// level's order, and with it the work-recycling cache's hits.
+func (e *engine) planLevel(state *State, ids []int, dist, width int) []levelItem {
+	var eligible []int
+	for idx, pi := range ids {
+		if e.startsFromLevel(pi, dist) {
+			eligible = append(eligible, idx)
+		}
+	}
+	nb := blockCount(len(eligible), width)
+	if nb > 0 && !e.cc.TryChargeBytes(int64(nb)*laneBlockBytes(state.g, e.set.Base.NumVertices())) {
+		e.metrics.LCCBlocksDeclined++
+		nb = 0
+	}
+	if nb == 0 {
+		items := make([]levelItem, len(ids))
+		for idx := range items {
+			items[idx].idx = []int{idx}
+		}
+		return items
+	}
+	items := make([]levelItem, nb)
+	for j := range items {
+		lo, hi := j*len(eligible)/nb, (j+1)*len(eligible)/nb
+		from, to := eligible[lo], len(ids)
+		if j == 0 {
+			from = 0
+		}
+		if hi < len(eligible) {
+			to = eligible[hi]
+		}
+		items[j].lanes = eligible[lo:hi]
+		for idx := from; idx < to; idx++ {
+			items[j].idx = append(items[j].idx, idx)
+		}
+	}
+	return items
+}
+
+// startsFromLevel reports whether prototype pi searches the level state. The
+// containment rule only covers prototypes derivable into the previous level:
+// a (rare) childless prototype — every legal removal disconnects it — must be
+// searched on the full candidate set.
+func (e *engine) startsFromLevel(pi, dist int) bool {
+	return dist == e.set.MaxDist || len(e.set.Protos[pi].Children) > 0
+}
+
+// searchItem runs one levelItem's searches on the calling goroutine, the
+// item's lccBlock when its first lane comes up, and stores each search's
+// solution and counters at its position.
+func (e *engine) searchItem(res *Result, state *State, dist int, ids []int, item levelItem, cc *CancelCheck, sols []*Solution, metrics []Metrics) {
+	var blk *laneBlock
+	lane := 0
+	for _, idx := range item.idx {
+		pi := ids[idx]
+		if h := testHookPrototypeSearch; h != nil {
+			h(pi)
+		}
+		t, m := e.set.Protos[pi].Template, &metrics[idx]
+		var sol *Solution
+		if lane < len(item.lanes) && item.lanes[lane] == idx {
+			if blk == nil {
+				profs := make([]*localProfile, len(item.lanes))
+				ms := make([]*Metrics, len(item.lanes))
+				for i, at := range item.lanes {
+					profs[i], ms[i] = e.profiles[ids[at]], &metrics[at]
+				}
+				blk = lccBlock(state, profs, cc, ms)
+			}
+			chargeSearch(state, cc, m)
+			s, omega := blk.unpack(lane)
+			if lane++; lane == len(item.lanes) {
+				blk = nil // the block's memory can go before the last search runs
+			}
+			sol = finishSearch(s, omega, t, e.profiles[pi], e.walks[pi], e.cache, cc, e.cfg.CountMatches, m, e.cfg.kernel())
+		} else {
+			from := state
+			if !e.startsFromLevel(pi, dist) {
+				from = res.Candidate
+			}
+			sol = searchTemplateOn(from, t, e.profiles[pi], e.walks[pi], e.cache, cc, e.cfg.CountMatches, m, e.cfg.kernel())
+		}
+		sol.Proto = pi
+		sols[idx] = sol
+	}
 }
 
 // forEachBounded calls fn(0..n-1) — on the calling goroutine when width is

@@ -8,6 +8,7 @@ import (
 
 	"approxmatch/internal/graph"
 	"approxmatch/internal/pattern"
+	"approxmatch/internal/prototype"
 	"approxmatch/internal/rmat"
 )
 
@@ -278,7 +279,8 @@ func assertSlotSymmetry(t *testing.T, s *State, tag string) {
 }
 
 // TestSlotSymmetryAfterKernels runs every kernel — M* inline and on a
-// 3-worker pool — and asserts the State invariant at each kernel's exit — what
+// 3-worker pool, and every lane of an lccBlock over the template's k=1
+// prototypes — and asserts the State invariant at each kernel's exit — what
 // NumActiveDirectedEdges/StateBytes accounting and CompactState rely on. The
 // kernels drop vertices without touching reverse slots, so the trials must
 // include kernels that really drop some: the test fails if none did.
@@ -319,6 +321,22 @@ func TestSlotSymmetryAfterKernels(t *testing.T) {
 			pool.Close()
 		}
 
+		set, err := prototype.Generate(tp, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profs := make([]*localProfile, set.Count())
+		ms := make([]*Metrics, set.Count())
+		for pi, p := range set.Protos {
+			profs[pi], ms[pi] = buildLocalProfile(p.Template), &m
+		}
+		blk := lccBlock(s, profs, nil, ms)
+		for lane := range profs {
+			ls, _ := blk.unpack(lane)
+			assertSlotSymmetry(t, ls, "lccBlock")
+			dropsIn["lccBlock"] += s.NumActiveVertices() - ls.NumActiveVertices()
+		}
+
 		omega := initCandidates(s, tp)
 		prof := buildLocalProfile(tp)
 		before := s.NumActiveVertices()
@@ -338,7 +356,7 @@ func TestSlotSymmetryAfterKernels(t *testing.T) {
 		assertSlotSymmetry(t, s, "verifyExact")
 		dropsIn["verifyExact"] += before - s.NumActiveVertices()
 	}
-	for _, kernel := range []string{"maxCandidateSet", "lcc", "nlcc", "verifyExact"} {
+	for _, kernel := range []string{"maxCandidateSet", "lccBlock", "lcc", "nlcc", "verifyExact"} {
 		if dropsIn[kernel] == 0 {
 			t.Errorf("no trial made %s drop a vertex: the invariant was never at risk there", kernel)
 		}
