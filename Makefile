@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench-module bench fuzz-smoke loopback-smoke crash-smoke
+.PHONY: build test check import-boundary bench-module bench fuzz-smoke loopback-smoke crash-smoke
 
 build:
 	$(GO) build ./...
@@ -12,19 +12,31 @@ test:
 # race-detector suites for the concurrent parts of the tree (the serving
 # layer — including the cross-query result cache, single-flight and
 # warm/cold differential suites — the pipeline's cancellation/parallel
-# paths, the canonicalization property tests backing the cache keys, and
-# the distributed runtime's chaos and anytime-partial differential suites,
-# including the real-socket TCP transport and coordinator suites). The
-# -cpu leg reruns the pipeline and serving suites at three GOMAXPROCS
-# values, because the server derives its default Workers/Parallelism from
-# it: no test outcome may depend on the host's CPU count. bench-module
-# rides along because bench/ is its own module.
-check: bench-module
+# paths, the canonicalization property tests backing the cache keys, the
+# distributed runtime's anytime-partial and shared-cache differential
+# suites, and the replica router's real-socket suites). The -cpu leg
+# reruns the pipeline and serving suites at three GOMAXPROCS values,
+# because the server derives its default Workers/Parallelism from it: no
+# test outcome may depend on the host's CPU count. bench-module
+# rides along because bench/ is its own module, and import-boundary keeps
+# the simulated runtime off the serving path.
+check: bench-module import-boundary
 	$(GO) vet ./...
 	$(GO) test -race ./internal/server/ ./internal/core/ ./internal/wal/
 	$(GO) test -cpu 1,2,4 ./internal/core/ ./internal/server/
 	$(GO) test -race -run 'Canonical' ./internal/pattern/
-	$(GO) test -race -run 'Chaos|Partial|SharedCache|Coordinator|RankServer|DialGroup' ./internal/dist/...
+	$(GO) test -race -run 'Partial|SharedCache' ./internal/dist/
+	$(GO) test -race -run 'Coordinator|RankServer|DialGroup' ./internal/router/
+
+# import-boundary fails if internal/dist, the simulated distributed runtime,
+# is a dependency of the serving binaries: amatchd and amatchrank reach
+# their rank group through internal/router only.
+import-boundary:
+	@deps=$$($(GO) list -deps ./internal/server ./cmd/amatchd ./cmd/amatchrank) || exit 1; \
+	if echo "$$deps" | grep -q 'approxmatch/internal/dist'; then \
+		echo 'import-boundary: approxmatch/internal/dist is a dependency of the serving binaries' >&2; \
+		exit 1; \
+	fi
 
 # bench-module vets and tests the repo benchmark. bench/ has its own go.mod,
 # so the root `go build ./... && go test ./...` never compiles it — and it
@@ -45,8 +57,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime $(FUZZTIME) ./internal/prototype/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/dist/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime $(FUZZTIME) ./internal/dist/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/router/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime $(FUZZTIME) ./internal/wal/
 
 # bench runs the in-process Go micro-benchmarks of the kernels and the

@@ -99,8 +99,8 @@ import (
 	"time"
 
 	"approxmatch/cmd/internal/graphfile"
-	"approxmatch/internal/dist"
 	"approxmatch/internal/graph"
+	"approxmatch/internal/router"
 	"approxmatch/internal/server"
 	"approxmatch/internal/wal"
 )
@@ -211,7 +211,7 @@ func main() {
 		if to <= 0 {
 			to = cfg.QueryTimeout
 		}
-		coord, err := dist.DialGroupWithin(splitAddrs(*ranksAddr), dist.GraphSignature(g), to, *ranksDial)
+		coord, err := router.DialGroupWithin(splitAddrs(*ranksAddr), router.GraphSignature(g), to, *ranksDial)
 		if err != nil {
 			fatal(logger, "dial rank group", err)
 		}

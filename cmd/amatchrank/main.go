@@ -42,7 +42,7 @@ import (
 	"syscall"
 
 	"approxmatch/cmd/internal/graphfile"
-	"approxmatch/internal/dist"
+	"approxmatch/internal/router"
 	"approxmatch/internal/server"
 )
 
@@ -67,12 +67,12 @@ func main() {
 	if err != nil {
 		fatal(logger, "listen", err)
 	}
-	hello := dist.HelloInfo{
+	hello := router.HelloInfo{
 		Vertices:  g.NumVertices(),
 		Edges:     g.NumDirectedEdges(),
-		Signature: dist.GraphSignature(g),
+		Signature: router.GraphSignature(g),
 	}
-	rs := dist.NewRankServer(ln, hello, s.RankHandler())
+	rs := router.NewRankServer(ln, hello, s.RankHandler())
 	logger.Info("rank worker serving",
 		"addr", rs.Addr(), "vertices", hello.Vertices, "edges", hello.Edges,
 		"signature", hello.Signature)

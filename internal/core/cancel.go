@@ -148,14 +148,6 @@ func (c *CancelCheck) TryChargeBytes(n int64) bool {
 	return c.tracker.tryChargeBytes(n)
 }
 
-// Abort unwinds the pipeline with err, to be converted back into an
-// ordinary error by the nearest RecoverCancel. It is how deeply nested
-// machinery (the distributed fault plane's quiescence deadline) surfaces a
-// failure without threading error returns through every phase signature.
-func Abort(err error) {
-	panic(pipelineAbort{err})
-}
-
 // pipelineAbort carries a context error out of the deeply nested phase
 // loops. Threading an error return through the LCC fixpoint, NLCC walks and
 // the backtracking verifier would contaminate every signature for a path

@@ -79,43 +79,6 @@ type Metrics struct {
 	LCCBlocks         int64
 	LCCBlocksDeclined int64
 
-	// Fault-plane counters (distributed runtime only; zero on the
-	// sequential path). FaultDrops/FaultDups/FaultReorders/FaultDelays
-	// count injected message faults; Retries counts retransmissions of
-	// unacked messages; Redeliveries counts duplicate deliveries the
-	// receiver dedup suppressed; RankCheckpoints/CheckpointBytes count
-	// per-rank state checkpoints and their serialized size; RankCrashes,
-	// RankRestores and RankStalls count injected crash events, checkpoint
-	// restorations and injected stalls.
-	FaultDrops      int64
-	FaultDups       int64
-	FaultReorders   int64
-	FaultDelays     int64
-	Retries         int64
-	Redeliveries    int64
-	RankCheckpoints int64
-	CheckpointBytes int64
-	RankCrashes     int64
-	RankRestores    int64
-	RankStalls      int64
-
-	// Socket-transport counters (TCP rank transport only; zero elsewhere).
-	// SockFrames/SockBytes count frames successfully written to rank
-	// sockets; SockDials counts connection establishments (first dials and
-	// fault-recovery redials); SockConnDrops/SockPartialWrites/SockDelays
-	// count injected socket faults; SockWriteErrors counts organic
-	// write/dial failures (the frame is lost and retransmitted);
-	// SockStaleFrames counts frames from finished or crashed traversal
-	// attempts dropped by the reader's generation check.
-	SockFrames        int64
-	SockBytes         int64
-	SockDials         int64
-	SockConnDrops     int64
-	SockPartialWrites int64
-	SockDelays        int64
-	SockWriteErrors   int64
-	SockStaleFrames   int64
-
 	// Phase wall times (the paper's Fig. 6 C/S breakdown): candidate-set
 	// generation, LCC fixpoints, NLCC walks, final verification, and — with
 	// Config.CountMatches — match counting on the verified solution subgraph.
@@ -155,25 +118,6 @@ func (m *Metrics) Add(other *Metrics) {
 	m.CompactionFracAfter += other.CompactionFracAfter
 	m.LCCBlocks += other.LCCBlocks
 	m.LCCBlocksDeclined += other.LCCBlocksDeclined
-	m.FaultDrops += other.FaultDrops
-	m.FaultDups += other.FaultDups
-	m.FaultReorders += other.FaultReorders
-	m.FaultDelays += other.FaultDelays
-	m.Retries += other.Retries
-	m.Redeliveries += other.Redeliveries
-	m.RankCheckpoints += other.RankCheckpoints
-	m.CheckpointBytes += other.CheckpointBytes
-	m.RankCrashes += other.RankCrashes
-	m.RankRestores += other.RankRestores
-	m.RankStalls += other.RankStalls
-	m.SockFrames += other.SockFrames
-	m.SockBytes += other.SockBytes
-	m.SockDials += other.SockDials
-	m.SockConnDrops += other.SockConnDrops
-	m.SockPartialWrites += other.SockPartialWrites
-	m.SockDelays += other.SockDelays
-	m.SockWriteErrors += other.SockWriteErrors
-	m.SockStaleFrames += other.SockStaleFrames
 	m.CandidateTime += other.CandidateTime
 	m.LCCTime += other.LCCTime
 	m.NLCCTime += other.NLCCTime

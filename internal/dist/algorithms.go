@@ -22,14 +22,11 @@ type distState struct {
 	edgeOn   []bool
 	nbrOmega []uint64
 	nbrFresh []bool
-	// hooks serialize/restore owned state for crash recovery; non-nil only
-	// when the engine's fault plane configures a CrashEvent.
-	hooks *TraverseHooks
 }
 
 func newDistState(e *Engine) *distState {
 	g := e.Graph()
-	s := &distState{
+	return &distState{
 		e:        e,
 		active:   make([]bool, g.NumVertices()),
 		omega:    make([]uint64, g.NumVertices()),
@@ -37,20 +34,6 @@ func newDistState(e *Engine) *distState {
 		nbrOmega: make([]uint64, g.NumDirectedEdges()),
 		nbrFresh: make([]bool, g.NumDirectedEdges()),
 	}
-	if f := e.cfg.Faults; f != nil && f.Crash != nil {
-		s.hooks = &TraverseHooks{Checkpoint: s.checkpointRank, Restore: s.restoreRank}
-	}
-	return s
-}
-
-// traverse runs a traversal with this state's crash-recovery hooks
-// attached. Every traversal over a distState must go through it: a restart
-// after an injected crash re-runs init against the restored durable state,
-// which is only correct because active/omega/edgeOn never change during a
-// traversal and the volatile writes (nbrOmega/nbrFresh/satisfied) are
-// idempotent functions of them.
-func (s *distState) traverse(phase string, init func(seed func(graph.VertexID, any)), visit func(ctx *Ctx, target graph.VertexID, data any)) {
-	s.e.traverseH(phase, s.hooks, init, visit)
 }
 
 // fromCoreState seeds the distributed state from a sequential State. A
@@ -144,7 +127,7 @@ func (s *distState) exchangeNeighborState(phase string) {
 	for i := range s.nbrFresh {
 		s.nbrFresh[i] = false
 	}
-	s.traverse(phase,
+	s.e.Traverse(phase,
 		func(seed func(graph.VertexID, any)) {
 			for v := range s.active {
 				if s.active[v] {
@@ -384,29 +367,17 @@ func (s *distState) nlccDist(t *pattern.Template, w *constraint.Walk, satisfied 
 	for i := range satisfied {
 		satisfied[i] = false
 	}
-	// The seed set and cache-hit accounting are computed once, before the
-	// traversal: a crash-recovery restart re-runs the init callback, so
-	// anything non-idempotent (counter bumps) must stay outside it.
-	var seeds []graph.VertexID
-	for v := range s.active {
-		if !s.active[v] || s.omega[v]&(1<<uint(q0)) == 0 {
-			continue
-		}
-		if cache != nil && cache.satisfied(w.ID, graph.VertexID(v)) {
-			satisfied[v] = true
-			continue
-		}
-		seeds = append(seeds, graph.VertexID(v))
-	}
-	// Bind this walk as the traversal's wire session: token and walk-ack
-	// payloads encode only their variable part, and the TCP reader (or the
-	// chaos duplicate copy) re-attaches these canonical pointers on decode.
-	s.e.wireTpl, s.e.wireWalk = t, w
-	defer func() { s.e.wireTpl, s.e.wireWalk = nil, nil }()
-	s.traverse("nlcc",
+	s.e.Traverse("nlcc",
 		func(seed func(graph.VertexID, any)) {
-			for _, v := range seeds {
-				seed(v, token{t: t, w: w})
+			for v := range s.active {
+				if !s.active[v] || s.omega[v]&(1<<uint(q0)) == 0 {
+					continue
+				}
+				if cache != nil && cache.satisfied(w.ID, graph.VertexID(v)) {
+					satisfied[v] = true
+					continue
+				}
+				seed(graph.VertexID(v), token{t: t, w: w})
 			}
 		},
 		func(ctx *Ctx, target graph.VertexID, data any) {

@@ -85,25 +85,3 @@ func TestDistPartialDifferential(t *testing.T) {
 		t.Fatal("no distributed trial ever went partial; the differential is vacuous")
 	}
 }
-
-// TestDistPartialFoldsFaultMetrics checks the abort path still folds the
-// engine's fault counters into the result, mirroring the core regression.
-func TestDistPartialFoldsFaultMetrics(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := randomGraph(rng, 80, 220, 3)
-	tp := randomTemplate(rng, 4, 3)
-	opts := DefaultOptions(2)
-	opts.Budget = core.Budget{MaxWork: 1}
-	res, err := Run(NewEngine(g, Config{Ranks: 3}), tp, opts)
-	if !errors.Is(err, core.ErrBudgetExhausted) {
-		t.Fatalf("err = %v, want budget exhaustion", err)
-	}
-	if res == nil || !res.Partial {
-		t.Fatal("no partial result")
-	}
-	for _, lv := range res.Levels {
-		if lv.Complete {
-			t.Fatalf("level %d complete under a 1-unit budget", lv.Dist)
-		}
-	}
-}

@@ -73,11 +73,8 @@ func CountMatchesDist(e *Engine, s *core.State, t *pattern.Template) int64 {
 		return true
 	}
 
-	ds.traverse("enumerate",
+	e.Traverse("enumerate",
 		func(seed func(graph.VertexID, any)) {
-			// A crash-recovery restart re-runs init and replays the whole
-			// enumeration, so the count must restart from zero with it.
-			count.Store(0)
 			q0 := order[0]
 			for v := range ds.active {
 				if ds.active[v] && ds.omega[v]&(1<<uint(q0)) != 0 {

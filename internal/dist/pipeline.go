@@ -163,7 +163,7 @@ func run(ctx context.Context, e *Engine, t *pattern.Template, opts Options) (*Re
 		return nil
 	}(); cerr != nil {
 		if errors.Is(cerr, core.ErrBudgetExhausted) {
-			return finishPartialDist(e, res, cerr)
+			return finishPartialDist(res, cerr)
 		}
 		return nil, cerr
 	}
@@ -182,13 +182,12 @@ func run(ctx context.Context, e *Engine, t *pattern.Template, opts Options) (*Re
 		next, nextFrac, lerr := runLevelDist(ctx, e, res, level, levelFrac, dist, activeRanks, freq, cache, satisfied, opts)
 		if lerr != nil {
 			if errors.Is(lerr, core.ErrBudgetExhausted) {
-				return finishPartialDist(e, res, lerr)
+				return finishPartialDist(res, lerr)
 			}
 			return nil, lerr
 		}
 		level, levelFrac = next, nextFrac
 	}
-	e.foldFaultMetrics(&res.VerifyMetrics)
 	return res, nil
 }
 
@@ -253,10 +252,9 @@ func runLevelDist(ctx context.Context, e *Engine, res *Result, level *core.State
 	return next, nextFrac, nil
 }
 
-// finishPartialDist marks res partial, appends Complete=false placeholders
-// for the unfinished levels and folds the fault counters gathered so far (so
-// /metrics accounting survives the abort).
-func finishPartialDist(e *Engine, res *Result, cause error) (*Result, error) {
+// finishPartialDist marks res partial and appends Complete=false
+// placeholders for the unfinished levels.
+func finishPartialDist(res *Result, cause error) (*Result, error) {
 	res.Partial = true
 	next := res.Set.MaxDist
 	if n := len(res.Levels); n > 0 {
@@ -265,7 +263,6 @@ func finishPartialDist(e *Engine, res *Result, cause error) (*Result, error) {
 	for dist := next; dist >= 0; dist-- {
 		res.Levels = append(res.Levels, core.LevelStats{Dist: dist, Prototypes: res.Set.CountAt(dist)})
 	}
-	e.foldFaultMetrics(&res.VerifyMetrics)
 	return res, cause
 }
 

@@ -18,8 +18,7 @@ type TopDownResult struct {
 	PrototypesSearched int
 	MatchingVertices   *bitvec.Vector
 	Solutions          []*core.Solution
-	// VerifyMetrics counts the sequential finalization work plus the
-	// engine's fault-plane counters.
+	// VerifyMetrics counts the sequential finalization work.
 	VerifyMetrics core.Metrics
 	Levels        []core.LevelStats
 }
@@ -109,6 +108,5 @@ func runTopDown(ctx context.Context, e *Engine, t *pattern.Template, opts Option
 			break
 		}
 	}
-	e.foldFaultMetrics(&res.VerifyMetrics)
 	return res, nil
 }

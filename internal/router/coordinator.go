@@ -1,4 +1,9 @@
-package dist
+// Package router is the replica router behind amatchd -ranks-addr: a
+// Coordinator spreads /match and /explore queries round-robin, with
+// failover, over a group of amatchrank worker processes, each a
+// whole-graph read replica running the full serving stack behind a
+// RankServer.
+package router
 
 import (
 	"bufio"
@@ -15,8 +20,8 @@ import (
 
 // Coordinator protocol: how a front-end (amatchd) routes queries to a
 // group of amatchrank worker processes, each serving the full graph.
-// Frames reuse the rank-transport wire format (wire.go). On connect the
-// worker sends one hello frame:
+// Frames use the format in wire.go. On connect the worker sends one hello
+// frame:
 //
 //	[uvarint numVertices][uvarint numDirectedEdges][uvarint graphSignature]
 //
@@ -197,7 +202,7 @@ type workerConn struct {
 }
 
 // ErrNoWorkers reports a rank group where every worker failed.
-var ErrNoWorkers = errors.New("dist: no reachable rank worker")
+var ErrNoWorkers = errors.New("router: no reachable rank worker")
 
 // DialGroup connects to every worker, validates that the group serves one
 // graph (all hello signatures equal — and equal to expectSig when
@@ -222,7 +227,7 @@ func DialGroupWithin(addrs []string, expectSig uint64, timeout, budget time.Dura
 		timeout = 5 * time.Second
 	}
 	if len(addrs) == 0 {
-		return nil, errors.New("dist: empty rank group")
+		return nil, errors.New("router: empty rank group")
 	}
 	var deadline time.Time
 	if budget > 0 {
@@ -253,12 +258,12 @@ func DialGroupWithin(addrs []string, expectSig uint64, timeout, budget time.Dura
 		}
 		if err != nil {
 			co.Close()
-			return nil, fmt.Errorf("dist: rank worker %s: %w", addr, err)
+			return nil, fmt.Errorf("router: rank worker %s: %w", addr, err)
 		}
 		if expectSig != 0 && hello.Signature != expectSig {
 			co.Close()
 			w.close()
-			return nil, fmt.Errorf("dist: rank worker %s serves graph signature %016x, coordinator has %016x",
+			return nil, fmt.Errorf("router: rank worker %s serves graph signature %016x, coordinator has %016x",
 				addr, hello.Signature, expectSig)
 		}
 		if i == 0 {
@@ -266,7 +271,7 @@ func DialGroupWithin(addrs []string, expectSig uint64, timeout, budget time.Dura
 		} else if hello.Signature != co.hello.Signature {
 			co.Close()
 			w.close()
-			return nil, fmt.Errorf("dist: rank group is split: %s serves signature %016x, %s serves %016x",
+			return nil, fmt.Errorf("router: rank group is split: %s serves signature %016x, %s serves %016x",
 				addr, hello.Signature, addrs[0], co.hello.Signature)
 		}
 		w.want = hello
@@ -374,7 +379,7 @@ func (w *workerConn) roundTrip(ctx context.Context, endpoint byte, body []byte) 
 		if hello.Signature != w.want.Signature {
 			w.c.Close()
 			w.c, w.br = nil, nil
-			return 0, "", nil, fmt.Errorf("dist: worker %s changed graph signature %016x -> %016x",
+			return 0, "", nil, fmt.Errorf("router: worker %s changed graph signature %016x -> %016x",
 				w.addr, w.want.Signature, hello.Signature)
 		}
 	}
@@ -403,7 +408,7 @@ func (w *workerConn) roundTrip(ctx context.Context, endpoint byte, body []byte) 
 	}
 	if class != frameResult {
 		w.dropLocked()
-		return 0, "", nil, fmt.Errorf("dist: expected result frame, got class 0x%02x", class)
+		return 0, "", nil, fmt.Errorf("router: expected result frame, got class 0x%02x", class)
 	}
 	status, rbody, err := getUvarint(rbody)
 	if err != nil {

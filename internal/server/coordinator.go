@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
-	"approxmatch/internal/dist"
+	"approxmatch/internal/router"
 )
 
 // Coordinator-mode serving: with Config.Coordinator set, /match and
@@ -41,17 +41,16 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, q *request, end
 
 // RankHandler adapts this server's full HTTP serving stack to the rank
 // worker protocol: a routed query is replayed as an in-process HTTP
-// request through Handler(), so it passes the same scheduler, caches,
-// budgets and chaos configuration as a direct request — and produces the
-// same bytes.
-func (s *Server) RankHandler() dist.QueryHandler {
+// request through Handler(), so it passes the same scheduler, caches and
+// budgets as a direct request — and produces the same bytes.
+func (s *Server) RankHandler() router.QueryHandler {
 	h := s.Handler()
 	return func(endpoint byte, body []byte) (int, string, []byte) {
 		var path string
 		switch endpoint {
-		case dist.EndpointMatch:
+		case router.EndpointMatch:
 			path = "/match"
-		case dist.EndpointExplore:
+		case router.EndpointExplore:
 			path = "/explore"
 		default:
 			return http.StatusNotFound, "text/plain; charset=utf-8", []byte("unknown endpoint\n")

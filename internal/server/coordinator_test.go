@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"approxmatch/internal/dist"
+	"approxmatch/internal/router"
 )
 
 // startRankWorker runs a full server stack behind the rank worker protocol
@@ -22,10 +22,10 @@ func startRankWorker(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := dist.NewRankServer(ln, dist.HelloInfo{
+	rs := router.NewRankServer(ln, router.HelloInfo{
 		Vertices:  g.NumVertices(),
 		Edges:     g.NumDirectedEdges(),
-		Signature: dist.GraphSignature(g),
+		Signature: router.GraphSignature(g),
 	}, s.RankHandler())
 	go rs.Serve() //nolint:errcheck // exits on Close
 	t.Cleanup(rs.Close)
@@ -55,7 +55,7 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 // for success and for validation failures.
 func TestCoordinatorByteIdentity(t *testing.T) {
 	workers := []string{startRankWorker(t), startRankWorker(t)}
-	co, err := dist.DialGroup(workers, dist.GraphSignature(testGraph()), 5*time.Second)
+	co, err := router.DialGroup(workers, router.GraphSignature(testGraph()), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestCoordinatorByteIdentity(t *testing.T) {
 // Local endpoints (/stats, /healthz) stay local and keep working.
 func TestCoordinatorLocalEndpointsStayLocal(t *testing.T) {
 	workers := []string{startRankWorker(t)}
-	co, err := dist.DialGroup(workers, 0, 5*time.Second)
+	co, err := router.DialGroup(workers, 0, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +123,9 @@ func TestCoordinatorWorkerDownIs502(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := dist.NewRankServer(ln, dist.HelloInfo{Signature: dist.GraphSignature(g)}, s.RankHandler())
+	rs := router.NewRankServer(ln, router.HelloInfo{Signature: router.GraphSignature(g)}, s.RankHandler())
 	go rs.Serve() //nolint:errcheck
-	co, err := dist.DialGroup([]string{rs.Addr()}, 0, time.Second)
+	co, err := router.DialGroup([]string{rs.Addr()}, 0, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,10 +40,10 @@ import (
 
 	"approxmatch/internal/bitvec"
 	"approxmatch/internal/core"
-	"approxmatch/internal/dist"
 	"approxmatch/internal/graph"
 	"approxmatch/internal/pattern"
 	"approxmatch/internal/prototype"
+	"approxmatch/internal/router"
 	"approxmatch/internal/wal"
 )
 
@@ -127,12 +127,12 @@ type Config struct {
 	// discard).
 	Logger *slog.Logger
 	// Coordinator, when non-nil, routes /match and /explore queries to a
-	// group of amatchrank worker processes (see internal/dist.DialGroup)
+	// group of amatchrank worker processes (see internal/router.DialGroup)
 	// instead of the in-process engine; the response bytes are relayed
 	// verbatim. All other endpoints stay local, and a nil Coordinator is
 	// the in-process fallback. The server does not take ownership — the
 	// caller closes the coordinator on shutdown.
-	Coordinator *dist.Coordinator
+	Coordinator *router.Coordinator
 	// WAL, when non-nil, makes ingest durable: every accepted batch is
 	// appended to the write-ahead delta log — and fsynced, per the log's
 	// sync policy — before its epoch is published, so an acknowledged
@@ -672,7 +672,7 @@ var testHookMatch func(*MatchRequest)
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	q := s.begin("match")
-	req, t, ok := s.accept(w, r, q, dist.EndpointMatch)
+	req, t, ok := s.accept(w, r, q, router.EndpointMatch)
 	if !ok {
 		return
 	}
@@ -845,7 +845,7 @@ func buildMatchResponse(g *graph.Graph, set *prototype.Set, solutions []*core.So
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	q := s.begin("explore")
-	req, t, ok := s.accept(w, r, q, dist.EndpointExplore)
+	req, t, ok := s.accept(w, r, q, router.EndpointExplore)
 	if !ok {
 		return
 	}

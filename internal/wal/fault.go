@@ -10,9 +10,9 @@ import (
 // errors.Is against it.
 var ErrInjected = errors.New("wal: injected fault")
 
-// FaultSpec is a deterministic fault schedule for one file, in the
-// style of dist.Faults: the differential suites derive the ordinals
-// from a seeded RNG so every failure is replayable from its seed.
+// FaultSpec is a deterministic fault schedule for one file: the
+// differential suites derive the ordinals from a seeded RNG so every
+// failure is replayable from its seed.
 //
 // Ordinals are 1-based and count calls on that file. Zero disables the
 // class.
