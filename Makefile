@@ -15,15 +15,16 @@ test:
 # paths, the canonicalization property tests backing the cache keys, the
 # distributed runtime's anytime-partial and shared-cache differential
 # suites, and the replica router's real-socket suites). The -cpu leg
-# reruns the pipeline and serving suites at three GOMAXPROCS values,
-# because the server derives its default Workers/Parallelism from it: no
-# test outcome may depend on the host's CPU count. bench-module
+# reruns the pipeline, serving, distributed-runtime and router suites at
+# three GOMAXPROCS values, because the server derives its default
+# Workers/Parallelism from it and the runtime runs its ranks as goroutines:
+# no test outcome may depend on the host's CPU count. bench-module
 # rides along because bench/ is its own module, and import-boundary keeps
 # the simulated runtime off the serving path.
 check: bench-module import-boundary
 	$(GO) vet ./...
 	$(GO) test -race ./internal/server/ ./internal/core/ ./internal/wal/
-	$(GO) test -cpu 1,2,4 ./internal/core/ ./internal/server/
+	$(GO) test -cpu 1,2,4 ./internal/core/ ./internal/server/ ./internal/dist/ ./internal/router/
 	$(GO) test -race -run 'Canonical' ./internal/pattern/
 	$(GO) test -race -run 'Partial|SharedCache' ./internal/dist/
 	$(GO) test -race -run 'Coordinator|RankServer|DialGroup' ./internal/router/

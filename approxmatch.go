@@ -210,13 +210,13 @@ type (
 	// delegate threshold).
 	DistConfig = dist.Config
 	// DistOptions tune the distributed pipeline: an embedded Options plus
-	// the runtime's own Rebalance and ShrinkToRanks. Options fields the
-	// distributed runtime cannot honour (Restrict, a private CacheBytes
-	// cap) are rejected, not ignored.
+	// the runtime's own Rebalance. Options fields the distributed runtime
+	// cannot honour (Restrict, a private CacheBytes cap) are rejected, not
+	// ignored.
 	DistOptions = dist.Options
-	// DistResult is the distributed run's output; solutions are bit-exact
-	// with Match's.
-	DistResult = dist.Result
+	// DistResult is the distributed run's output, a Result bit-exact with
+	// Match's; its Metrics count the finalization work.
+	DistResult = core.Result
 	// DistEngine is a deployment of a graph over simulated ranks.
 	DistEngine = dist.Engine
 )

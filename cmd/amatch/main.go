@@ -7,7 +7,7 @@
 //
 //	amatch -graph g.txt -template t.txt -k 2 [-count] [-labels] [-topdown]
 //	       [-ranks N] [-flips] [-features out.csv [-rates]] [-matches out.tsv]
-//	       [-timeout 30s] [-workers N] [-compact-below 0.5]
+//	       [-timeout 30s] [-workers N]
 //	       [-max-work N] [-max-bytes N] [-cache-bytes N]
 //
 // Every mode runs under the same options: the budget and cache flags bound
@@ -72,7 +72,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		flips        = fs.Bool("flips", false, "also search single-edge-flip variants of the template")
 		timeout      = fs.Duration("timeout", 0, "abort the search after this long (0 = no limit)")
 		workers      = fs.Int("workers", 0, "worker count for the candidate-set computation; the other kernels are sequential (0 = none)")
-		compactBelow = fs.Float64("compact-below", 0.5, "compact the search state into a dense graph view when its active fraction drops below this threshold (0 disables)")
 		maxWork      = fs.Int64("max-work", 0, "abort the search after this many pipeline work units, keeping completed levels as an exact partial result (0 = no limit)")
 		maxBytes     = fs.Int64("max-bytes", 0, "bound the search's auxiliary allocations (state clones, compacted views) to this many bytes (0 = no limit)")
 		cacheBytes   = fs.Int64("cache-bytes", 0, "bound the work-recycling cache to this many bytes, evicting least-recently-used entries (0 = unbounded)")
@@ -94,7 +93,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	opts := approxmatch.DefaultOptions(*k)
 	opts.CountMatches = *count
 	opts.Workers = *workers
-	opts.CompactBelow = *compactBelow
 	opts.Budget = approxmatch.Budget{MaxWork: *maxWork, MaxBytes: *maxBytes}
 	opts.CacheBytes = *cacheBytes
 
@@ -158,22 +156,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return nil
 	}
 
+	// -ranks runs the same pipeline on the simulated distributed runtime;
+	// both return a Result and print through the one path below.
+	var res *approxmatch.Result
+	var engine *approxmatch.DistEngine
 	if *ranks > 0 {
-		e := approxmatch.NewDistEngine(g, approxmatch.DistConfig{Ranks: *ranks})
-		dopts := approxmatch.DistOptions{Config: opts, Rebalance: true}
-		res, err := approxmatch.MatchDistributedContext(ctx, e, t, dopts)
-		if err != nil && (res == nil || !res.Partial) {
-			return queryError(err, *timeout)
-		}
-		notePartial(out, res.Partial)
-		fmt.Fprintf(out, "prototypes: %d (classes), %d (edge subsets)\n", res.Set.Count(), res.Set.MaskCount())
-		printPrototypes(out, res.Set, res.Solutions, res.Levels, *count)
-		fmt.Fprintf(out, "messages: %d total, %.1f%% remote\n",
-			e.Stats.Total(), 100*float64(e.Stats.Remote())/float64(max64(e.Stats.Total(), 1)))
-		return nil
+		engine = approxmatch.NewDistEngine(g, approxmatch.DistConfig{Ranks: *ranks})
+		res, err = approxmatch.MatchDistributedContext(ctx, engine, t, approxmatch.DistOptions{Config: opts, Rebalance: true})
+	} else {
+		res, err = approxmatch.MatchContext(ctx, g, t, opts)
 	}
-
-	res, err := approxmatch.MatchContext(ctx, g, t, opts)
 	if err != nil && (res == nil || !res.Partial) {
 		return queryError(err, *timeout)
 	}
@@ -182,6 +174,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	printPrototypes(out, res.Set, res.Solutions, res.Levels, *count)
 	fmt.Fprintf(out, "work: %v\n", res.Metrics.String())
 	fmt.Fprintf(out, "phases: %s\n", res.Metrics.PhaseSummary())
+	if engine != nil {
+		fmt.Fprintf(out, "messages: %d total, %.1f%% remote\n",
+			engine.Stats.Total(), 100*float64(engine.Stats.Remote())/float64(max64(engine.Stats.Total(), 1)))
+	}
 	if *labels {
 		// MatchVector is internal-id-indexed; list in input-file id order.
 		for e := 0; e < g.NumVertices(); e++ {

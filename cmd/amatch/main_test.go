@@ -102,3 +102,38 @@ func TestEveryModeSeesTheBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestRanksPrintsThePlainRunsPrototypes checks -ranks goes through the plain
+// run's printing path: the same prototype lines, the same work and phase
+// summaries, plus the distributed runtime's message line.
+func TestRanksPrintsThePlainRunsPrototypes(t *testing.T) {
+	g, tpl, _ := writeInputs(t)
+	output := func(extra ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		args := append([]string{"-graph", g, "-template", tpl, "-k", "1", "-count"}, extra...)
+		if err := run(context.Background(), args, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	prefixed := func(text, prefix string) []string {
+		var lines []string
+		for _, line := range strings.Split(text, "\n") {
+			if strings.HasPrefix(line, prefix) {
+				lines = append(lines, line)
+			}
+		}
+		return lines
+	}
+	plain, ranks := output(), output("-ranks", "2")
+	want, got := prefixed(plain, "  δ="), prefixed(ranks, "  δ=")
+	if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("-ranks 2 prototype lines\n%s\nwant the plain run's\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for _, prefix := range []string{"work: ", "phases: ", "messages: "} {
+		if len(prefixed(ranks, prefix)) != 1 {
+			t.Errorf("-ranks 2 output has no %q line:\n%s", prefix, ranks)
+		}
+	}
+}

@@ -14,7 +14,6 @@
 //
 //	amatchd -graph g.txt -addr :8080 [-concurrency N] [-queue N]
 //	        [-querytimeout 30s] [-maxbody 1048576] [-maxk 6]
-//	        [-compact-below 0.5]
 //	        [-max-work N] [-max-bytes N] [-cache-bytes N]
 //	        [-result-cache-bytes N] [-shared-nlcc=false]
 //	        [-partial-grace 5s] [-mem-watermark N]
@@ -25,9 +24,8 @@
 //	         -ranks-dial-timeout 30s]
 //
 // The flags amatchrank shares (-graph -maxk -querytimeout -workers
-// -compact-below -max-work -max-bytes -cache-bytes -result-cache-bytes
-// -shared-nlcc) are declared once, by server.RegisterFlags; the rest are
-// this binary's own.
+// -max-work -max-bytes -cache-bytes -result-cache-bytes -shared-nlcc) are
+// declared once, by server.RegisterFlags; the rest are this binary's own.
 //
 // The listener binds before recovery begins and -addr may be ":0"; the
 // bound address is printed in the "serving" log line ("addr" field), which

@@ -21,9 +21,8 @@
 //
 //	amatchrank -graph g.txt -listen 127.0.0.1:9091
 //	           [-querytimeout 30s] [-maxk 6] [-workers N]
-//	           [-compact-below 0.5] [-max-work N] [-max-bytes N]
-//	           [-cache-bytes N] [-result-cache-bytes N]
-//	           [-shared-nlcc=false]
+//	           [-max-work N] [-max-bytes N] [-cache-bytes N]
+//	           [-result-cache-bytes N] [-shared-nlcc=false]
 //
 // Every flag but -listen is declared by server.RegisterFlags and means what
 // it means on amatchd.

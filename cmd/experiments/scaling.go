@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"approxmatch/internal/core"
 	"approxmatch/internal/datagen"
 	"approxmatch/internal/dist"
 	"approxmatch/internal/pattern"
@@ -79,13 +80,9 @@ func expFig6(w io.Writer, quick bool) {
 		for _, ranks := range rankSets {
 			e := dist.NewEngine(g, dist.Config{Ranks: ranks, RanksPerNode: 4, DelegateThreshold: 512})
 			var levels string
-			var elapsed time.Duration
-			res, err := func() (*dist.Result, error) {
-				var r *dist.Result
-				var err error
-				elapsed = timed(func() { r, err = dist.Run(e, p.tpl, dist.DefaultOptions(p.k)) })
-				return r, err
-			}()
+			var res *core.Result
+			var err error
+			elapsed := timed(func() { res, err = dist.Run(e, p.tpl, dist.DefaultOptions(p.k)) })
 			if err != nil {
 				panic(err)
 			}

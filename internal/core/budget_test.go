@@ -95,7 +95,7 @@ func TestPartialDifferentialRMAT(t *testing.T) {
 		cfg := DefaultConfig(1 + trial%2)
 		cfg.CountMatches = true
 		if trial%2 == 0 {
-			cfg.CompactBelow = 1.1 // always below threshold: force compaction
+			cfg = compactingBelow(cfg, forceCompact)
 		}
 
 		variants := []struct {

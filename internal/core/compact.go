@@ -7,7 +7,7 @@ import (
 
 // This file implements physical search-space reduction: the containment
 // rule (Obs. 1) shrinks the active subgraph logically at every edit-distance
-// level, and once the active fraction drops below Config.CompactBelow the
+// level, and once the active fraction drops below compactBelow the
 // engine extracts a compacted graph.View and searches that instead, so the
 // kernels stop paying for the dead regions of the original CSR.
 //
@@ -18,6 +18,10 @@ import (
 // original ids before they are emitted. Work-recycling cache keys are
 // translated eagerly (see nlcc), keeping recycled
 // verdicts shareable across compacted and uncompacted searches.
+
+// compactBelow is the active fraction (vertices plus directed slots) under
+// which a search state is compacted into a graph.View.
+const compactBelow = 0.5
 
 // ActiveFraction returns the fraction of s's underlying graph (vertices plus
 // directed edge slots) that is still active — the compaction trigger and the
@@ -31,22 +35,22 @@ func ActiveFraction(s *State) float64 {
 }
 
 // CompactState returns a state physically restricted to the active subgraph
-// of s when its active fraction is below threshold, and s itself otherwise.
-// A threshold <= 0 disables compaction (the ablation path); a state that is
-// already a view is returned unchanged (levels are always rebuilt in
-// original space, so views never nest). The returned state is fully active
-// over a fresh graph.View; results computed on it must be translated back
-// through State.View. Compaction accounting is recorded into m.
-func CompactState(s *State, threshold float64, m *Metrics) *State {
-	return CompactStateBudgeted(s, threshold, m, nil)
+// of s when its active fraction is below compactBelow, and s itself
+// otherwise. A state that is already a view is returned unchanged (levels
+// are always rebuilt in original space, so views never nest). The returned
+// state is fully active over a fresh graph.View; results computed on it must
+// be translated back through State.View. Compaction accounting is recorded
+// into m, and the view's memory is charged against cc's budget: compaction
+// is an optimization, so when the view does not fit the check declines
+// (Metrics.CompactionsDeclined) and the search proceeds on the uncompacted
+// state instead of aborting — the result is identical either way.
+func CompactState(s *State, m *Metrics, cc *CancelCheck) *State {
+	return compactState(s, compactBelow, m, cc)
 }
 
-// CompactStateBudgeted is CompactState charging the view's memory against
-// cc's budget. Compaction is an optimization, so when the view does not fit
-// the check declines (Metrics.CompactionsDeclined) and the search proceeds
-// on the uncompacted state instead of aborting — the result is identical
-// either way.
-func CompactStateBudgeted(s *State, threshold float64, m *Metrics, cc *CancelCheck) *State {
+// compactState is CompactState at the given threshold; a threshold <= 0
+// disables compaction.
+func compactState(s *State, threshold float64, m *Metrics, cc *CancelCheck) *State {
 	if threshold <= 0 || s.view != nil {
 		return s
 	}
@@ -100,11 +104,16 @@ func viewBytesEstimate(s *State) int64 {
 	return est
 }
 
-// compact applies the engine's configured compaction threshold to a level
-// state, charging the view against the run's budget. It must only be called
-// from the coordinator goroutine (it writes the engine metrics).
+// compact applies the run's compaction threshold — compactBelow unless a
+// test set Config.compactOverride — to a level state, charging the view
+// against the run's budget. It must only be called from the coordinator
+// goroutine (it writes the engine metrics).
 func (e *engine) compact(s *State) *State {
-	return CompactStateBudgeted(s, e.cfg.CompactBelow, &e.metrics, e.cc)
+	threshold := compactBelow
+	if o := e.cfg.compactOverride; o != 0 {
+		threshold = o
+	}
+	return compactState(s, threshold, &e.metrics, e.cc)
 }
 
 // translateSolution rewrites a view-space solution into the original

@@ -10,13 +10,23 @@ import (
 )
 
 // forceCompact is a threshold above every possible active fraction, so
-// CompactState always extracts a view — the adversarial setting of the
+// compaction always extracts a view — the adversarial setting of the
 // compaction differential tests.
 const forceCompact = 1.1
 
+// compactingBelow returns cfg compacting its search states below threshold;
+// 0 switches compaction off.
+func compactingBelow(cfg Config, threshold float64) Config {
+	cfg.compactOverride = threshold
+	if threshold == 0 {
+		cfg.compactOverride = -1
+	}
+	return cfg
+}
+
 // TestCompactionDifferentialRMAT is the compaction-invisibility property
-// test: on seeded R-MAT graphs with randomized templates, compaction off
-// (CompactBelow=0), the default threshold, and compaction forced at every
+// test: on seeded R-MAT graphs with randomized templates, compaction off,
+// the default threshold, and compaction forced at every
 // level must produce bit-identical Rho, Solutions and match counts, for
 // Workers in {0, 1, 3} — and identical schedule-sensitive work counters,
 // because the monotone remap makes a compacted search step-isomorphic to
@@ -32,14 +42,13 @@ func TestCompactionDifferentialRMAT(t *testing.T) {
 			cfg := DefaultConfig(1 + trial%2)
 			cfg.CountMatches = true
 			cfg.Workers = workers
-			cfg.CompactBelow = 0
+			cfg = compactingBelow(cfg, 0)
 			want, err := Run(g, tp, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, threshold := range []float64{0.5, forceCompact} {
-				ccfg := cfg
-				ccfg.CompactBelow = threshold
+				ccfg := compactingBelow(cfg, threshold)
 				got, err := Run(g, tp, ccfg)
 				if err != nil {
 					t.Fatal(err)
@@ -69,13 +78,11 @@ func TestCompactionDifferentialEdgeLabels(t *testing.T) {
 		tp := randomEdgeLabeledTemplate(rng, 4, 3, 2)
 		cfg := DefaultConfig(trial % 3)
 		cfg.CountMatches = true
-		cfg.CompactBelow = 0
-		want, err := Run(g, tp, cfg)
+		want, err := Run(g, tp, compactingBelow(cfg, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.CompactBelow = forceCompact
-		got, err := Run(g, tp, cfg)
+		got, err := Run(g, tp, compactingBelow(cfg, forceCompact))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,11 +98,9 @@ func TestCompactionDifferentialModes(t *testing.T) {
 	g := randomGraph(rng, 50, 140, 3)
 	tp := randomTemplate(rng, 4, 3)
 
-	off := DefaultConfig(2)
-	off.CountMatches = true
-	off.CompactBelow = 0
-	on := off
-	on.CompactBelow = forceCompact
+	cfg := DefaultConfig(2)
+	cfg.CountMatches = true
+	off, on := compactingBelow(cfg, 0), compactingBelow(cfg, forceCompact)
 
 	wantPar, err := RunParallelContext(context.Background(), g, tp, off, 3)
 	if err != nil {
@@ -143,7 +148,7 @@ func TestCompactionDifferentialModes(t *testing.T) {
 	}
 }
 
-// TestCompactStateMechanics pins the CompactState contract: disabled and
+// TestCompactStateMechanics pins the compaction contract: disabled and
 // already-compacted states pass through; a fired compaction yields a
 // fully-active view state, slot symmetry, and the accounting counters.
 func TestCompactStateMechanics(t *testing.T) {
@@ -156,14 +161,14 @@ func TestCompactStateMechanics(t *testing.T) {
 	}
 	var m Metrics
 
-	if got := CompactState(s, 0, &m); got != s {
+	if got := compactState(s, 0, &m, nil); got != s {
 		t.Fatal("threshold 0 must be a no-op")
 	}
 	if m.CompactionChecks != 0 {
 		t.Fatal("disabled compaction must not count checks")
 	}
 
-	cs := CompactState(s, 0.9, &m)
+	cs := compactState(s, 0.9, &m, nil)
 	if cs == s || cs.View() == nil {
 		t.Fatal("expected a compacted state")
 	}
@@ -192,14 +197,14 @@ func TestCompactStateMechanics(t *testing.T) {
 		t.Fatalf("view graph invalid: %v", err)
 	}
 
-	if again := CompactState(cs, forceCompact, &m); again != cs {
+	if again := compactState(cs, forceCompact, &m, nil); again != cs {
 		t.Fatal("a view state must not be re-compacted")
 	}
 
 	// Above-threshold states pass through but are counted.
 	m = Metrics{}
 	full := NewFullState(g)
-	if got := CompactState(full, 0.5, &m); got != full {
+	if got := CompactState(full, &m, nil); got != full {
 		t.Fatal("dense state must not compact at 0.5")
 	}
 	if m.CompactionChecks != 1 || m.Compactions != 0 {
@@ -281,7 +286,7 @@ func TestSuperstepPartitionSkewFixedByView(t *testing.T) {
 
 	// View partitioning: every partition gets a fair share of active slots.
 	var m Metrics
-	cs := CompactState(s, 0.9, &m)
+	cs := compactState(s, 0.9, &m, nil)
 	if cs.View() == nil {
 		t.Fatal("compaction did not fire")
 	}

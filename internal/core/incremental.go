@@ -261,7 +261,7 @@ func mergeIncremental(prev, oldR, newR *Result, newG *graph.Graph, A *bitvec.Vec
 	}
 
 	// Rebuild the per-level stats' semantic fields from the merged
-	// solutions, mirroring commitLevel's accounting; the run-shape fields
+	// solutions, mirroring Result.CommitLevel's accounting; the run-shape fields
 	// (Duration, ActiveFraction, Compacted) stay zero — they would describe
 	// the restricted runs, not a full run.
 	for dist := set.MaxDist; dist >= 0; dist-- {

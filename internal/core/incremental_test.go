@@ -111,7 +111,7 @@ func TestIncrementalDifferential(t *testing.T) {
 					cfg := DefaultConfig(1 + rng.Intn(2))
 					cfg.CountMatches = true
 					cfg.Workers = workers
-					cfg.CompactBelow = compact
+					cfg = compactingBelow(cfg, compact)
 
 					prev, err := Run(g, tpl, cfg)
 					if err != nil {

@@ -125,7 +125,7 @@ func TestLCCBlockMatchesLCC(t *testing.T) {
 		starts := map[string]*State{
 			"full":       NewFullState(g),
 			"restricted": maxCandidateSet(g, tp, restrict, nil, nil, &m),
-			"compacted":  CompactState(maxCandidateSet(g, tp, nil, nil, nil, &m), 1.1, &m),
+			"compacted":  compactState(maxCandidateSet(g, tp, nil, nil, nil, &m), forceCompact, &m, nil),
 		}
 		for name, level := range starts {
 			before := level.Clone()
@@ -197,7 +197,7 @@ func TestLCCBlockBudgetDecline(t *testing.T) {
 	tp := datagen.WDC3()
 	cfg := DefaultConfig(1)
 	cfg.CountMatches = true
-	cfg.CompactBelow = 0
+	cfg = compactingBelow(cfg, 0)
 	tracker := NewBudgetTracker(Budget{MaxBytes: 1 << 62})
 	want, err := RunContext(WithBudgetTracker(context.Background(), tracker), g, tp, cfg)
 	if err != nil {

@@ -40,13 +40,6 @@ type Config struct {
 	// the level width instead. Rho, Solutions and every counter are identical
 	// for every value.
 	Workers int
-	// CompactBelow triggers physical search-space reduction: when a level
-	// state's active fraction (vertices plus directed slots) drops below
-	// this threshold, the engine extracts a compacted graph.View and
-	// searches that instead (see CompactState). 0 disables compaction — the
-	// ablation path with today's exact behavior. Results are identical
-	// either way.
-	CompactBelow float64
 	// Budget bounds the run's work, auxiliary memory and wall time; the
 	// zero value is unlimited. On exhaustion the bottom-up pipeline stops
 	// between edit-distance levels and returns a Partial result alongside an
@@ -81,6 +74,12 @@ type Config struct {
 	// off. Only this package's tests set it, as an oracle for the
 	// eliminations' result invariance; the zero value runs them all.
 	kernelOpts kernelOpts
+	// compactOverride replaces the compaction threshold compactBelow when
+	// positive and switches compaction off when negative. Only this
+	// package's tests set it, as the off and forced legs of the
+	// compaction-invisibility differentials; the zero value compacts at
+	// compactBelow.
+	compactOverride float64
 }
 
 // DefaultConfig returns the fully optimized configuration for edit-distance
@@ -91,7 +90,6 @@ func DefaultConfig(k int) Config {
 		WorkRecycling:       true,
 		FrequencyOrdering:   true,
 		LabelPairRefinement: true,
-		CompactBelow:        0.5,
 	}
 }
 
@@ -384,7 +382,8 @@ func (e *engine) searchLevel(res *Result, level *State, dist, width int) (next *
 	// The searches' released ticks are on the tracker now; a level that
 	// overran the budget only in its probes' tails must not commit.
 	e.cc.Check()
-	return e.commitLevel(res, sols, dist, frac, state.View() != nil, start), nil
+	lv := LevelStats{Dist: dist, Duration: time.Since(start), ActiveFraction: frac, Compacted: state.View() != nil}
+	return res.CommitLevel(sols, lv, e.cfg.LabelPairRefinement, e.cc), nil
 }
 
 // levelItem is one unit of a level's work: positions into the level's
@@ -551,53 +550,56 @@ func forEachBounded(n, width int, fn func(idx int)) error {
 	return first
 }
 
-// commitLevel publishes a completed level's solutions and stats into res and
-// builds the next level's containment state (nil at δ=0).
-func (e *engine) commitLevel(res *Result, sols []*Solution, dist int, frac float64, compacted bool, start time.Time) *State {
-	unionVerts := bitvec.New(res.Graph.NumVertices())
-	unionEdges := bitvec.New(res.Graph.NumDirectedEdges())
-	var labels int64
+// CommitLevel publishes a completed edit-distance level into r — the level
+// loop's one commit, shared by this package's engine and the distributed
+// runtime's. It stores the level's solutions, sets their Rho columns and
+// appends lv completed with the level's counts (the caller fills Dist,
+// Duration, ActiveFraction and Compacted). It returns the next level's search
+// state by the containment rule (Obs. 1), charged against cc's budget, or nil
+// at δ=0. refine is Config.LabelPairRefinement.
+func (r *Result) CommitLevel(sols []*Solution, lv LevelStats, refine bool, cc *CancelCheck) *State {
+	unionVerts := bitvec.New(r.Graph.NumVertices())
+	unionEdges := bitvec.New(r.Graph.NumDirectedEdges())
 	for _, sol := range sols {
-		res.Solutions[sol.Proto] = sol
+		r.Solutions[sol.Proto] = sol
 		unionVerts.Or(sol.Verts)
 		unionEdges.Or(sol.Edges)
 		sol.Verts.ForEach(func(v int) {
-			res.Rho.Set(v, sol.Proto)
-			labels++
+			r.Rho.Set(v, sol.Proto)
+			lv.LabelsGenerated++
 		})
 	}
-	res.Levels = append(res.Levels, LevelStats{
-		Dist:            dist,
-		Prototypes:      len(sols),
-		ActiveVertices:  unionVerts.Count(),
-		LabelsGenerated: labels,
-		Duration:        time.Since(start),
-		ActiveFraction:  frac,
-		Compacted:       compacted,
-		Complete:        true,
-	})
-	if dist > 0 {
-		return e.containmentState(res.Candidate, unionVerts, unionEdges, dist)
+	lv.Prototypes = len(sols)
+	lv.ActiveVertices = unionVerts.Count()
+	lv.Complete = true
+	r.Levels = append(r.Levels, lv)
+	if lv.Dist > 0 {
+		return r.containmentState(unionVerts, unionEdges, lv.Dist, refine, cc)
 	}
 	return nil
 }
 
-// finishPartial marks res partial, appends Complete=false placeholders for
-// every level that did not finish, folds the metrics gathered so far (so
-// /metrics accounting survives the abort) and returns res together with the
+// FinishPartial marks r partial, appends Complete=false placeholders for
+// every level that did not finish and returns r together with cause, the
 // budget-exhaustion error.
-func (e *engine) finishPartial(res *Result, cause error) (*Result, error) {
-	res.Partial = true
-	next := res.Set.MaxDist
-	if n := len(res.Levels); n > 0 {
-		next = res.Levels[n-1].Dist - 1
+func (r *Result) FinishPartial(cause error) (*Result, error) {
+	r.Partial = true
+	next := r.Set.MaxDist
+	if n := len(r.Levels); n > 0 {
+		next = r.Levels[n-1].Dist - 1
 	}
 	for dist := next; dist >= 0; dist-- {
-		res.Levels = append(res.Levels, LevelStats{Dist: dist, Prototypes: res.Set.CountAt(dist)})
+		r.Levels = append(r.Levels, LevelStats{Dist: dist, Prototypes: r.Set.CountAt(dist)})
 	}
+	return r, cause
+}
+
+// finishPartial folds the metrics gathered so far into res (so /metrics
+// accounting survives the abort) and finishes it as a partial result.
+func (e *engine) finishPartial(res *Result, cause error) (*Result, error) {
 	e.foldCache()
 	res.Metrics = e.metrics
-	return res, cause
+	return res.FinishPartial(cause)
 }
 
 // foldCache folds the work-recycling cache's eviction count into the run
@@ -617,25 +619,26 @@ func (e *engine) foldCache() {
 // an edge removable at this level (or every candidate edge when the
 // refinement is disabled). The fresh state's bitvecs are charged against
 // the run's byte budget.
-func (e *engine) containmentState(candidate *State, unionVerts, unionEdges *bitvec.Vector, dist int) *State {
-	e.cc.ChargeBytes(int64(e.g.NumVertices()+e.g.NumDirectedEdges()) / 8)
-	s := NewEmptyState(e.g)
+func (r *Result) containmentState(unionVerts, unionEdges *bitvec.Vector, dist int, refine bool, cc *CancelCheck) *State {
+	g := r.Graph
+	cc.ChargeBytes(int64(g.NumVertices()+g.NumDirectedEdges()) / 8)
+	s := NewEmptyState(g)
 	s.verts.Or(unionVerts)
 	s.edges.Or(unionEdges)
 
 	var pairs *pattern.PairSet
-	if e.cfg.LabelPairRefinement {
-		pairs = e.set.RemovedLabelPairs(dist)
+	if refine {
+		pairs = r.Set.RemovedLabelPairs(dist)
 	}
 	s.ForEachActiveVertex(func(v graph.VertexID) {
-		ns := e.g.Neighbors(v)
-		base := int(e.g.AdjOffset(v))
-		lv := e.g.Label(v)
+		ns := g.Neighbors(v)
+		base := int(g.AdjOffset(v))
+		lv := g.Label(v)
 		for i, u := range ns {
-			if !candidate.edges.Get(base+i) || !unionVerts.Get(int(u)) {
+			if !r.Candidate.edges.Get(base+i) || !unionVerts.Get(int(u)) {
 				continue
 			}
-			if pairs != nil && !pairs.Matches(lv, e.g.Label(u)) {
+			if pairs != nil && !pairs.Matches(lv, g.Label(u)) {
 				continue
 			}
 			s.edges.Set(base + i)

@@ -26,13 +26,13 @@ func BalancedOwners(active *bitvec.Vector, ranks int) []int32 {
 	return owner
 }
 
-// BalancedOwnersView is BalancedOwners driven by a compacted view: the
+// balancedOwnersView is BalancedOwners driven by a compacted view: the
 // active vertices are exactly the view's kept vertices, already enumerated
 // in increasing original id, so the assignment walks the compacted list
 // instead of scanning the full bit vector. The result is identical to
 // BalancedOwners over the view's original active set — the paper's per-level
 // rebalancing made cheap by compaction.
-func BalancedOwnersView(vw *graph.View, ranks int) []int32 {
+func balancedOwnersView(vw *graph.View, ranks int) []int32 {
 	owner := make([]int32, vw.Orig().NumVertices())
 	for v := range owner {
 		owner[v] = int32(hashVertex(graph.VertexID(v)) % uint32(ranks))
@@ -45,10 +45,10 @@ func BalancedOwnersView(vw *graph.View, ranks int) []int32 {
 	return owner
 }
 
-// balancedOwnersFor dispatches on whether the level state was compacted.
-func balancedOwnersFor(s *core.State, ranks int) []int32 {
+// balancedOwners dispatches on whether the level state was compacted.
+func balancedOwners(s *core.State, ranks int) []int32 {
 	if vw := s.View(); vw != nil {
-		return BalancedOwnersView(vw, ranks)
+		return balancedOwnersView(vw, ranks)
 	}
 	return BalancedOwners(s.VertexBits(), ranks)
 }
@@ -72,13 +72,6 @@ func LoadImbalance(e *Engine) float64 {
 		return 1
 	}
 	return float64(max) / mean
-}
-
-// ResetComputeCounters zeroes the per-rank visitor counters.
-func ResetComputeCounters(e *Engine) {
-	for r := range e.ComputePerRank {
-		e.ComputePerRank[r].Store(0)
-	}
 }
 
 // Checkpoint serializes the active subgraph of state s (the pruned

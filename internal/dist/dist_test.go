@@ -212,7 +212,7 @@ func TestDistPipelineAblations(t *testing.T) {
 }
 
 // TestUnsupportedOptionsRejected checks the embedded core.Config fields the
-// distributed engine has no implementation for fail both entry points with an
+// distributed engine has no implementation for fail the entry point with an
 // error naming the field, instead of being silently ignored — and that
 // CacheBytes is accepted (and, as in core, ignored) beside a SharedCache.
 func TestUnsupportedOptionsRejected(t *testing.T) {
@@ -232,15 +232,12 @@ func TestUnsupportedOptionsRejected(t *testing.T) {
 		opts := DefaultOptions(1)
 		c.set(&opts)
 		_, err := RunContext(context.Background(), NewEngine(g, Config{Ranks: 2}), tp, opts)
-		_, terr := RunTopDownContext(context.Background(), NewEngine(g, Config{Ranks: 2}), tp, opts)
-		for _, e := range []error{err, terr} {
-			if c.field == "" {
-				if e != nil {
-					t.Errorf("CacheBytes beside SharedCache rejected: %v", e)
-				}
-			} else if e == nil || !strings.Contains(e.Error(), "Options."+c.field) {
-				t.Errorf("%s set: err = %v, want a rejection naming the field", c.field, e)
+		if c.field == "" {
+			if err != nil {
+				t.Errorf("CacheBytes beside SharedCache rejected: %v", err)
 			}
+		} else if err == nil || !strings.Contains(err.Error(), "Options."+c.field) {
+			t.Errorf("%s set: err = %v, want a rejection naming the field", c.field, err)
 		}
 	}
 }
@@ -398,7 +395,9 @@ func TestLoadImbalanceMetric(t *testing.T) {
 	if got := LoadImbalance(e); got <= 1.5 {
 		t.Errorf("skewed imbalance = %v", got)
 	}
-	ResetComputeCounters(e)
+	for r := range e.ComputePerRank {
+		e.ComputePerRank[r].Store(0)
+	}
 	if LoadImbalance(e) != 1 {
 		t.Error("reset failed")
 	}
@@ -503,114 +502,6 @@ func TestDistEdgeLabeledMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestCountMatchesDistAgainstSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(95))
-	for trial := 0; trial < 8; trial++ {
-		g := randomGraph(rng, 30, 90, 3)
-		tp := randomTemplate(rng, 4, 3)
-		e := NewEngine(g, Config{Ranks: 1 + rng.Intn(6), RanksPerNode: 2})
-		s := core.NewFullState(g)
-		var m core.Metrics
-		want := core.CountOn(context.Background(), s, tp, &m)
-		if got := CountMatchesDist(e, s, tp); got != want {
-			t.Errorf("trial %d: dist count %d, want %d (template %v)", trial, got, want, tp)
-		}
-	}
-}
-
-func TestCountMatchesDistOnSolutionSubgraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(96))
-	g := randomGraph(rng, 40, 120, 3)
-	tp := pattern.MustNew([]pattern.Label{0, 1, 2},
-		[]pattern.Edge{{I: 0, J: 1}, {I: 1, J: 2}, {I: 0, J: 2}})
-	cfg := core.DefaultConfig(1)
-	cfg.CountMatches = true
-	res, err := core.Run(g, tp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(g, Config{Ranks: 4, RanksPerNode: 2})
-	for pi := range res.Set.Protos {
-		s := res.SolutionState(pi)
-		got := CountMatchesDist(e, s, res.Set.Protos[pi].Template)
-		if got != res.Solutions[pi].MatchCount {
-			t.Errorf("proto %d: dist count %d, want %d", pi, got, res.Solutions[pi].MatchCount)
-		}
-	}
-	if e.Stats.Phase("enumerate").Total() == 0 {
-		t.Error("no enumeration messages recorded")
-	}
-}
-
-func TestCountMatchesDistSingleVertex(t *testing.T) {
-	g := randomGraph(rand.New(rand.NewSource(97)), 20, 40, 2)
-	tp := pattern.MustNew([]pattern.Label{1}, nil)
-	e := NewEngine(g, Config{Ranks: 3})
-	s := core.NewFullState(g)
-	var want int64
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.Label(graph.VertexID(v)) == 1 {
-			want++
-		}
-	}
-	if got := CountMatchesDist(e, s, tp); got != want {
-		t.Errorf("single-vertex count %d, want %d", got, want)
-	}
-}
-
-func TestShrinkToRanks(t *testing.T) {
-	rng := rand.New(rand.NewSource(98))
-	g := randomGraph(rng, 40, 120, 3)
-	tp := pattern.MustNew([]pattern.Label{0, 1, 2},
-		[]pattern.Edge{{I: 0, J: 1}, {I: 1, J: 2}, {I: 0, J: 2}})
-	full, err := core.Run(g, tp, core.DefaultConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(g, Config{Ranks: 8, RanksPerNode: 4})
-	opts := DefaultOptions(1)
-	opts.ShrinkToRanks = 2
-	dres, err := Run(e, tp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Results unchanged.
-	for pi := range full.Set.Protos {
-		if !dres.Solutions[pi].Verts.Equal(full.Solutions[pi].Verts) {
-			t.Errorf("proto %d: shrink changed the result", pi)
-		}
-	}
-	// After the shrink, all active vertices are owned by ranks 0..1.
-	dres.Candidate.VertexBits().ForEach(func(v int) {
-		if e.Owner(graph.VertexID(v)) >= 2 {
-			t.Errorf("active vertex %d owned by rank %d after shrink", v, e.Owner(graph.VertexID(v)))
-		}
-	})
-}
-
-func TestDistTopDownMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(102))
-	for trial := 0; trial < 5; trial++ {
-		g := randomGraph(rng, 30, 70, 3)
-		tp := randomTemplate(rng, 4, 3)
-		seq, err := core.RunTopDownContext(context.Background(), g, tp, core.DefaultConfig(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngine(g, Config{Ranks: 4, RanksPerNode: 2})
-		dres, err := RunTopDown(e, tp, DefaultOptions(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dres.FoundDist != seq.FoundDist {
-			t.Errorf("trial %d: found at %d, sequential at %d", trial, dres.FoundDist, seq.FoundDist)
-		}
-		if seq.FoundDist >= 0 && !dres.MatchingVertices.Equal(seq.MatchingVertices) {
-			t.Errorf("trial %d: matching vertex sets differ", trial)
-		}
-	}
-}
-
 func TestPartitionStrategies(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(104)), 100, 200, 2)
 	block := NewEngine(g, Config{Ranks: 4})
@@ -647,44 +538,50 @@ func TestPartitionStrategies(t *testing.T) {
 	}
 }
 
+// TestSimulatedLatencyExposure checks the injected latency shows up in wall
+// time by a bound the engine guarantees: every rank sleeps off the latency of
+// the messages it receives, so a traversal lasts at least its busiest rank's
+// debt, and the run at least the total debt spread evenly over the ranks.
 func TestSimulatedLatencyExposure(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(111)), 40, 120, 3)
 	tp := pattern.MustNew([]pattern.Label{0, 1}, []pattern.Edge{{I: 0, J: 1}})
-	run := func(cfg Config) time.Duration {
-		e := NewEngine(g, cfg)
-		start := time.Now()
-		if _, err := Run(e, tp, DefaultOptions(0)); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
+	cfg := Config{Ranks: 4, RanksPerNode: 2, InterNodeDelay: 200 * time.Microsecond, InterRankDelay: 20 * time.Microsecond}
+	e := NewEngine(g, cfg)
+	start := time.Now()
+	slow, err := Run(e, tp, DefaultOptions(0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	fast := run(Config{Ranks: 4, RanksPerNode: 2})
-	slow := run(Config{Ranks: 4, RanksPerNode: 2, InterNodeDelay: 200 * time.Microsecond, InterRankDelay: 20 * time.Microsecond})
-	if slow <= fast {
-		t.Errorf("latency simulation had no effect: fast=%v slow=%v", fast, slow)
+	elapsed := time.Since(start)
+	var debt time.Duration
+	for _, name := range e.Stats.Phases() {
+		p := e.Stats.Phase(name)
+		debt += time.Duration(p.InterNode.Load())*cfg.InterNodeDelay + time.Duration(p.InterRank.Load())*cfg.InterRankDelay
+	}
+	if debt == 0 {
+		t.Fatal("no off-rank messages: the latency bound is vacuous")
+	}
+	if floor := debt / time.Duration(cfg.Ranks); elapsed < floor {
+		t.Errorf("latency simulation under-slept: run took %v, injected debt %v over %d ranks needs at least %v",
+			elapsed, debt, cfg.Ranks, floor)
 	}
 	// Results unchanged under latency.
-	e1 := NewEngine(g, Config{Ranks: 4, RanksPerNode: 2})
-	r1, err := Run(e1, tp, DefaultOptions(0))
+	fast, err := Run(NewEngine(g, Config{Ranks: 4, RanksPerNode: 2}), tp, DefaultOptions(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2 := NewEngine(g, Config{Ranks: 4, RanksPerNode: 2, InterNodeDelay: 50 * time.Microsecond})
-	r2, err := Run(e2, tp, DefaultOptions(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r1.Solutions[0].Verts.Equal(r2.Solutions[0].Verts) {
+	if !fast.Solutions[0].Verts.Equal(slow.Solutions[0].Verts) {
 		t.Error("latency changed results")
 	}
 }
 
 // TestDistCompactionDifferential checks compaction invisibility through the
-// distributed path: compaction off, the default threshold, and compaction
-// forced at every level and gather must all match the sequential engine's
-// compaction-off results bit for bit.
+// distributed path: compacting level states and every gathered subgraph at
+// the pipeline's threshold must leave the results bit-identical to the
+// sequential engine's, and the trials must actually compact.
 func TestDistCompactionDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
+	var compactions int64
 	for trial := 0; trial < 6; trial++ {
 		g := randomGraph(rng, 30+rng.Intn(30), 90+rng.Intn(60), 3)
 		tp := randomTemplate(rng, 4, 3)
@@ -692,36 +589,67 @@ func TestDistCompactionDifferential(t *testing.T) {
 
 		cfg := core.DefaultConfig(k)
 		cfg.CountMatches = true
-		cfg.CompactBelow = 0
 		seq, err := core.Run(g, tp, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		for _, threshold := range []float64{0, 0.5, 1.1} {
-			e := NewEngine(g, Config{Ranks: 1 + rng.Intn(7), RanksPerNode: 2})
-			opts := DefaultOptions(k)
-			opts.CountMatches = true
-			opts.CompactBelow = threshold
-			dres, err := Run(e, tp, opts)
+		e := NewEngine(g, Config{Ranks: 1 + rng.Intn(7), RanksPerNode: 2})
+		opts := DefaultOptions(k)
+		opts.CountMatches = true
+		dres, err := Run(e, tp, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compactions += dres.Metrics.Compactions
+		for pi := range seq.Set.Protos {
+			if !dres.Solutions[pi].Verts.Equal(seq.Solutions[pi].Verts) {
+				t.Errorf("trial %d proto %d: vertex sets differ", trial, pi)
+			}
+			if !dres.Solutions[pi].Edges.Equal(seq.Solutions[pi].Edges) {
+				t.Errorf("trial %d proto %d: edge sets differ", trial, pi)
+			}
+			if dres.Solutions[pi].MatchCount != seq.Solutions[pi].MatchCount {
+				t.Errorf("trial %d proto %d: counts %d vs %d",
+					trial, pi, dres.Solutions[pi].MatchCount, seq.Solutions[pi].MatchCount)
+			}
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("no distributed trial ever compacted; the differential is vacuous")
+	}
+}
+
+// TestDistLevelsMatchSequential pins the level commit both engines share:
+// the distributed run's per-level counts and its Rho matrix must equal the
+// sequential engine's.
+func TestDistLevelsMatchSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for trial := 0; trial < 4; trial++ {
+		g := randomGraph(rng, 30+rng.Intn(30), 90+rng.Intn(60), 3)
+		tp := randomTemplate(rng, 4, 3)
+		for _, k := range []int{1, 2} {
+			seq, err := core.Run(g, tp, core.DefaultConfig(k))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if threshold > 1 && dres.VerifyMetrics.Compactions == 0 {
-				t.Errorf("trial %d: forced compaction never fired", trial)
-			}
-			for pi := range seq.Set.Protos {
-				if !dres.Solutions[pi].Verts.Equal(seq.Solutions[pi].Verts) {
-					t.Errorf("trial %d threshold %v proto %d: vertex sets differ",
-						trial, threshold, pi)
+			for _, ranks := range []int{1, 3} {
+				dres, err := Run(NewEngine(g, Config{Ranks: ranks, RanksPerNode: 2}), tp, DefaultOptions(k))
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !dres.Solutions[pi].Edges.Equal(seq.Solutions[pi].Edges) {
-					t.Errorf("trial %d threshold %v proto %d: edge sets differ",
-						trial, threshold, pi)
+				if !dres.Rho.Equal(seq.Rho) {
+					t.Errorf("trial %d k=%d ranks=%d: Rho differs", trial, k, ranks)
 				}
-				if dres.Solutions[pi].MatchCount != seq.Solutions[pi].MatchCount {
-					t.Errorf("trial %d threshold %v proto %d: counts %d vs %d",
-						trial, threshold, pi, dres.Solutions[pi].MatchCount, seq.Solutions[pi].MatchCount)
+				if len(dres.Levels) != len(seq.Levels) {
+					t.Fatalf("trial %d k=%d ranks=%d: %d levels, want %d", trial, k, ranks, len(dres.Levels), len(seq.Levels))
+				}
+				for i, want := range seq.Levels {
+					got := dres.Levels[i]
+					if got.Dist != want.Dist || got.Prototypes != want.Prototypes || got.ActiveVertices != want.ActiveVertices ||
+						got.LabelsGenerated != want.LabelsGenerated || got.Complete != want.Complete {
+						t.Errorf("trial %d k=%d ranks=%d level %d: %+v, want %+v", trial, k, ranks, i, got, want)
+					}
 				}
 			}
 		}
@@ -741,13 +669,13 @@ func TestBalancedOwnersViewMatchesBitvec(t *testing.T) {
 		}
 	}
 	var m core.Metrics
-	cs := core.CompactState(s, 1.1, &m)
+	cs := core.CompactState(s, &m, nil)
 	if cs.View() == nil {
 		t.Fatal("compaction did not fire")
 	}
 	for _, ranks := range []int{1, 2, 5} {
 		want := BalancedOwners(s.VertexBits(), ranks)
-		got := BalancedOwnersView(cs.View(), ranks)
+		got := balancedOwnersView(cs.View(), ranks)
 		if len(want) != len(got) {
 			t.Fatalf("ranks %d: length %d vs %d", ranks, len(got), len(want))
 		}

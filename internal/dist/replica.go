@@ -65,45 +65,19 @@ func (rs *ReplicaSet) Search(templates []*pattern.Template, freq constraint.Labe
 		wg.Add(1)
 		go func(e *Engine) {
 			defer wg.Done()
+			// The replica IS the pruned subgraph, so each search starts from
+			// the whole replica graph; no candidate-set phase is needed.
+			full := core.NewFullState(e.Graph())
 			satisfied := make([]bool, e.Graph().NumVertices())
 			for i := range next {
-				sol := e.searchOnReplica(templates[i], freq, satisfied, opts)
+				var m core.Metrics
+				sol := e.searchPrototype(context.Background(), full, templates[i], freq, nil, satisfied, opts.CountMatches, &m)
 				out[i] = rs.translate(sol)
 			}
 		}(e)
 	}
 	wg.Wait()
 	return out
-}
-
-// searchOnReplica runs the distributed per-prototype search on the whole
-// replica graph (the replica IS the pruned subgraph, so no candidate-set
-// phase is needed).
-func (e *Engine) searchOnReplica(t *pattern.Template, freq constraint.LabelFreq, satisfied []bool, opts Options) *core.Solution {
-	ds := newDistState(e)
-	g := e.Graph()
-	for v := 0; v < g.NumVertices(); v++ {
-		ds.active[v] = true
-	}
-	for slot := range ds.edgeOn {
-		ds.edgeOn[slot] = true
-	}
-	ds.initOmega(t)
-	ds.lccDist(t)
-	pruning, _ := constraint.Generate(t)
-	if freq != nil {
-		pruning = constraint.OrientAll(t, pruning, freq)
-	}
-	constraint.OrderWalks(t, pruning, freq)
-	for _, w := range pruning {
-		if ds.nlccDist(t, w, satisfied, nil) {
-			ds.lccDist(t)
-		}
-	}
-	cs := ds.toCoreState()
-	var vm core.Metrics
-	cs = core.CompactState(cs, opts.CompactBelow, &vm)
-	return core.FinalizeSolution(context.Background(), cs, t, opts.CountMatches, &vm)
 }
 
 // translate maps a replica-coordinate solution back to the original graph.

@@ -16,19 +16,10 @@ func RegisterFlags(fs *flag.FlagSet) func() (graphPath string, cfg Config) {
 	fs.IntVar(&cfg.MaxEditDistance, "maxk", 6, "largest accepted edit distance")
 	fs.DurationVar(&cfg.QueryTimeout, "querytimeout", 30*time.Second, "per-query pipeline timeout (0 = none)")
 	fs.IntVar(&cfg.Workers, "workers", 0, "per-query workers for the candidate-set computation; the other kernels are sequential (0 = scheduler-aware default, -1 = none)")
-	fs.Float64Var(&cfg.CompactBelow, "compact-below", 0.5, "compact the search state into a dense graph view when its active fraction drops below this threshold (0 disables)")
 	fs.Int64Var(&cfg.MaxWork, "max-work", 0, "per-query pipeline work-unit budget; exhausted /match queries return an exact partial result (0 = no limit)")
 	fs.Int64Var(&cfg.MaxBytes, "max-bytes", 0, "per-query auxiliary allocation budget in bytes (0 = no limit)")
 	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", 0, "work-recycling cache cap in bytes, LRU-evicted beyond it (0 = unbounded); caps the shared store with -shared-nlcc, per-query caches otherwise")
 	fs.Int64Var(&cfg.ResultCacheBytes, "result-cache-bytes", 64<<20, "cross-query result cache cap in bytes: completed /match responses are cached under the template's canonical key and served verbatim to isomorphic queries (0 = disabled)")
 	fs.BoolVar(&cfg.SharedNLCC, "shared-nlcc", true, "share one NLCC work-recycling store across queries so constraint walks recycle across the query boundary")
-	return func() (string, Config) {
-		c := cfg
-		// Config treats 0 as "pipeline default" and negative as "off", so a
-		// -compact-below 0 on the command line maps to the off sentinel.
-		if c.CompactBelow <= 0 {
-			c.CompactBelow = -1
-		}
-		return *graphPath, c
-	}
+	return func() (string, Config) { return *graphPath, cfg }
 }

@@ -19,14 +19,12 @@ func parseServingFlags(args ...string) (string, Config, error) {
 }
 
 // TestRegisterFlags pins the shared serving flags: the defaults both daemons
-// have always started with, each flag landing in its Config field, the
-// -compact-below 0 → off mapping, and the removed ablation switches staying
-// removed.
+// have always started with, each flag landing in its Config field, and the
+// removed ablation switches staying removed.
 func TestRegisterFlags(t *testing.T) {
 	defaults := Config{
 		MaxEditDistance:  6,
 		QueryTimeout:     30 * time.Second,
-		CompactBelow:     0.5,
 		ResultCacheBytes: 64 << 20,
 		SharedNLCC:       true,
 	}
@@ -46,8 +44,6 @@ func TestRegisterFlags(t *testing.T) {
 		{[]string{"-querytimeout", "5s"}, "", with(func(c *Config) { c.QueryTimeout = 5 * time.Second })},
 		{[]string{"-querytimeout", "0"}, "", with(func(c *Config) { c.QueryTimeout = 0 })},
 		{[]string{"-workers", "-1"}, "", with(func(c *Config) { c.Workers = -1 })},
-		{[]string{"-compact-below", "0.25"}, "", with(func(c *Config) { c.CompactBelow = 0.25 })},
-		{[]string{"-compact-below", "0"}, "", with(func(c *Config) { c.CompactBelow = -1 })},
 		{[]string{"-max-work", "7"}, "", with(func(c *Config) { c.MaxWork = 7 })},
 		{[]string{"-max-bytes", "8"}, "", with(func(c *Config) { c.MaxBytes = 8 })},
 		{[]string{"-cache-bytes", "9"}, "", with(func(c *Config) { c.CacheBytes = 9 })},

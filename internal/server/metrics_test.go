@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"approxmatch/internal/core"
+	"approxmatch/internal/graph"
 )
 
 // TestWritePromCompactionCounters pins the Prometheus text rendering of the
@@ -72,11 +73,28 @@ func TestWritePromCompactionCounters(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpointCompaction runs a real query with compaction forced on
-// and checks the counters surface on /metrics.
+// TestMetricsEndpointCompaction runs a real query that compacts and checks
+// the counters surface on /metrics.
 func TestMetricsEndpointCompaction(t *testing.T) {
-	// Force a view at every level so the counters must move.
-	s := NewWithConfig(testGraph(), Config{CompactBelow: 1.1})
+	// testGraph plus a long path no template label matches: the candidate set
+	// is a small fraction of the graph, so the pipeline compacts it.
+	b := graph.NewBuilder(0)
+	tg := testGraph()
+	for v := 0; v < tg.NumVertices(); v++ {
+		b.AddVertex(tg.Label(graph.VertexID(v)))
+		for _, w := range tg.Neighbors(graph.VertexID(v)) {
+			if int(w) < v {
+				b.AddEdge(w, graph.VertexID(v))
+			}
+		}
+	}
+	prev := b.AddVertex(9)
+	for i := 0; i < 40; i++ {
+		next := b.AddVertex(9)
+		b.AddEdge(prev, next)
+		prev = next
+	}
+	s := NewWithConfig(b.Build(), Config{})
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	body, _ := json.Marshal(MatchRequest{Template: triangleTemplate, K: 1})

@@ -67,10 +67,6 @@ type Config struct {
 	// a single core. Negative forces the calling goroutine. Answers and
 	// counters are the same for every value.
 	Workers int
-	// CompactBelow is the per-query physical-compaction threshold
-	// (core.Config.CompactBelow). 0 keeps the pipeline default (0.5);
-	// negative disables compaction.
-	CompactBelow float64
 	// MaxEditDistance bounds accepted k values (default 6).
 	MaxEditDistance int
 	// QueryTimeout bounds each query's pipeline time; 0 disables (the
@@ -595,7 +591,7 @@ func (s *Server) writePipelineError(w http.ResponseWriter, r *http.Request, q *r
 
 // pipelineConfig builds the one per-query pipeline configuration /match and
 // /explore both run under: the fully optimized defaults for the request's k
-// with the server's worker, compaction and cache settings folded in.
+// with the server's worker and cache settings folded in.
 func (s *Server) pipelineConfig(req *MatchRequest) core.Config {
 	cfg := core.DefaultConfig(req.K)
 	cfg.CountMatches = req.Count
@@ -603,13 +599,6 @@ func (s *Server) pipelineConfig(req *MatchRequest) core.Config {
 	cfg.SharedCache = s.nlccShared
 	if s.cfg.Workers > 0 {
 		cfg.Workers = s.cfg.Workers
-	}
-	// Positive overrides the pipeline default, 0 keeps it, negative
-	// disables compaction.
-	if s.cfg.CompactBelow > 0 {
-		cfg.CompactBelow = s.cfg.CompactBelow
-	} else if s.cfg.CompactBelow < 0 {
-		cfg.CompactBelow = 0
 	}
 	return cfg
 }
