@@ -14,7 +14,7 @@ test:
 # warm/cold differential suites — the pipeline's cancellation/parallel
 # paths, the canonicalization property tests backing the cache keys, the
 # distributed runtime's anytime-partial and shared-cache differential
-# suites, and the replica router's real-socket suites). The -cpu leg
+# suites, and the replica router's loopback-HTTP suites). The -cpu leg
 # reruns the pipeline, serving, distributed-runtime and router suites at
 # three GOMAXPROCS values, because the server derives its default
 # Workers/Parallelism from it and the runtime runs its ranks as goroutines:
@@ -27,15 +27,15 @@ check: bench-module import-boundary
 	$(GO) test -cpu 1,2,4 ./internal/core/ ./internal/server/ ./internal/dist/ ./internal/router/
 	$(GO) test -race -run 'Canonical' ./internal/pattern/
 	$(GO) test -race -run 'Partial|SharedCache' ./internal/dist/
-	$(GO) test -race -run 'Coordinator|RankServer|DialGroup' ./internal/router/
+	$(GO) test -race -run 'Coordinator|DialGroup' ./internal/router/
 
 # import-boundary fails if internal/dist, the simulated distributed runtime,
-# is a dependency of the serving binaries: amatchd and amatchrank reach
-# their rank group through internal/router only.
+# is a dependency of the serving binary: amatchd reaches its worker group
+# through internal/router only.
 import-boundary:
-	@deps=$$($(GO) list -deps ./internal/server ./cmd/amatchd ./cmd/amatchrank) || exit 1; \
+	@deps=$$($(GO) list -deps ./internal/server ./cmd/amatchd) || exit 1; \
 	if echo "$$deps" | grep -q 'approxmatch/internal/dist'; then \
-		echo 'import-boundary: approxmatch/internal/dist is a dependency of the serving binaries' >&2; \
+		echo 'import-boundary: approxmatch/internal/dist is a dependency of the serving binary' >&2; \
 		exit 1; \
 	fi
 
@@ -58,7 +58,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime $(FUZZTIME) ./internal/prototype/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/router/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime $(FUZZTIME) ./internal/wal/
 
 # bench runs the in-process Go micro-benchmarks of the kernels and the
@@ -69,8 +68,9 @@ bench:
 	$(GO) test -run '^$$' -bench . ./internal/core/ ./internal/server/
 
 # loopback-smoke stands up a real multi-process deployment on loopback —
-# four amatchrank workers plus an amatchd coordinator — and byte-diffs a
-# routed /match response against a direct in-process server's.
+# four amatchd workers plus an amatchd coordinator (-ranks-addr) — and
+# byte-diffs the routed /match (count + vectors) and /explore (k=2) bodies
+# against a direct in-process server's.
 loopback-smoke:
 	./scripts/loopback_smoke.sh
 

@@ -23,9 +23,9 @@
 //	        [-ranks-addr host:p1,host:p2 -ranks-timeout 5s
 //	         -ranks-dial-timeout 30s]
 //
-// The flags amatchrank shares (-graph -maxk -querytimeout -workers
-// -max-work -max-bytes -cache-bytes -result-cache-bytes -shared-nlcc) are
-// declared once, by server.RegisterFlags; the rest are this binary's own.
+// The query-engine flags (-graph -maxk -querytimeout -workers -max-work
+// -max-bytes -cache-bytes -result-cache-bytes -shared-nlcc) are declared by
+// server.RegisterFlags; the rest are declared here.
 //
 // The listener binds before recovery begins and -addr may be ":0"; the
 // bound address is printed in the "serving" log line ("addr" field), which
@@ -68,13 +68,13 @@
 // never depended on either cache.
 //
 // -ranks-addr turns the server into a thin coordinator over a group of
-// amatchrank worker processes: /match and /explore requests are validated
-// locally, then routed over TCP (round-robin with failover) to a worker
-// whose graph signature matches this server's graph, and the worker's
-// response body is relayed verbatim — byte-identical to what the
-// in-process engine would have served. All other endpoints stay local.
-// -ranks-timeout bounds each dial and routed exchange (0 = -querytimeout,
-// or 5s when that is unset).
+// amatchd worker processes, each a plain amatchd on the same graph file:
+// /match and /explore requests are validated locally, then posted over
+// HTTP (round-robin with failover) to a worker whose GET /signature matches
+// this server's graph, and the worker's status, Content-Type and body are
+// relayed verbatim — byte-identical to what the in-process engine would
+// have served. All other endpoints stay local. -ranks-timeout bounds each
+// dial and routed exchange (0 = -querytimeout, or 5s when that is unset).
 //
 // Example queries:
 //
@@ -114,9 +114,9 @@ func main() {
 		memWatermark = flag.Uint64("mem-watermark", 0, "shed new queries with 503 while the live Go heap exceeds this many bytes (0 = disabled)")
 		ingest       = flag.Bool("ingest", false, "enable POST /ingest live mutation batches (unauthenticated graph writes — only expose on trusted networks)")
 		ingestBody   = flag.Int64("ingest-maxbody", 16<<20, "max /ingest request body bytes")
-		ranksAddr    = flag.String("ranks-addr", "", "comma-separated amatchrank worker addresses; when set, /match and /explore are routed to the rank group (empty = in-process engine)")
+		ranksAddr    = flag.String("ranks-addr", "", "comma-separated host:port addresses of amatchd workers serving the same graph; when set, /match and /explore are routed to them over HTTP (empty = in-process engine)")
 		ranksTimeout = flag.Duration("ranks-timeout", 0, "per-exchange coordinator timeout for dials and routed queries (0 = querytimeout, or 5s when that is unset)")
-		ranksDial    = flag.Duration("ranks-dial-timeout", 30*time.Second, "total budget for dialing the rank group: failed dials retry with capped exponential backoff until it elapses (0 = one attempt per worker)")
+		ranksDial    = flag.Duration("ranks-dial-timeout", 30*time.Second, "total budget for dialing the rank group: a worker that refuses the dial or is not ready yet (503) is retried with capped exponential backoff until it elapses (0 = one attempt per worker)")
 		walDir       = flag.String("wal-dir", "", "write-ahead log directory for durable ingest; recovered on startup (empty = ingest is volatile)")
 		walSync      = flag.String("wal-sync", "always", "WAL append sync policy: always (fsync per batch), interval (background fsync), none")
 		walSyncEvery = flag.Duration("wal-sync-interval", 100*time.Millisecond, "background fsync period under -wal-sync interval")
@@ -198,7 +198,7 @@ func main() {
 	}
 
 	// -ranks-addr opts into coordinator mode: queries route to a group of
-	// amatchrank workers, validated at dial time to serve exactly this
+	// amatchd workers, validated at dial time to serve exactly this
 	// graph (structural signature over the relabeled, recovered form). The
 	// local graph still backs /stats, /healthz and the fallback-free
 	// contract that workers and coordinator agree on ids. Failed dials

@@ -307,8 +307,3 @@ func (o candidateSet) remove(v graph.VertexID, q int) {
 }
 
 func (o candidateSet) any(v graph.VertexID) bool { return o[v] != 0 }
-
-// anyOf reports whether ω(v) intersects the template-vertex mask.
-func (o candidateSet) anyOf(v graph.VertexID, mask uint64) bool {
-	return o[v]&mask != 0
-}

@@ -6,29 +6,19 @@ import (
 	"approxmatch/internal/rmat"
 )
 
-// The §5.6 comparison graphs (CiteSeer, Mico, Patent, YouTube, LiveJournal)
-// are unlabeled real-world graphs used for motif counting. These generators
-// reproduce their scale relationships — CiteSeer tiny and sparse, the others
-// progressively larger and denser — at sizes the in-process TLE baseline can
-// still materialize embeddings for. Sizes are scaled down uniformly; the
-// comparison's behaviour (embedding blow-up on the larger graphs and
-// patterns) is preserved.
+// The §5.6 comparison graphs are unlabeled real-world graphs used for motif
+// counting. These generators reproduce two of them — CiteSeer tiny and
+// sparse, YouTube larger with heavy degree skew — at sizes the in-process
+// TLE baseline can still materialize embeddings for. Sizes are scaled down
+// uniformly; the comparison's behaviour (embedding blow-up on the larger
+// graphs and patterns) is preserved.
 
 // CiteSeerLike matches the real CiteSeer's published size (3.3K vertices,
 // ~4.7K undirected edges).
 func CiteSeerLike() *graph.Graph { return ER(3300, 4700, 101) }
 
-// MicoLike is a scaled-down Mico (dense co-authorship-like).
-func MicoLike() *graph.Graph { return PowerLaw(8000, 11, 102) }
-
-// PatentLike is a scaled-down citation network (moderate density).
-func PatentLike() *graph.Graph { return ER(20000, 100000, 103) }
-
 // YouTubeLike is a scaled-down social network with heavy degree skew.
 func YouTubeLike() *graph.Graph { return PowerLaw(15000, 10, 104) }
-
-// LiveJournalLike is a scaled-down social network, denser than YouTubeLike.
-func LiveJournalLike() *graph.Graph { return PowerLaw(12000, 14, 105) }
 
 // RMAT1 is the Fig. 4 weak-scaling pattern, instantiated against a concrete
 // R-MAT graph: a theta graph (two hubs joined by three paths of lengths 2,

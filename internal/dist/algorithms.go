@@ -361,7 +361,7 @@ type ack struct{ w *constraint.Walk }
 // ack lose the walk's source candidate. Returns whether anything was
 // eliminated. satisfied is scratch space (len n), cache the shared
 // recycling state (may be nil).
-func (s *distState) nlccDist(t *pattern.Template, w *constraint.Walk, satisfied []bool, cache recycler) bool {
+func (s *distState) nlccDist(t *pattern.Template, w *constraint.Walk, satisfied []bool, cache *core.Cache) bool {
 	g := s.e.Graph()
 	q0 := w.Seq[0]
 	for i := range satisfied {
@@ -373,7 +373,7 @@ func (s *distState) nlccDist(t *pattern.Template, w *constraint.Walk, satisfied 
 				if !s.active[v] || s.omega[v]&(1<<uint(q0)) == 0 {
 					continue
 				}
-				if cache != nil && cache.satisfied(w.ID, graph.VertexID(v)) {
+				if cache != nil && cache.Satisfied(w.ID, graph.VertexID(v)) {
 					satisfied[v] = true
 					continue
 				}
@@ -388,9 +388,6 @@ func (s *distState) nlccDist(t *pattern.Template, w *constraint.Walk, satisfied 
 				satisfied[target] = true
 			}
 		})
-	if cache != nil {
-		cache.ensure(w.ID)
-	}
 	var changed atomic.Bool
 	s.e.ParallelRanks(func(rank int) {
 		for v := 0; v < g.NumVertices(); v++ {
@@ -399,7 +396,7 @@ func (s *distState) nlccDist(t *pattern.Template, w *constraint.Walk, satisfied 
 			}
 			if satisfied[v] {
 				if cache != nil {
-					cache.record(w.ID, graph.VertexID(v))
+					cache.Record(w.ID, graph.VertexID(v))
 				}
 				continue
 			}
@@ -481,66 +478,3 @@ func (s *distState) forwardToken(ctx *Ctx, cur graph.VertexID, d token) {
 		func(i int, u graph.VertexID) bool { return s.edgeOn[base+i] },
 		func(i int, u graph.VertexID) any { return d })
 }
-
-// recycler abstracts the NLCC work-recycling store so the distributed
-// engine runs against either its private per-run distCache or a
-// caller-owned core.Cache shared across queries (Options.SharedCache).
-// Implementations count their own hit/miss statistics inside satisfied.
-type recycler interface {
-	// satisfied reports whether v is recorded as satisfying constraint id.
-	satisfied(id string, v graph.VertexID) bool
-	// ensure pre-creates id's record where the implementation needs it so
-	// that subsequent record calls are safe from concurrent ranks.
-	ensure(id string)
-	// record marks v as satisfying constraint id.
-	record(id string, v graph.VertexID)
-}
-
-// distCache is the distributed work-recycling store: per constraint ID, the
-// set of vertices that satisfied it (κ in Alg. 3). Bit vectors are written
-// between traversals only (rank-parallel over owned vertices), so a plain
-// mutex-per-record suffices.
-type distCache struct {
-	n    int
-	sets map[string][]bool
-	hits atomic.Int64
-}
-
-func newDistCache(n int) *distCache {
-	return &distCache{n: n, sets: make(map[string][]bool)}
-}
-
-func (c *distCache) satisfied(id string, v graph.VertexID) bool {
-	set, ok := c.sets[id]
-	if ok && set[v] {
-		c.hits.Add(1)
-		return true
-	}
-	return false
-}
-
-// ensure pre-creates the record for id so that record() only performs
-// element writes (safe from concurrent ranks; each vertex index is written
-// by its owner only).
-func (c *distCache) ensure(id string) {
-	if _, ok := c.sets[id]; !ok {
-		c.sets[id] = make([]bool, c.n)
-	}
-}
-
-func (c *distCache) record(id string, v graph.VertexID) {
-	c.sets[id][v] = true
-}
-
-// sharedRecycler adapts a caller-owned core.Cache to the recycler
-// interface. core.Cache.Record takes its own write lock, so concurrent
-// ranks need no ensure pre-creation; hit/miss accounting lives in the
-// store. Cache content is correctness-neutral either way — a foreign or
-// stale verdict only skips a pruning walk, and exact verification fixes
-// precision — so sharing across queries needs no coordination beyond the
-// store's own locking.
-type sharedRecycler struct{ c *core.Cache }
-
-func (r sharedRecycler) satisfied(id string, v graph.VertexID) bool { return r.c.Satisfied(id, v) }
-func (r sharedRecycler) ensure(string)                              {}
-func (r sharedRecycler) record(id string, v graph.VertexID)         { r.c.Record(id, v) }

@@ -20,7 +20,7 @@ import (
 // the core kernels it calls back into (the gather-and-finalize step) run on
 // the calling goroutine. Budget charging rides the core probes of the
 // finalization phase plus the checks between distributed phases, and
-// SharedCache replaces the run's private distCache. The fields this engine
+// SharedCache replaces the run's private core.Cache. The fields this engine
 // cannot honour are rejected at the entry point, see unsupported.
 type Options struct {
 	core.Config
@@ -36,9 +36,11 @@ func DefaultOptions(k int) Options {
 
 // unsupported names the first core.Config field set in opts that the
 // distributed engine has no implementation for: the traversals always span
-// the whole graph (Restrict), and the private distCache has no eviction to
-// cap (CacheBytes; a SharedCache carries its own cap, so there the field is
-// ignored exactly as in core).
+// the whole graph (Restrict), and the private cache stays unbounded
+// (CacheBytes): ranks record into it concurrently, so LRU eviction order —
+// and with it which walks are recycled and the message counts — would
+// depend on scheduling. A SharedCache carries its own cap, so there the
+// field is ignored exactly as in core.
 func (opts *Options) unsupported() error {
 	field := ""
 	switch {
@@ -62,18 +64,17 @@ func (opts *Options) withBudget(ctx context.Context) context.Context {
 }
 
 // recycling builds a run's label-frequency table and κ cache from opts.
-func (opts *Options) recycling(g *graph.Graph) (constraint.LabelFreq, recycler) {
+func (opts *Options) recycling(g *graph.Graph) (constraint.LabelFreq, *core.Cache) {
 	var freq constraint.LabelFreq
 	if opts.FrequencyOrdering {
 		freq = g.LabelFrequencies()
 		freq[pattern.Wildcard] = int64(g.NumVertices())
 	}
-	var cache recycler
+	var cache *core.Cache
 	if opts.WorkRecycling {
-		if opts.SharedCache != nil {
-			cache = sharedRecycler{opts.SharedCache}
-		} else {
-			cache = newDistCache(g.NumVertices())
+		cache = opts.SharedCache
+		if cache == nil {
+			cache = core.NewCache(g.NumVertices())
 		}
 	}
 	return freq, cache
@@ -167,7 +168,7 @@ func run(ctx context.Context, e *Engine, t *pattern.Template, opts Options) (*co
 // core.Result.CommitLevel only once the whole level completed, so a budget
 // abort mid-level keeps the Partial contract (committed levels are always
 // whole, exact levels). It returns the next level's containment state.
-func runLevel(ctx context.Context, e *Engine, res *core.Result, level *core.State, dist int, freq constraint.LabelFreq, cache recycler, satisfied []bool, opts Options) (next *core.State, err error) {
+func runLevel(ctx context.Context, e *Engine, res *core.Result, level *core.State, dist int, freq constraint.LabelFreq, cache *core.Cache, satisfied []bool, opts Options) (next *core.State, err error) {
 	defer core.RecoverCancel(&err)
 	cc := core.NewCancelCheck(ctx)
 	start := time.Now()
@@ -202,7 +203,7 @@ func runLevel(ctx context.Context, e *Engine, res *core.Result, level *core.Stat
 // reloading the pruned graph on a small deployment (§4). cache may be nil. A
 // fired ctx aborts with a cancellation panic (recovered at the RunContext
 // boundary).
-func (e *Engine) searchPrototype(ctx context.Context, from *core.State, t *pattern.Template, freq constraint.LabelFreq, cache recycler, satisfied []bool, count bool, m *core.Metrics) *core.Solution {
+func (e *Engine) searchPrototype(ctx context.Context, from *core.State, t *pattern.Template, freq constraint.LabelFreq, cache *core.Cache, satisfied []bool, count bool, m *core.Metrics) *core.Solution {
 	cc := core.NewCancelCheck(ctx)
 	cc.Check()
 	ds := fromCoreState(e, from)

@@ -202,20 +202,6 @@ func ComputeStats(g *Graph) Stats {
 	return s
 }
 
-// DegreeHistogram returns counts of vertices per ⌈log2(d+1)⌉ degree bucket,
-// a compact view of the (typically heavy-tailed) degree distribution.
-func DegreeHistogram(g *Graph) map[int]int {
-	hist := make(map[int]int)
-	for v := 0; v < g.NumVertices(); v++ {
-		bucket := 0
-		if d := g.Degree(VertexID(v)); d > 0 {
-			bucket = int(math.Ceil(math.Log2(float64(d) + 1)))
-		}
-		hist[bucket]++
-	}
-	return hist
-}
-
 // String implements fmt.Stringer for Stats.
 func (s Stats) String() string {
 	return fmt.Sprintf("n=%d m=%d dmax=%d davg=%.1f dstdev=%.1f labels=%d",

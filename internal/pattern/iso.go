@@ -170,43 +170,14 @@ func edgeCompatible(a, b *Template, q, r, w, m int) bool {
 
 // CountAutomorphisms returns the number of label-preserving automorphisms of
 // t, used to convert mapping counts to subgraph counts (motif counting).
+// Unlike Automorphisms it has no cap: the count is a divisor, so it must be
+// exact.
 func CountAutomorphisms(t *Template) int64 {
-	n := t.NumVertices()
-	colors := refineColors(t)
-	mapping := make([]int, n)
-	used := make([]bool, n)
-	for i := range mapping {
-		mapping[i] = -1
-	}
 	var count int64
-	var solve func(q int)
-	solve = func(q int) {
-		if q == n {
-			count++
-			return
-		}
-		for w := 0; w < n; w++ {
-			if used[w] || colors[w] != colors[q] || t.Label(q) != t.Label(w) || t.Degree(q) != t.Degree(w) {
-				continue
-			}
-			ok := true
-			for _, r := range t.adj[q] {
-				if m := mapping[r]; m != -1 && !edgeCompatible(t, t, q, r, w, m) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			mapping[q] = w
-			used[w] = true
-			solve(q + 1)
-			mapping[q] = -1
-			used[w] = false
-		}
-	}
-	solve(0)
+	eachAutomorphism(t, func([]int) bool {
+		count++
+		return true
+	})
 	return count
 }
 

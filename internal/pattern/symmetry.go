@@ -36,6 +36,27 @@ const maxAutomorphisms = 1 << 16
 // the identity), each as a vertex permutation p with p[q] = image of q.
 // It returns nil when the group exceeds maxAutomorphisms.
 func Automorphisms(t *Template) [][]int {
+	var out [][]int
+	overflow := false
+	eachAutomorphism(t, func(p []int) bool {
+		if len(out) >= maxAutomorphisms {
+			overflow = true
+			return false
+		}
+		out = append(out, append([]int(nil), p...))
+		return true
+	})
+	if overflow {
+		return nil
+	}
+	return out
+}
+
+// eachAutomorphism is the backtracking walk behind Automorphisms and
+// CountAutomorphisms: it calls visit with every label-preserving
+// automorphism of t (p[q] = image of q; p is reused, so visit copies what it
+// keeps) until visit returns false.
+func eachAutomorphism(t *Template, visit func(p []int) bool) {
 	n := t.NumVertices()
 	colors := refineColors(t)
 	mapping := make([]int, n)
@@ -43,20 +64,10 @@ func Automorphisms(t *Template) [][]int {
 	for i := range mapping {
 		mapping[i] = -1
 	}
-	var out [][]int
-	overflow := false
-	var solve func(q int)
-	solve = func(q int) {
-		if overflow {
-			return
-		}
+	var solve func(q int) bool
+	solve = func(q int) bool {
 		if q == n {
-			if len(out) >= maxAutomorphisms {
-				overflow = true
-				return
-			}
-			out = append(out, append([]int(nil), mapping...))
-			return
+			return visit(mapping)
 		}
 		for w := 0; w < n; w++ {
 			if used[w] || colors[w] != colors[q] || t.Label(q) != t.Label(w) || t.Degree(q) != t.Degree(w) {
@@ -74,16 +85,16 @@ func Automorphisms(t *Template) [][]int {
 			}
 			mapping[q] = w
 			used[w] = true
-			solve(q + 1)
+			more := solve(q + 1)
 			mapping[q] = -1
 			used[w] = false
+			if !more {
+				return false
+			}
 		}
+		return true
 	}
 	solve(0)
-	if overflow {
-		return nil
-	}
-	return out
 }
 
 // RestrictionSet derives the symmetry-breaking restrictions for t from its

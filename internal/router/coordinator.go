@@ -1,227 +1,79 @@
 // Package router is the replica router behind amatchd -ranks-addr: a
 // Coordinator spreads /match and /explore queries round-robin, with
-// failover, over a group of amatchrank worker processes, each a
-// whole-graph read replica running the full serving stack behind a
-// RankServer.
+// failover, over a group of amatchd worker processes. Each worker is a
+// whole-graph read replica serving plain HTTP; the coordinator posts it the
+// query body and relays the reply's status, Content-Type and body
+// unchanged.
 package router
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
-	"sync"
+	"net/http"
 	"sync/atomic"
 	"time"
+
+	"approxmatch/internal/graph"
 )
 
-// Coordinator protocol: how a front-end (amatchd) routes queries to a
-// group of amatchrank worker processes, each serving the full graph.
-// Frames use the format in wire.go. On connect the worker sends one hello
-// frame:
-//
-//	[uvarint numVertices][uvarint numDirectedEdges][uvarint graphSignature]
-//
-// after which the connection is a lockstep request/response stream:
-//
-//	query  frame: [1B endpoint][request body ...]
-//	result frame: [uvarint status][uvarint len(contentType)][contentType]
-//	              [response body ...]
-//
-// The hello's graph signature (GraphSignature) is validated at dial time
-// against the rest of the group — and optionally against the
-// coordinator's own graph — so a worker serving a different graph, file
-// or relabeling is rejected before it can answer queries against the
-// wrong data. This is what makes the coordinator's byte-identity claim
-// safe to rely on: same graph, same code path, same bytes.
+// idlePerWorker bounds the keep-alive connections the coordinator pools per
+// worker. It is well above net/http's default of 2 because every new
+// connection costs a GET /signature exchange before its first query;
+// concurrent queries beyond it open (and then drop) extra connections.
+const idlePerWorker = 64
 
-// Query endpoints routed through a rank group.
-const (
-	EndpointMatch   byte = 1
-	EndpointExplore byte = 2
-)
-
-// HelloInfo is the worker's self-description sent on every connection.
-type HelloInfo struct {
-	Vertices  int
-	Edges     int // directed edges
-	Signature uint64
+// SignatureReply is the body of amatchd's GET /signature: the graph epoch
+// the server is on and that epoch's GraphSignature. The signature travels
+// as a decimal string so JSON tools that read numbers as doubles keep all
+// 64 bits.
+type SignatureReply struct {
+	Epoch     uint64 `json:"epoch"`
+	Signature uint64 `json:"signature,string"`
 }
 
-// QueryHandler serves one routed query on the worker side. It returns the
-// HTTP-equivalent status, the content type and the response body; the
-// coordinator relays all three verbatim.
-type QueryHandler func(endpoint byte, body []byte) (status int, contentType string, resp []byte)
-
-func appendHello(dst []byte, h HelloInfo) []byte {
-	body := binary.AppendUvarint(nil, uint64(h.Vertices))
-	body = binary.AppendUvarint(body, uint64(h.Edges))
-	body = binary.AppendUvarint(body, h.Signature)
-	return appendFrame(dst, frameHello, body)
-}
-
-func parseHello(body []byte) (HelloInfo, error) {
-	var h HelloInfo
-	v, body, err := getUvarint(body)
-	if err != nil {
-		return h, err
-	}
-	e, body, err := getUvarint(body)
-	if err != nil {
-		return h, err
-	}
-	sig, _, err := getUvarint(body)
-	if err != nil {
-		return h, err
-	}
-	h.Vertices, h.Edges, h.Signature = int(v), int(e), sig
-	return h, nil
-}
-
-// RankServer is the worker-side serve loop: it greets each connection
-// with a hello frame, then answers query frames in lockstep. amatchrank
-// wraps the full HTTP serving stack (scheduler, caches, budgets) behind
-// the QueryHandler, so a routed query takes exactly the code path a
-// direct HTTP request would.
-type RankServer struct {
-	ln    net.Listener
-	hello HelloInfo
-	h     QueryHandler
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-}
-
-// NewRankServer wraps an existing listener; Serve starts accepting.
-func NewRankServer(ln net.Listener, hello HelloInfo, h QueryHandler) *RankServer {
-	return &RankServer{ln: ln, hello: hello, h: h, conns: make(map[net.Conn]struct{})}
-}
-
-// Addr returns the listen address.
-func (s *RankServer) Addr() string { return s.ln.Addr().String() }
-
-// Serve accepts and serves connections until Close. It returns nil after
-// a graceful Close, the accept error otherwise.
-func (s *RankServer) Serve() error {
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			c.Close()
-			return nil
-		}
-		s.conns[c] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(c)
-			s.mu.Lock()
-			delete(s.conns, c)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// Close stops accepting, tears down live connections and waits for their
-// handlers to return.
-func (s *RankServer) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.ln.Close()
-	s.wg.Wait()
-}
-
-func (s *RankServer) serveConn(c net.Conn) {
-	defer c.Close()
-	if _, err := c.Write(appendHello(nil, s.hello)); err != nil {
-		return
-	}
-	br := bufio.NewReader(c)
-	for {
-		class, body, err := readFrame(br)
-		if err != nil || class != frameQuery || len(body) < 1 {
-			return
-		}
-		status, ct, resp := s.h(body[0], body[1:])
-		out := binary.AppendUvarint(nil, uint64(status))
-		out = binary.AppendUvarint(out, uint64(len(ct)))
-		out = append(out, ct...)
-		out = append(out, resp...)
-		if _, err := c.Write(appendFrame(nil, frameResult, out)); err != nil {
-			return
-		}
-	}
-}
-
-// Coordinator routes queries round-robin over a rank group with failover:
-// a worker whose connection fails is skipped (and lazily redialed on its
-// next turn), and the query moves to the next worker. Context expiry is
-// surfaced, not failed over — a slow query retried elsewhere would only
-// double the work.
+// Coordinator routes queries round-robin over a worker group through one
+// keep-alive HTTP client, failing over to the next worker on transport
+// errors. Every connection the client opens is vetted before it carries a
+// query: the worker must answer GET /signature on it with the group's
+// signature. So a worker restarted at the same address on a different graph
+// — whether a query failed on it or its idle connections just closed — is
+// never routed to. A fired context deadline is returned, not failed over: a
+// slow query retried elsewhere would only double the work.
 type Coordinator struct {
-	workers []*workerConn
-	hello   HelloInfo
+	addrs   []string
+	sig     uint64
 	timeout time.Duration
+	client  *http.Client
 	next    atomic.Uint64
 }
 
-// workerConn is one worker's client half; the mutex serializes the
-// lockstep request/response exchange.
-type workerConn struct {
-	addr    string
-	timeout time.Duration
-	want    HelloInfo
-
-	mu sync.Mutex
-	c  net.Conn
-	br *bufio.Reader
-}
-
-// ErrNoWorkers reports a rank group where every worker failed.
+// ErrNoWorkers reports a query that every worker of the group failed.
 var ErrNoWorkers = errors.New("router: no reachable rank worker")
 
-// DialGroup connects to every worker, validates that the group serves one
-// graph (all hello signatures equal — and equal to expectSig when
+// DialGroup checks every worker's graph signature, validates that the group
+// serves one graph (all signatures equal — and equal to expectSig when
 // non-zero, the coordinator's own graph), and returns the coordinator.
 // timeout bounds each dial and each query exchange (0 = 5s). Each worker
-// gets exactly one dial attempt; see DialGroupWithin for startup
-// resilience.
+// gets exactly one attempt; see DialGroupWithin for startup resilience.
 func DialGroup(addrs []string, expectSig uint64, timeout time.Duration) (*Coordinator, error) {
 	return DialGroupWithin(addrs, expectSig, timeout, 0)
 }
 
-// DialGroupWithin is DialGroup with a startup budget: a worker whose dial
-// or hello fails is retried with capped exponential backoff plus jitter
-// until budget elapses, so a coordinator started in parallel with its
-// workers (the common deployment race) waits for them instead of aborting
-// on the first refused connection. budget <= 0 means one attempt per
-// worker. Permanent mismatches — a worker serving the wrong graph
-// signature, or a split group — fail immediately: waiting cannot fix a
-// wrong graph.
+// DialGroupWithin is DialGroup with a startup budget: a worker that refuses
+// the dial or is not ready yet (503 from its ready gate) is retried with
+// capped exponential backoff plus jitter until budget elapses, so a
+// coordinator started in parallel with its workers waits for them instead
+// of aborting on the first refused connection. budget <= 0 means one
+// attempt per worker. Permanent mismatches — a worker serving the wrong
+// graph signature, or a split group — fail immediately: waiting cannot fix
+// a wrong graph.
 func DialGroupWithin(addrs []string, expectSig uint64, timeout, budget time.Duration) (*Coordinator, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
@@ -233,77 +85,68 @@ func DialGroupWithin(addrs []string, expectSig uint64, timeout, budget time.Dura
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
 	}
-	// Jitter is deterministic per call group but spread across workers so
-	// restarting coordinators do not retry in lockstep.
+	// Jitter spreads retries across workers so restarting coordinators do
+	// not retry in lockstep.
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	co := &Coordinator{timeout: timeout}
+	co := &Coordinator{addrs: addrs, timeout: timeout}
 	for i, addr := range addrs {
-		w := &workerConn{addr: addr, timeout: timeout}
-		hello, err := w.connect()
+		sig, err := probe(addr, timeout)
 		for attempt := 0; err != nil && !deadline.IsZero(); attempt++ {
 			// Capped exponential backoff: 50ms, 100ms, ... up to 2s, each
 			// scaled by a jitter factor in [0.5, 1).
-			back := 50 * time.Millisecond << uint(min(attempt, 6))
-			if back > 2*time.Second {
-				back = 2 * time.Second
-			}
+			back := min(50*time.Millisecond<<uint(min(attempt, 6)), 2*time.Second)
 			back = time.Duration(float64(back) * (0.5 + rng.Float64()/2))
-			if remaining := time.Until(deadline); remaining <= 0 {
+			remaining := time.Until(deadline)
+			if remaining <= 0 {
 				break
-			} else if back > remaining {
-				back = remaining
 			}
-			time.Sleep(back)
-			hello, err = w.connect()
+			time.Sleep(min(back, remaining))
+			sig, err = probe(addr, timeout)
 		}
 		if err != nil {
-			co.Close()
 			return nil, fmt.Errorf("router: rank worker %s: %w", addr, err)
 		}
-		if expectSig != 0 && hello.Signature != expectSig {
-			co.Close()
-			w.close()
-			return nil, fmt.Errorf("router: rank worker %s serves graph signature %016x, coordinator has %016x",
-				addr, hello.Signature, expectSig)
+		if expectSig != 0 && sig != expectSig {
+			return nil, fmt.Errorf("router: rank worker %s serves graph signature %d, coordinator has %d",
+				addr, sig, expectSig)
 		}
 		if i == 0 {
-			co.hello = hello
-		} else if hello.Signature != co.hello.Signature {
-			co.Close()
-			w.close()
-			return nil, fmt.Errorf("router: rank group is split: %s serves signature %016x, %s serves %016x",
-				addr, hello.Signature, addrs[0], co.hello.Signature)
+			co.sig = sig
+		} else if sig != co.sig {
+			return nil, fmt.Errorf("router: rank group is split: %s serves signature %d, %s serves %d",
+				addr, sig, addrs[0], co.sig)
 		}
-		w.want = hello
-		co.workers = append(co.workers, w)
 	}
+	co.client = &http.Client{Transport: &http.Transport{
+		DialContext:         co.dial,
+		MaxIdleConnsPerHost: idlePerWorker,
+	}}
 	return co, nil
 }
 
-// Hello returns the group's common graph description.
-func (co *Coordinator) Hello() HelloInfo { return co.hello }
-
 // Size returns the number of workers in the group.
-func (co *Coordinator) Size() int { return len(co.workers) }
+func (co *Coordinator) Size() int { return len(co.addrs) }
 
-// Do routes one query to the group. Round-robin with failover on
-// connection errors; a context cancellation or deadline is returned
-// as-is.
-func (co *Coordinator) Do(ctx context.Context, endpoint byte, body []byte) (status int, contentType string, resp []byte, err error) {
+// Do posts one query body to path ("/match" or "/explore") on the group and
+// returns the worker's status, Content-Type and body. Round-robin with
+// failover on transport errors; a context cancellation or deadline is
+// returned as-is.
+func (co *Coordinator) Do(ctx context.Context, path string, body []byte) (status int, contentType string, resp []byte, err error) {
 	start := co.next.Add(1)
 	var lastErr error
-	for i := 0; i < len(co.workers); i++ {
-		w := co.workers[(start+uint64(i))%uint64(len(co.workers))]
-		status, contentType, resp, err = w.roundTrip(ctx, endpoint, body)
+	for i := range co.addrs {
+		addr := co.addrs[(start+uint64(i))%uint64(len(co.addrs))]
+		status, contentType, resp, err = co.exchange(ctx, addr, path, body)
 		if err == nil {
 			return status, contentType, resp, nil
 		}
 		if ctx.Err() != nil {
 			return 0, "", nil, ctx.Err()
 		}
-		// The conn deadline is derived from the ctx deadline and can fire
-		// a hair before ctx.Err() flips; an expired deadline is a context
-		// timeout either way, not a worker failure to retry elsewhere.
+		// The exchange deadline is derived from the ctx deadline and can
+		// fire a hair before ctx.Err() flips; an expired deadline is a
+		// context timeout either way, not a worker failure to retry
+		// elsewhere.
 		if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
 			return 0, "", nil, context.DeadlineExceeded
 		}
@@ -312,128 +155,132 @@ func (co *Coordinator) Do(ctx context.Context, endpoint byte, body []byte) (stat
 	return 0, "", nil, fmt.Errorf("%w: %w", ErrNoWorkers, lastErr)
 }
 
-// Close tears down every worker connection.
-func (co *Coordinator) Close() {
-	for _, w := range co.workers {
-		w.close()
-	}
-}
+// Close drops the pooled worker connections.
+func (co *Coordinator) Close() { co.client.CloseIdleConnections() }
 
-// dialWorker dials a worker and reads its hello greeting.
-func dialWorker(addr string, timeout time.Duration) (net.Conn, *bufio.Reader, HelloInfo, error) {
-	c, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, nil, HelloInfo{}, err
-	}
-	br := bufio.NewReaderSize(c, 64<<10)
-	c.SetReadDeadline(time.Now().Add(timeout))
-	class, body, err := readFrame(br)
-	c.SetReadDeadline(time.Time{})
-	if err != nil {
-		c.Close()
-		return nil, nil, HelloInfo{}, fmt.Errorf("reading hello: %w", err)
-	}
-	if class != frameHello {
-		c.Close()
-		return nil, nil, HelloInfo{}, fmt.Errorf("expected hello frame, got class 0x%02x", class)
-	}
-	hello, err := parseHello(body)
-	if err != nil {
-		c.Close()
-		return nil, nil, HelloInfo{}, fmt.Errorf("parsing hello: %w", err)
-	}
-	return c, br, hello, nil
-}
-
-// connect dials the worker and reads its hello.
-func (w *workerConn) connect() (HelloInfo, error) {
-	c, br, hello, err := dialWorker(w.addr, w.timeout)
-	if err != nil {
-		return HelloInfo{}, err
-	}
-	w.mu.Lock()
-	w.c, w.br = c, br
-	w.mu.Unlock()
-	return hello, nil
-}
-
-func (w *workerConn) close() {
-	w.mu.Lock()
-	if w.c != nil {
-		w.c.Close()
-		w.c, w.br = nil, nil
-	}
-	w.mu.Unlock()
-}
-
-// roundTrip performs one lockstep exchange, redialing (and re-validating
-// the graph signature) if the connection was lost.
-func (w *workerConn) roundTrip(ctx context.Context, endpoint byte, body []byte) (int, string, []byte, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.c == nil {
-		hello, err := w.reconnectLocked()
-		if err != nil {
-			return 0, "", nil, err
-		}
-		if hello.Signature != w.want.Signature {
-			w.c.Close()
-			w.c, w.br = nil, nil
-			return 0, "", nil, fmt.Errorf("router: worker %s changed graph signature %016x -> %016x",
-				w.addr, w.want.Signature, hello.Signature)
-		}
-	}
-	deadline := time.Now().Add(w.timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	w.c.SetDeadline(deadline)
-	defer func() {
-		if w.c != nil {
-			w.c.SetDeadline(time.Time{})
-		}
-	}()
-
-	q := make([]byte, 0, len(body)+8)
-	q = append(q, endpoint)
-	q = append(q, body...)
-	if _, err := w.c.Write(appendFrame(nil, frameQuery, q)); err != nil {
-		w.dropLocked()
-		return 0, "", nil, err
-	}
-	class, rbody, err := readFrame(w.br)
-	if err != nil {
-		w.dropLocked()
-		return 0, "", nil, err
-	}
-	if class != frameResult {
-		w.dropLocked()
-		return 0, "", nil, fmt.Errorf("router: expected result frame, got class 0x%02x", class)
-	}
-	status, rbody, err := getUvarint(rbody)
+// exchange posts one query to the worker at addr under the per-exchange
+// timeout and reads the whole reply.
+func (co *Coordinator) exchange(ctx context.Context, addr, path string, body []byte) (int, string, []byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, co.timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, "", nil, err
 	}
-	ctLen, rbody, err := getUvarint(rbody)
-	if err != nil || ctLen > uint64(len(rbody)) {
-		return 0, "", nil, errTruncated
-	}
-	return int(status), string(rbody[:ctLen]), rbody[ctLen:], nil
-}
-
-// reconnectLocked redials under the held mutex.
-func (w *workerConn) reconnectLocked() (HelloInfo, error) {
-	c, br, hello, err := dialWorker(w.addr, w.timeout)
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := co.client.Do(req)
 	if err != nil {
-		return HelloInfo{}, err
+		return 0, "", nil, err
 	}
-	w.c, w.br = c, br
-	return hello, nil
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, "", nil, err
+	}
+	return resp.StatusCode, resp.Header.Get("Content-Type"), b, nil
 }
 
-func (w *workerConn) dropLocked() {
-	if w.c != nil {
-		w.c.Close()
-		w.c, w.br = nil, nil
+// dial is the client's DialContext: a new connection carries queries only
+// once the worker has answered GET /signature on it with the group's
+// signature.
+func (co *Coordinator) dial(ctx context.Context, _, addr string) (net.Conn, error) {
+	c, sig, err := dialSigned(ctx, addr, co.timeout)
+	if err != nil {
+		return nil, err
 	}
+	if sig != co.sig {
+		c.Close()
+		return nil, fmt.Errorf("router: rank worker %s now serves graph signature %d, the group serves %d",
+			addr, sig, co.sig)
+	}
+	return c, nil
+}
+
+// probe reads the signature of the worker at addr over a fresh connection.
+func probe(addr string, timeout time.Duration) (uint64, error) {
+	c, sig, err := dialSigned(context.TODO(), addr, timeout)
+	if err != nil {
+		return 0, err
+	}
+	c.Close()
+	return sig, nil
+}
+
+// dialSigned opens a connection to the worker at addr and sends
+// GET /signature on it, leaving the connection idle for the next request.
+// Any status but 200 — a recovering server's 503 included — is an error, as
+// is a reply that would leave the connection unusable.
+func dialSigned(ctx context.Context, addr string, timeout time.Duration) (net.Conn, uint64, error) {
+	c, err := (&net.Dialer{Timeout: timeout}).DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, 0, err
+	}
+	sig, err := readSignature(c, addr, timeout)
+	if err != nil {
+		c.Close()
+		return nil, 0, err
+	}
+	return c, sig, nil
+}
+
+func readSignature(c net.Conn, addr string, timeout time.Duration) (uint64, error) {
+	c.SetDeadline(time.Now().Add(timeout))
+	defer c.SetDeadline(time.Time{})
+	req, err := http.NewRequest(http.MethodGet, "http://"+addr+"/signature", nil)
+	if err != nil {
+		return 0, err
+	}
+	if err := req.Write(c); err != nil {
+		return 0, err
+	}
+	br := bufio.NewReader(c)
+	resp, err := http.ReadResponse(br, req)
+	if err != nil {
+		return 0, err
+	}
+	var reply SignatureReply
+	if resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("GET /signature: %s", resp.Status)
+	} else if err = json.NewDecoder(resp.Body).Decode(&reply); err == nil {
+		_, err = io.Copy(io.Discard, resp.Body)
+	}
+	resp.Body.Close()
+	if err == nil && (resp.Close || br.Buffered() > 0) {
+		err = errors.New("GET /signature left the connection unusable")
+	}
+	return reply.Signature, err
+}
+
+// GraphSignature hashes the structural identity of g — vertex count, edge
+// count, every vertex's label, degree and adjacency — into one value
+// (FNV-1a). The coordinator compares signatures across its worker group
+// (and against its own graph) at dial time, so a worker serving a different
+// graph, a different relabeling, or a stale file is rejected before it can
+// silently answer queries against the wrong data.
+func GraphSignature(g *graph.Graph) uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	mix := func(x uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= x & 0xff
+			h *= prime
+			x >>= 8
+		}
+	}
+	n := g.NumVertices()
+	mix(uint64(n))
+	mix(uint64(g.NumDirectedEdges()))
+	for v := 0; v < n; v++ {
+		vid := graph.VertexID(v)
+		mix(uint64(g.Label(vid)))
+		nbrs := g.Neighbors(vid)
+		mix(uint64(len(nbrs)))
+		for _, w := range nbrs {
+			mix(uint64(w))
+		}
+	}
+	return h
 }

@@ -2,6 +2,7 @@ package router
 
 import (
 	"net"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -26,21 +27,20 @@ func reservePort(t *testing.T) string {
 // refused dial (capped backoff + jitter) and succeed once the straggler
 // comes up — amatchd and its ranks no longer need a launch-order dance.
 func TestDialGroupWithinLateWorker(t *testing.T) {
-	hello := HelloInfo{Vertices: 10, Edges: 20, Signature: 0xabc}
-	h := func(byte, []byte) (int, string, []byte) { return 200, "", []byte("ok") }
-	_, early := startWorker(t, hello, h)
+	early, _ := startWorker(t, 0xabc, reply("ok"))
 	lateAddr := reservePort(t)
 
 	// Bring the late worker up well inside the budget but long after the
 	// first dial attempt has failed.
+	late := &http.Server{Handler: workerHandler(0xabc, reply("ok"))}
+	t.Cleanup(func() { late.Close() })
 	go func() {
 		time.Sleep(300 * time.Millisecond)
 		ln, err := net.Listen("tcp", lateAddr)
 		if err != nil {
 			return // the test will fail on the dial side with a clear error
 		}
-		rs := NewRankServer(ln, hello, h)
-		go rs.Serve() //nolint:errcheck // exits on Close
+		late.Serve(ln) //nolint:errcheck // returns on Close
 	}()
 
 	start := time.Now()
@@ -80,8 +80,7 @@ func TestDialGroupWithinBudgetExhausted(t *testing.T) {
 // mismatch — the worker is serving the wrong graph — so DialGroupWithin
 // must fail immediately instead of burning the whole budget.
 func TestDialGroupWithinMismatchFailsFast(t *testing.T) {
-	h := func(byte, []byte) (int, string, []byte) { return 200, "", nil }
-	_, addr := startWorker(t, HelloInfo{Signature: 0x111}, h)
+	addr, _ := startWorker(t, 0x111, reply(""))
 	start := time.Now()
 	_, err := DialGroupWithin([]string{addr}, 0x999, time.Second, 30*time.Second)
 	if err == nil || !strings.Contains(err.Error(), "signature") {

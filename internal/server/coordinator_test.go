@@ -1,8 +1,8 @@
 package server
 
 import (
+	"encoding/json"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -12,24 +12,13 @@ import (
 	"approxmatch/internal/router"
 )
 
-// startRankWorker runs a full server stack behind the rank worker protocol
-// on a loopback socket, the in-process equivalent of one amatchrank.
-func startRankWorker(t *testing.T) string {
+// startWorker runs a full server stack on a loopback port, the in-process
+// equivalent of one amatchd worker, and returns its address and server.
+func startWorker(t *testing.T) (string, *httptest.Server) {
 	t.Helper()
-	g := testGraph()
-	s := New(g)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := router.NewRankServer(ln, router.HelloInfo{
-		Vertices:  g.NumVertices(),
-		Edges:     g.NumDirectedEdges(),
-		Signature: router.GraphSignature(g),
-	}, s.RankHandler())
-	go rs.Serve() //nolint:errcheck // exits on Close
-	t.Cleanup(rs.Close)
-	return rs.Addr()
+	ws := httptest.NewServer(New(testGraph()).Handler())
+	t.Cleanup(ws.Close)
+	return ws.Listener.Addr().String(), ws
 }
 
 // elapsedRe strips the one legitimately volatile response field before
@@ -49,13 +38,28 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 	return b
 }
 
-// TestCoordinatorByteIdentity is the satellite acceptance test: a query
-// routed through a rank group must return byte-for-byte the body a direct
-// in-process server produces (modulo wall time), for /match and /explore,
-// for success and for validation failures.
+func getSignature(t *testing.T, url string) router.SignatureReply {
+	t.Helper()
+	resp, err := http.Get(url + "/signature")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out router.SignatureReply
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestCoordinatorByteIdentity: a query routed through a worker group must
+// return byte-for-byte the body a direct in-process server produces
+// (modulo wall time), for /match and /explore, for success and for
+// validation failures.
 func TestCoordinatorByteIdentity(t *testing.T) {
-	workers := []string{startRankWorker(t), startRankWorker(t)}
-	co, err := router.DialGroup(workers, router.GraphSignature(testGraph()), 5*time.Second)
+	a0, _ := startWorker(t)
+	a1, _ := startWorker(t)
+	co, err := router.DialGroup([]string{a0, a1}, router.GraphSignature(testGraph()), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +73,7 @@ func TestCoordinatorByteIdentity(t *testing.T) {
 	}{
 		{"match", "/match", `{"template":"` + `v 0 1\nv 1 2\nv 2 3\ne 0 1\ne 1 2\ne 0 2\n` + `","k":1,"count":true,"vectors":true}`},
 		{"match k0", "/match", `{"template":"` + `v 0 1\nv 1 2\nv 2 3\ne 0 1\ne 1 2\ne 0 2\n` + `","k":0}`},
-		{"explore", "/explore", `{"template":"` + `v 0 1\nv 1 2\nv 2 3\ne 0 1\ne 1 2\ne 0 2\n` + `","max_k":2}`},
+		{"explore", "/explore", `{"template":"` + `v 0 1\nv 1 2\nv 2 3\ne 0 1\ne 1 2\ne 0 2\n` + `","k":2}`},
 		{"bad template", "/match", `{"template":"nonsense","k":1}`},
 		{"bad json", "/match", `{"template":`},
 	}
@@ -89,19 +93,20 @@ func TestCoordinatorByteIdentity(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSheddingSkipped: the coordinator must not apply its own
-// admission control to routed queries — the rank group is the capacity.
-// Local endpoints (/stats, /healthz) stay local and keep working.
+// TestCoordinatorLocalEndpointsStayLocal: the coordinator must not apply
+// its own admission control to routed queries — the worker group is the
+// capacity. Local endpoints (/stats, /healthz, /metrics, /signature) stay
+// local and keep working.
 func TestCoordinatorLocalEndpointsStayLocal(t *testing.T) {
-	workers := []string{startRankWorker(t)}
-	co, err := router.DialGroup(workers, 0, 5*time.Second)
+	a, _ := startWorker(t)
+	co, err := router.DialGroup([]string{a}, 0, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(co.Close)
 	proxied := httptest.NewServer(NewWithConfig(testGraph(), Config{Coordinator: co}).Handler())
 	t.Cleanup(proxied.Close)
-	for _, path := range []string{"/stats", "/healthz", "/metrics"} {
+	for _, path := range []string{"/stats", "/healthz", "/metrics", "/signature"} {
 		resp, err := http.Get(proxied.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -117,20 +122,13 @@ func TestCoordinatorLocalEndpointsStayLocal(t *testing.T) {
 // query surfaces 502, while a malformed one still fails fast locally with
 // 400 (validation happens before the network hop).
 func TestCoordinatorWorkerDownIs502(t *testing.T) {
-	g := testGraph()
-	s := New(g)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := router.NewRankServer(ln, router.HelloInfo{Signature: router.GraphSignature(g)}, s.RankHandler())
-	go rs.Serve() //nolint:errcheck
-	co, err := router.DialGroup([]string{rs.Addr()}, 0, time.Second)
+	a, ws := startWorker(t)
+	co, err := router.DialGroup([]string{a}, 0, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(co.Close)
-	rs.Close()
+	ws.Close()
 	proxied := httptest.NewServer(NewWithConfig(testGraph(), Config{Coordinator: co}).Handler())
 	t.Cleanup(proxied.Close)
 
@@ -143,5 +141,48 @@ func TestCoordinatorWorkerDownIs502(t *testing.T) {
 	readAll(t, resp)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed query: status %d, want 400 (local validation)", resp.StatusCode)
+	}
+}
+
+// TestCoordinatorWaitsForReadyGate: a worker still behind its ready gate
+// answers /signature with 503, which the dial treats as not ready yet.
+func TestCoordinatorWaitsForReadyGate(t *testing.T) {
+	gate := NewReadyGate()
+	ws := httptest.NewServer(gate)
+	t.Cleanup(ws.Close)
+	addr := ws.Listener.Addr().String()
+	if _, err := router.DialGroup([]string{addr}, 0, time.Second); err == nil {
+		t.Fatal("dial accepted a worker behind its ready gate")
+	}
+	time.AfterFunc(200*time.Millisecond, func() { gate.Ready(New(testGraph()).Handler()) })
+	co, err := router.DialGroupWithin([]string{addr}, router.GraphSignature(testGraph()), time.Second, 10*time.Second)
+	if err != nil {
+		t.Fatalf("worker never became ready: %v", err)
+	}
+	co.Close()
+}
+
+// TestSignatureFollowsEpoch: /signature reports the current epoch's
+// GraphSignature — unchanged by a bare epoch bump, moved by an ingest that
+// changes the graph.
+func TestSignatureFollowsEpoch(t *testing.T) {
+	s, srv := newIngestServer(t, Config{})
+	want := router.SignatureReply{Signature: router.GraphSignature(testGraph())}
+	if got := getSignature(t, srv.URL); got != want {
+		t.Fatalf("signature %+v, want %+v", got, want)
+	}
+	s.BumpEpoch()
+	want.Epoch = 1
+	if got := getSignature(t, srv.URL); got != want {
+		t.Fatalf("after a bump: signature %+v, want %+v", got, want)
+	}
+	if resp := postJSON(t, srv.URL+"/ingest", `{"insert":[[3,5]]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d", resp.StatusCode)
+	}
+	snap := s.snaps.Acquire()
+	defer snap.Release()
+	want = router.SignatureReply{Epoch: 2, Signature: router.GraphSignature(snap.Graph())}
+	if got := getSignature(t, srv.URL); got != want || got.Signature == router.GraphSignature(testGraph()) {
+		t.Fatalf("after an ingest: signature %+v, want %+v", got, want)
 	}
 }

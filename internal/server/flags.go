@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// RegisterFlags declares on fs the serving flags amatchd and amatchrank
-// share — the one place their names, defaults and help text live — and
-// returns the function to call after fs.Parse: it yields the graph path and
-// the Config those flags describe. A binary registers its own flags beside
-// these and writes them into the same Config.
+// RegisterFlags declares on fs amatchd's query-engine flags — the graph
+// file, the edit-distance cap, the per-query timeout, workers, budgets and
+// caches — and returns the function to call after fs.Parse: it yields the
+// graph path and the Config those flags describe. amatchd registers its
+// deployment flags beside these and writes them into the same Config.
 func RegisterFlags(fs *flag.FlagSet) func() (graphPath string, cfg Config) {
 	var cfg Config
 	graphPath := fs.String("graph", "", "background graph edge-list file (required)")

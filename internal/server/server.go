@@ -9,6 +9,7 @@
 //	GET  /stats
 //	GET  /metrics
 //	GET  /healthz
+//	GET  /signature
 //
 // Templates use the pattern text format ("v <i> <label>" / "e <i> <j>
 // [label=<L>] [mandatory]"). Responses carry per-prototype summaries and,
@@ -123,7 +124,7 @@ type Config struct {
 	// discard).
 	Logger *slog.Logger
 	// Coordinator, when non-nil, routes /match and /explore queries to a
-	// group of amatchrank worker processes (see internal/router.DialGroup)
+	// group of amatchd worker processes (see internal/router.DialGroup)
 	// instead of the in-process engine; the response bytes are relayed
 	// verbatim. All other endpoints stay local, and a nil Coordinator is
 	// the in-process fallback. The server does not take ownership — the
@@ -218,6 +219,7 @@ type Server struct {
 	mem     *memWatcher
 	log     *slog.Logger
 	stats   atomic.Pointer[StatsResponse]
+	sig     atomic.Pointer[router.SignatureReply] // /signature, cached per epoch
 	qid     atomic.Uint64
 
 	// rcache/flights implement the cross-query result cache (nil when
@@ -325,6 +327,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	mux.HandleFunc("GET /signature", s.handleSignature)
 	if s.cfg.EnableIngest {
 		mux.HandleFunc("POST /ingest", s.handleIngest)
 	}
@@ -439,7 +442,7 @@ func (s *Server) reject(w http.ResponseWriter, r *http.Request, q *request, stat
 // value, so the rank group parses exactly the body validated here; the
 // request is then finished by forward. accept returns ok=false when the
 // response has already been written and the outcome recorded.
-func (s *Server) accept(w http.ResponseWriter, r *http.Request, q *request, endpoint byte) (*MatchRequest, *pattern.Template, bool) {
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, q *request) (*MatchRequest, *pattern.Template, bool) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var src io.Reader = body
 	var raw *bytes.Buffer
@@ -471,7 +474,7 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request, q *request, endp
 		return nil, nil, false
 	}
 	if s.cfg.Coordinator != nil {
-		s.forward(w, r, q, endpoint, raw.Bytes())
+		s.forward(w, r, q, raw.Bytes())
 		return nil, nil, false
 	}
 	return &req, t, true
@@ -661,7 +664,7 @@ var testHookMatch func(*MatchRequest)
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	q := s.begin("match")
-	req, t, ok := s.accept(w, r, q, router.EndpointMatch)
+	req, t, ok := s.accept(w, r, q)
 	if !ok {
 		return
 	}
@@ -834,7 +837,7 @@ func buildMatchResponse(g *graph.Graph, set *prototype.Set, solutions []*core.So
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	q := s.begin("explore")
-	req, t, ok := s.accept(w, r, q, router.EndpointExplore)
+	req, t, ok := s.accept(w, r, q)
 	if !ok {
 		return
 	}

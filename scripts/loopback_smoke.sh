@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # loopback_smoke.sh stands up the real multi-process deployment shape on
-# loopback — four amatchrank worker processes plus one amatchd coordinator
-# — runs a /match query through the coordinator, and byte-diffs the
-# response body against a direct (in-process engine) amatchd serving the
-# same graph. The only normalized field is elapsed_ms, the query's wall
-# time; everything else must be byte-for-byte identical. Emits
+# loopback — four amatchd worker processes plus one amatchd coordinator
+# (-ranks-addr) — runs a /match query (count + vectors) and an /explore
+# query at k=2 through the coordinator, and byte-diffs each response body
+# against a direct (in-process engine) amatchd serving the same graph. The
+# only normalized field is elapsed_ms, the query's wall time; everything
+# else must be byte-for-byte identical. Emits
 # `loopback_match_identical=true` on success so CI can grep it.
 #
 # Every process listens on :0 (a kernel-assigned port) and prints the
@@ -26,7 +27,6 @@ trap cleanup EXIT
 
 echo "== building binaries"
 go build -o "$WORK/genrmat" ./cmd/genrmat
-go build -o "$WORK/amatchrank" ./cmd/amatchrank
 go build -o "$WORK/amatchd" ./cmd/amatchd
 
 echo "== generating graph"
@@ -62,10 +62,10 @@ wait_http_ok() { # url, seconds — amatchd answers 503 until recovery completes
   done
 }
 
-echo "== starting 4 rank workers"
+echo "== starting 4 amatchd workers"
 RANKS=""
 for i in 0 1 2 3; do
-  "$WORK/amatchrank" -graph "$WORK/g.txt" -listen "127.0.0.1:0" \
+  "$WORK/amatchd" -graph "$WORK/g.txt" -addr 127.0.0.1:0 \
     >"$WORK/rank$i.log" 2>&1 &
   PIDS+=($!)
 done
@@ -73,7 +73,7 @@ for i in 0 1 2 3; do
   addr="$(bound_addr "$WORK/rank$i.log" 30)"
   RANKS="${RANKS:+$RANKS,}$addr"
 done
-echo "   ranks: $RANKS"
+echo "   workers: $RANKS"
 
 echo "== starting coordinator amatchd and direct amatchd"
 "$WORK/amatchd" -graph "$WORK/g.txt" -addr 127.0.0.1:0 -ranks-addr "$RANKS" \
@@ -90,17 +90,17 @@ wait_http_ok "http://$DIRECT/healthz" 30
 QUERY='{"template":"v 0 1\nv 1 2\nv 2 3\ne 0 1\ne 1 2\ne 0 2\n","k":1,"count":true,"vectors":true}'
 strip_elapsed() { sed -E 's/"elapsed_ms":[0-9]+/"elapsed_ms":0/g'; }
 
-echo "== querying /match through the coordinator and directly"
+echo "== querying /match and /explore through the coordinator and directly"
 for path in /match /explore; do
   if [ "$path" = /explore ]; then
-    QUERY='{"template":"v 0 1\nv 1 2\nv 2 3\ne 0 1\ne 1 2\ne 0 2\n","max_k":2}'
+    QUERY='{"template":"v 0 1\nv 1 2\nv 2 3\ne 0 1\ne 1 2\ne 0 2\n","k":2}'
   fi
   curl -fsS -X POST -H 'Content-Type: application/json' -d "$QUERY" \
     "http://$COORD$path" | strip_elapsed >"$WORK/routed.json"
   curl -fsS -X POST -H 'Content-Type: application/json' -d "$QUERY" \
     "http://$DIRECT$path" | strip_elapsed >"$WORK/direct.json"
   if ! cmp -s "$WORK/routed.json" "$WORK/direct.json"; then
-    echo "FAIL: $path body via rank group differs from in-process engine" >&2
+    echo "FAIL: $path body via the worker group differs from in-process engine" >&2
     diff "$WORK/direct.json" "$WORK/routed.json" >&2 || true
     exit 1
   fi
