@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check import-boundary bench-module bench fuzz-smoke loopback-smoke crash-smoke
+.PHONY: build test check import-boundary bench-module experiments-smoke bench fuzz-smoke loopback-smoke crash-smoke
 
 build:
 	$(GO) build ./...
@@ -19,9 +19,10 @@ test:
 # three GOMAXPROCS values, because the server derives its default
 # Workers/Parallelism from it and the runtime runs its ranks as goroutines:
 # no test outcome may depend on the host's CPU count. bench-module
-# rides along because bench/ is its own module, and import-boundary keeps
-# the simulated runtime off the serving path.
-check: bench-module import-boundary
+# rides along because bench/ is its own module, import-boundary keeps
+# the simulated runtime off the serving path, and experiments-smoke runs
+# every §5 experiment at CI size so one that crashes fails the gate.
+check: bench-module import-boundary experiments-smoke
 	$(GO) vet ./...
 	$(GO) test -race ./internal/server/ ./internal/core/ ./internal/wal/
 	$(GO) test -cpu 1,2,4 ./internal/core/ ./internal/server/ ./internal/dist/ ./internal/router/
@@ -46,6 +47,12 @@ import-boundary:
 bench-module:
 	$(GO) -C bench vet .
 	$(GO) -C bench test .
+
+# experiments-smoke runs the paper's evaluation (cmd/experiments) at its
+# CI size, about a minute on two cores. It checks only that every experiment
+# runs to completion; the tables it prints are not compared.
+experiments-smoke:
+	$(GO) run ./cmd/experiments -quick > /dev/null
 
 # fuzz-smoke runs each native fuzz target for a short burst — enough to
 # shake out loader/parser/ingest regressions on hostile input without a

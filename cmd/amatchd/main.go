@@ -5,9 +5,12 @@
 // accepts live mutation batches on POST /ingest.
 //
 // Queries run under a bounded concurrent scheduler: -concurrency in-flight
-// pipeline runs, a small admission queue, 503 + Retry-After beyond that,
-// and a per-query -querytimeout enforced through context cancellation (a
-// disconnected client also stops its query). The process shuts down
+// pipeline runs (default GOMAXPROCS, one per core), a small admission queue,
+// 503 + Retry-After beyond that, and a per-query -querytimeout enforced
+// through context cancellation (a disconnected client also stops its
+// query). Each admitted query searches a level's prototypes on the cores no
+// other in-flight query holds, at least one: a lone query uses the whole
+// machine, queries admitted beside it run on one core each. The process shuts down
 // gracefully on SIGINT/SIGTERM, draining in-flight requests.
 //
 // Usage:
@@ -107,7 +110,7 @@ func main() {
 	serving := server.RegisterFlags(flag.CommandLine)
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		concurrency  = flag.Int("concurrency", 0, "max in-flight queries (0 = GOMAXPROCS-aware default)")
+		concurrency  = flag.Int("concurrency", 0, "max in-flight queries (0 = GOMAXPROCS, one per core; each query is widened only onto cores no other in-flight query holds)")
 		queueDepth   = flag.Int("queue", 0, "admission queue depth beyond in-flight (0 = 2×concurrency, -1 = none)")
 		maxBody      = flag.Int64("maxbody", 1<<20, "max request body bytes")
 		partialGrace = flag.Duration("partial-grace", 0, "slow-query watchdog window: queries crossing -querytimeout get this long to wind down into a partial result before a hard kill (0 = querytimeout/4, min 1s; negative disables the downgrade)")

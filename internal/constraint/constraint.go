@@ -17,6 +17,7 @@ package constraint
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"approxmatch/internal/pattern"
@@ -400,23 +401,28 @@ func tdsRoot(t *pattern.Template) int {
 // superset and exact verification restores precision — but they waste the
 // shared store on satisfied-sets no other query can reuse.
 func walkID(t *pattern.Template, k Kind, seq []int) string {
-	canon := make(map[int]int, len(seq))
-	var sb strings.Builder
-	sb.WriteString(k.String())
-	sb.WriteByte(':')
+	// canon[q] is 1 + q's first-appearance number, 0 while q is unseen.
+	var canon [pattern.MaxVertices]uint8
+	seen := uint8(0)
+	buf := make([]byte, 0, 4+12*len(seq))
+	buf = append(buf, k.String()...)
+	buf = append(buf, ':')
 	for i, q := range seq {
-		c, ok := canon[q]
-		if !ok {
-			c = len(canon)
-			canon[q] = c
+		if canon[q] == 0 {
+			seen++
+			canon[q] = seen
 		}
 		if i > 0 {
 			el, _ := t.EdgeLabelBetween(seq[i-1], q)
-			fmt.Fprintf(&sb, "-%d>", el)
+			buf = append(buf, '-')
+			buf = strconv.AppendUint(buf, uint64(el), 10)
+			buf = append(buf, '>')
 		}
-		fmt.Fprintf(&sb, "%d@%d", c, t.Label(q))
+		buf = strconv.AppendUint(buf, uint64(canon[q]-1), 10)
+		buf = append(buf, '@')
+		buf = strconv.AppendUint(buf, uint64(t.Label(q)), 10)
 	}
-	return sb.String()
+	return string(buf)
 }
 
 func min(a, b int) int {

@@ -23,14 +23,19 @@ type CostEstimator struct {
 }
 
 // NewCostEstimator builds an estimator; the wildcard frequency is filled in
-// automatically.
+// automatically. freq is never written: concurrent searches may share it, so
+// unless it already maps the wildcard to numVertices the estimator keeps a
+// copy that does.
 func NewCostEstimator(numVertices int64, avgDegree float64, freq LabelFreq) *CostEstimator {
-	ce := &CostEstimator{NumVertices: numVertices, AvgDegree: avgDegree, Freq: freq}
-	if ce.Freq == nil {
-		ce.Freq = LabelFreq{}
+	if n, ok := freq[pattern.Wildcard]; !ok || n != numVertices {
+		own := make(LabelFreq, len(freq)+1)
+		for l, c := range freq {
+			own[l] = c
+		}
+		own[pattern.Wildcard] = numVertices
+		freq = own
 	}
-	ce.Freq[pattern.Wildcard] = numVertices
-	return ce
+	return &CostEstimator{NumVertices: numVertices, AvgDegree: avgDegree, Freq: freq}
 }
 
 // labelProb is the probability a uniform vertex carries a label accepted by

@@ -66,9 +66,9 @@ func compactState(s *State, threshold float64, m *Metrics, cc *CancelCheck) *Sta
 		m.CompactionFracAfter += frac
 		return s
 	}
-	vw := graph.NewView(s.g, s.VertexActive, func(slot int64) bool {
-		return s.edges.Get(int(slot))
-	})
+	verts := make([]graph.VertexID, 0, s.verts.Count())
+	s.ForEachActiveVertex(func(v graph.VertexID) { verts = append(verts, v) })
+	vw := graph.NewView(s.g, verts, s.edges)
 	cg := vw.Graph()
 	vs := &State{
 		g:     cg,

@@ -345,6 +345,41 @@ func TestParallelPrototypeSearch(t *testing.T) {
 	}
 }
 
+// TestParallelPrototypeSearchSharedFreq runs concurrent searches that share
+// one label-frequency map, as the §5.4 deployment study does. The cost
+// estimator behind each search's walk ordering must only read that map: a
+// write would race with the sibling searches (fatal "concurrent map writes"
+// outside the race detector) and leak the wildcard count into the caller's
+// statistics.
+func TestParallelPrototypeSearchSharedFreq(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g := randomGraph(rng, 60, 200, 3)
+	tp := pattern.MustNew([]pattern.Label{0, 1, 2, pattern.Wildcard},
+		[]pattern.Edge{{I: 0, J: 1}, {I: 1, J: 2}, {I: 0, J: 2}, {I: 2, J: 3}})
+	var m core.Metrics
+	mcs := core.MaxCandidateSet(g, tp, &m)
+	freq := g.LabelFrequencies()
+	labels := len(freq)
+
+	templates := make([]*pattern.Template, 8)
+	for i := range templates {
+		templates[i] = tp
+	}
+	res := SearchPrototypesParallel(mcs, templates, 4, 1, freq)
+	if len(freq) != labels {
+		t.Fatalf("shared freq map written: %d labels before, %d after", labels, len(freq))
+	}
+	if _, ok := freq[pattern.Wildcard]; ok {
+		t.Fatal("shared freq map gained a wildcard entry")
+	}
+	want := core.SearchOn(context.Background(), mcs, tp, nil, freq, false, &m)
+	for i, sol := range res.Solutions {
+		if !sol.Verts.Equal(want.Verts) || !sol.Edges.Equal(want.Edges) {
+			t.Errorf("parallel search %d differs from the sequential one", i)
+		}
+	}
+}
+
 func TestOrderByEstimatedCost(t *testing.T) {
 	cheap := pattern.MustNew([]pattern.Label{5, 6}, []pattern.Edge{{I: 0, J: 1}})
 	costly := pattern.MustNew([]pattern.Label{0, 0, 0},

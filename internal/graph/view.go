@@ -1,5 +1,11 @@
 package graph
 
+import (
+	"math/bits"
+
+	"approxmatch/internal/bitvec"
+)
+
 // View is a physically compacted copy of the active portion of a graph: a
 // CSR over the kept vertices and kept directed edge slots, plus the remap
 // tables connecting the two id spaces. It makes the paper's search-space
@@ -22,64 +28,55 @@ type View struct {
 	newVerts []int32
 }
 
-// NewView extracts the compacted view of orig containing exactly the
-// vertices accepted by keepVert and the directed slots accepted by keepSlot
-// whose both endpoints are kept. keepSlot must be symmetric (the slot (u,v)
-// is kept iff (v,u) is), as State's slot invariant guarantees; an
-// asymmetric predicate yields a view graph that fails Validate.
-func NewView(orig *Graph, keepVert func(VertexID) bool, keepSlot func(slot int64) bool) *View {
+// NewView extracts the compacted view of orig over the kept vertices verts
+// (increasing original ids) and the directed slots set in slots whose far
+// endpoint is kept too. Only each kept vertex's set slots are read — a word
+// scan of its adjacency range, so a pruned hub costs O(words + kept slots),
+// not O(degree). slots must be symmetric (the slot (u,v) is set iff (v,u)
+// is), as State's slot invariant guarantees; an asymmetric vector yields a
+// view graph that fails Validate. The view keeps verts as its vertex map.
+func NewView(orig *Graph, verts []VertexID, slots *bitvec.Vector) *View {
 	n := orig.NumVertices()
-	vw := &View{orig: orig, newVerts: make([]int32, n)}
-	for v := 0; v < n; v++ {
-		if keepVert(VertexID(v)) {
-			vw.newVerts[v] = int32(len(vw.origVerts))
-			vw.origVerts = append(vw.origVerts, VertexID(v))
-		} else {
-			vw.newVerts[v] = -1
-		}
+	vw := &View{orig: orig, origVerts: verts, newVerts: make([]int32, n)}
+	for v := range vw.newVerts {
+		vw.newVerts[v] = -1
 	}
-	nn := len(vw.origVerts)
+	for nv, ov := range verts {
+		vw.newVerts[ov] = int32(nv)
+	}
+	nn := len(verts)
 
-	// First pass: count surviving slots per kept vertex to lay out offsets.
+	// One pass: each kept vertex's surviving slots are emitted in original
+	// adjacency order and the vertex remap is monotone, so the view
+	// adjacency stays sorted.
 	offsets := make([]int64, nn+1)
-	for nv, ov := range vw.origVerts {
-		base := orig.offsets[ov]
-		kept := int64(0)
-		for i, w := range orig.Neighbors(ov) {
-			if vw.newVerts[w] >= 0 && keepSlot(base+int64(i)) {
-				kept++
-			}
-		}
-		offsets[nv+1] = offsets[nv] + kept
-	}
-
-	// Second pass: fill adjacency, slot remap, and labels. The kept
-	// neighbors of each vertex are emitted in original adjacency order and
-	// the vertex remap is monotone, so the view adjacency stays sorted.
-	total := offsets[nn]
-	adj := make([]VertexID, total)
-	vw.origSlots = make([]int64, total)
+	adj := make([]VertexID, 0, slots.Count())
+	vw.origSlots = make([]int64, 0, cap(adj))
 	labels := make([]Label, nn)
 	var edgeLabels []Label
 	if orig.edgeLabels != nil {
-		edgeLabels = make([]Label, total)
+		edgeLabels = make([]Label, 0, cap(adj))
 	}
-	for nv, ov := range vw.origVerts {
+	for nv, ov := range verts {
 		labels[nv] = orig.labels[ov]
-		base := orig.offsets[ov]
-		cur := offsets[nv]
-		for i, w := range orig.Neighbors(ov) {
-			slot := base + int64(i)
-			if vw.newVerts[w] < 0 || !keepSlot(slot) {
-				continue
+		ns := orig.Neighbors(ov)
+		base := int(orig.offsets[ov])
+		ws := slots.Words(base, base+len(ns))
+		for ws.Next() {
+			for w := ws.Word; w != 0; w &= w - 1 {
+				slot := ws.Base + bits.TrailingZeros64(w)
+				nw := vw.newVerts[ns[slot-base]]
+				if nw < 0 {
+					continue
+				}
+				adj = append(adj, VertexID(nw))
+				vw.origSlots = append(vw.origSlots, int64(slot))
+				if edgeLabels != nil {
+					edgeLabels = append(edgeLabels, orig.edgeLabels[slot])
+				}
 			}
-			adj[cur] = VertexID(vw.newVerts[w])
-			vw.origSlots[cur] = slot
-			if edgeLabels != nil {
-				edgeLabels[cur] = orig.edgeLabels[slot]
-			}
-			cur++
 		}
+		offsets[nv+1] = int64(len(adj))
 	}
 	vw.g = &Graph{offsets: offsets, adj: adj, labels: labels, edgeLabels: edgeLabels}
 	return vw

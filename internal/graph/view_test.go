@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"approxmatch/internal/bitvec"
 )
 
 // randomViewGraph builds a random simple graph, optionally edge-labeled.
@@ -48,6 +50,28 @@ func symmetricKeepSlots(rng *rand.Rand, g *Graph) map[int64]bool {
 	return keep
 }
 
+// keptList lists the vertices keep marks, in increasing order.
+func keptList(keep []bool) []VertexID {
+	var verts []VertexID
+	for v, k := range keep {
+		if k {
+			verts = append(verts, VertexID(v))
+		}
+	}
+	return verts
+}
+
+// slotBits sets the directed slots of g that keep accepts.
+func slotBits(g *Graph, keep func(slot int64) bool) *bitvec.Vector {
+	slots := bitvec.New(g.NumDirectedEdges())
+	for s := 0; s < g.NumDirectedEdges(); s++ {
+		if keep(int64(s)) {
+			slots.Set(s)
+		}
+	}
+	return slots
+}
+
 // TestViewRoundTripQuick is the remap round-trip property test: for random
 // graphs, keep sets and symmetric slot drops, the view must (1) be a valid
 // CSR graph, (2) preserve vertex and edge labels through the remap, (3) map
@@ -68,9 +92,7 @@ func TestViewRoundTripQuick(t *testing.T) {
 			keepV[v] = rng.Intn(3) != 0
 		}
 		keepS := symmetricKeepSlots(rng, g)
-		vw := NewView(g,
-			func(v VertexID) bool { return keepV[v] },
-			func(slot int64) bool { return keepS[slot] })
+		vw := NewView(g, keptList(keepV), slotBits(g, func(slot int64) bool { return keepS[slot] }))
 		cg := vw.Graph()
 		if err := cg.Validate(); err != nil {
 			t.Logf("seed %d: view graph invalid: %v", seed, err)
@@ -168,7 +190,12 @@ func TestViewRoundTripQuick(t *testing.T) {
 func TestViewEmptyAndFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomViewGraph(rng, 30, 90, 3, 2)
-	all := NewView(g, func(VertexID) bool { return true }, func(int64) bool { return true })
+	every := make([]bool, g.NumVertices())
+	for v := range every {
+		every[v] = true
+	}
+	allSlots := slotBits(g, func(int64) bool { return true })
+	all := NewView(g, keptList(every), allSlots)
 	if all.Graph().NumVertices() != g.NumVertices() || all.Graph().NumDirectedEdges() != g.NumDirectedEdges() {
 		t.Fatalf("full view: %d/%d vertices, %d/%d slots",
 			all.Graph().NumVertices(), g.NumVertices(),
@@ -179,7 +206,7 @@ func TestViewEmptyAndFull(t *testing.T) {
 			t.Fatalf("full view: slot %d maps to %d", s, all.OrigSlot(s))
 		}
 	}
-	none := NewView(g, func(VertexID) bool { return false }, func(int64) bool { return true })
+	none := NewView(g, nil, allSlots)
 	if none.Graph().NumVertices() != 0 || none.Graph().NumDirectedEdges() != 0 {
 		t.Fatal("empty view not empty")
 	}

@@ -214,7 +214,7 @@ func TestSingleFlightCoalesces(t *testing.T) {
 	var runs atomic.Int32
 	entered := make(chan struct{})
 	releaseLeader := make(chan struct{})
-	testHookMatch = func(*MatchRequest) {
+	testHookMatch = func(*MatchRequest, int) {
 		if runs.Add(1) == 1 {
 			close(entered)
 			<-releaseLeader
@@ -291,7 +291,7 @@ func TestEpochBumpInvalidates(t *testing.T) {
 	defer srv.Close()
 
 	var runs atomic.Int32
-	testHookMatch = func(*MatchRequest) { runs.Add(1) }
+	testHookMatch = func(*MatchRequest, int) { runs.Add(1) }
 	defer func() { testHookMatch = nil }()
 
 	req := MatchRequest{Template: triangleTemplate, K: 1, Count: true}

@@ -40,7 +40,7 @@ func TestOverloadSheds503(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	release, err := s.sched.acquire(context.Background())
+	release, _, err := s.sched.acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestOverloadSheds503(t *testing.T) {
 // queue token is returned, no slot leaks).
 func TestCanceledWhileQueued(t *testing.T) {
 	s := NewWithConfig(testGraph(), Config{MaxConcurrent: 1, QueueDepth: 1})
-	release, err := s.sched.acquire(context.Background())
+	release, _, err := s.sched.acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +118,8 @@ func TestCanceledWhileQueued(t *testing.T) {
 // cancel, acquire would start failing with errOverloaded within three
 // iterations, and the final fresh request would be shut out.
 func TestSchedulerAdmissionAfterQueuedCancels(t *testing.T) {
-	s := newScheduler(1, 2)
-	hold, err := s.acquire(context.Background())
+	s := newScheduler(1, 2, 0, 1)
+	hold, _, err := s.acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestSchedulerAdmissionAfterQueuedCancels(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 25; i++ {
-		if _, err := s.acquire(canceled); !errors.Is(err, context.Canceled) {
+		if _, _, err := s.acquire(canceled); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancel %d: err = %v, want context.Canceled (queue token leak)", i, err)
 		}
 	}
@@ -138,7 +138,7 @@ func TestSchedulerAdmissionAfterQueuedCancels(t *testing.T) {
 	hold()
 	ctx, cancelFresh := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancelFresh()
-	release, err := s.acquire(ctx)
+	release, _, err := s.acquire(ctx)
 	if err != nil {
 		t.Fatalf("fresh acquire after cancels: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestQueryTimeoutMidRun(t *testing.T) {
 func TestQueryTimeoutHardKill(t *testing.T) {
 	g, tpl := datagen.RMATWithPattern(13)
 	s := NewWithConfig(g, Config{QueryTimeout: 2 * time.Millisecond, PartialGrace: -1})
-	testHookMatch = func(*MatchRequest) { time.Sleep(20 * time.Millisecond) }
+	testHookMatch = func(*MatchRequest, int) { time.Sleep(20 * time.Millisecond) }
 	defer func() { testHookMatch = nil }()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -292,6 +292,101 @@ func TestConcurrentMatchMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(results[i], wantResp) {
 			t.Errorf("client %d response differs from serial result", i)
 		}
+	}
+}
+
+// TestAdmissionWidth checks how admission sizes a query's prototype
+// parallelism. By default a query admitted alone runs on every core, and one
+// admitted while another is in flight gets the cores left idle — none here,
+// so width 1. An explicit Config.Parallelism is every query's width. Every
+// body equals the serial core.Run result.
+func TestAdmissionWidth(t *testing.T) {
+	g, tpl := datagen.RMATWithPattern(10)
+	cfg := core.DefaultConfig(2)
+	cfg.CountMatches = true
+	want, err := core.Run(g, tpl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &MatchRequest{Template: templateText(t, tpl), K: 2, Count: true, Vectors: true}
+	wantResp := buildMatchResponse(g, want.Set, want.Solutions, want.Levels, want.Partial, req, 0)
+	body, _ := json.Marshal(req)
+
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		name        string
+		parallelism int
+		// lone is the width of a query admitted alone, loaded that of one
+		// admitted beside it.
+		lone, loaded int
+	}{
+		{"default", 0, procs, 1},
+		{"fixed", 3, 3, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewWithConfig(g, Config{MaxConcurrent: 2, Parallelism: tc.parallelism})
+			srv := httptest.NewServer(s.Handler())
+			defer srv.Close()
+			match := func() {
+				resp, err := http.Post(srv.URL+"/match", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				var got MatchResponse
+				if resp.StatusCode != http.StatusOK {
+					raw, _ := io.ReadAll(resp.Body)
+					t.Errorf("status %d: %s", resp.StatusCode, raw)
+					return
+				}
+				if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+					t.Error(err)
+					return
+				}
+				got.ElapsedMS = wantResp.ElapsedMS
+				if !reflect.DeepEqual(got, wantResp) {
+					t.Error("response differs from the serial result")
+				}
+			}
+
+			// The second query parks in the hook, so the third is admitted
+			// while it is in flight.
+			var mu sync.Mutex
+			var widths []int
+			parked, unpark := make(chan struct{}), make(chan struct{})
+			testHookMatch = func(_ *MatchRequest, width int) {
+				mu.Lock()
+				widths = append(widths, width)
+				n := len(widths)
+				mu.Unlock()
+				if n == 2 {
+					close(parked)
+					<-unpark
+				}
+			}
+			defer func() { testHookMatch = nil }()
+
+			match()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				match()
+			}()
+			<-parked
+			match()
+			close(unpark)
+			<-done
+
+			if wantW := []int{tc.lone, tc.lone, tc.loaded}; !reflect.DeepEqual(widths, wantW) {
+				t.Errorf("admitted widths %v, want %v (alone, alone, beside it)", widths, wantW)
+			}
+			s.sched.mu.Lock()
+			defer s.sched.mu.Unlock()
+			if s.sched.held != 0 {
+				t.Errorf("%d cores still held after every query finished", s.sched.held)
+			}
+		})
 	}
 }
 

@@ -19,7 +19,7 @@ func pinFirstRun(t *testing.T) (entered, release chan struct{}) {
 	t.Helper()
 	entered, release = make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	testHookMatch = func(*MatchRequest) {
+	testHookMatch = func(*MatchRequest, int) {
 		once.Do(func() {
 			close(entered)
 			<-release

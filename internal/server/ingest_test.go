@@ -305,7 +305,7 @@ func TestRetryAfterDerived(t *testing.T) {
 		srv := httptest.NewServer(s.Handler())
 		var releases []func()
 		for i := 0; i < s.cfg.MaxConcurrent; i++ {
-			release, err := s.sched.acquire(context.Background())
+			release, _, err := s.sched.acquire(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

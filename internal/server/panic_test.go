@@ -18,7 +18,7 @@ import (
 // free.
 func TestPanicIsolation(t *testing.T) {
 	s := NewWithConfig(testGraph(), Config{MaxConcurrent: 4})
-	testHookMatch = func(req *MatchRequest) {
+	testHookMatch = func(req *MatchRequest, _ int) {
 		if req.K == 3 {
 			panic("injected query bug")
 		}

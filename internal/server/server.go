@@ -16,11 +16,14 @@
 // when requested, per-vertex match vectors.
 //
 // Queries run concurrently under a bounded scheduler: up to
-// Config.MaxConcurrent pipeline runs in flight (each internally parallel
-// via core.RunParallelContext), a small admission queue, and immediate
-// 503 + Retry-After beyond that. Every query carries the request context —
-// optionally bounded by Config.QueryTimeout — so client disconnects and
-// deadlines stop pipeline work instead of letting it run to completion.
+// Config.MaxConcurrent pipeline runs in flight (by default one per core), a
+// small admission queue, and immediate 503 + Retry-After beyond that. Each
+// admitted query searches a level's prototypes on the cores no other
+// in-flight query holds (core.RunParallelContext's width), so a lone query
+// uses the whole machine and concurrent queries get a core each. Every
+// query carries the request context — optionally bounded by
+// Config.QueryTimeout — so client disconnects and deadlines stop pipeline
+// work instead of letting it run to completion.
 package server
 
 import (
@@ -51,22 +54,25 @@ import (
 // Config tunes the serving layer. The zero value picks GOMAXPROCS-aware
 // defaults, so NewWithConfig(g, Config{}) behaves like New(g).
 type Config struct {
-	// MaxConcurrent bounds in-flight pipeline runs (default:
-	// max(1, GOMAXPROCS/2) — each run is itself parallel).
+	// MaxConcurrent bounds in-flight pipeline runs (default: GOMAXPROCS,
+	// one admitted query per core).
 	MaxConcurrent int
 	// QueueDepth bounds admitted queries waiting for a slot (default:
 	// 2×MaxConcurrent). Beyond in-flight+queued, requests get 503.
 	QueueDepth int
-	// Parallelism is the per-query core.RunParallelContext width
-	// (default: max(2, GOMAXPROCS/MaxConcurrent)).
+	// Parallelism fixes the per-query core.RunParallelContext width. 0
+	// sizes each query at admission instead: it gets the cores no other
+	// in-flight query holds, at least one — full width alone, width 1
+	// under concurrent load. Answers do not depend on the width.
 	Parallelism int
 	// Workers is the per-query worker count for the maximum-candidate-set
 	// computation (core.Config.Workers); the other kernels are sequential
 	// and parallelize across prototypes (Parallelism). 0 picks a
 	// scheduler-aware default — GOMAXPROCS/MaxConcurrent, so slots × workers
 	// never exceeds GOMAXPROCS, or the calling goroutine when that quota is
-	// a single core. Negative forces the calling goroutine. Answers and
-	// counters are the same for every value.
+	// a single core, as it is at the default MaxConcurrent. Negative forces
+	// the calling goroutine. Answers and counters are the same for every
+	// value.
 	Workers int
 	// MaxEditDistance bounds accepted k values (default 6).
 	MaxEditDistance int
@@ -162,22 +168,13 @@ func (c Config) partialGrace() time.Duration {
 
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrent < 1 {
-		c.MaxConcurrent = runtime.GOMAXPROCS(0) / 2
-		if c.MaxConcurrent < 1 {
-			c.MaxConcurrent = 1
-		}
+		c.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 2 * c.MaxConcurrent
 	}
 	if c.QueueDepth < 0 { // explicit "no queue"
 		c.QueueDepth = 0
-	}
-	if c.Parallelism < 1 {
-		c.Parallelism = runtime.GOMAXPROCS(0) / c.MaxConcurrent
-		if c.Parallelism < 2 {
-			c.Parallelism = 2
-		}
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0) / c.MaxConcurrent
@@ -240,7 +237,7 @@ func NewWithConfig(g *graph.Graph, cfg Config) *Server {
 	s := &Server{
 		snaps:   graph.NewSnapshotStoreAt(g, cfg.StartEpoch),
 		cfg:     cfg,
-		sched:   newScheduler(cfg.MaxConcurrent, cfg.QueueDepth),
+		sched:   newScheduler(cfg.MaxConcurrent, cfg.QueueDepth, cfg.Parallelism, runtime.GOMAXPROCS(0)),
 		metrics: newMetricsRegistry(),
 		mem:     newMemWatcher(cfg.MemHighWatermark),
 		log:     cfg.Logger,
@@ -552,20 +549,21 @@ func (s *Server) writeContextError(w http.ResponseWriter, r *http.Request, q *re
 	s.finish(r, q, outcomeCanceled, http.StatusServiceUnavailable, attrs...)
 }
 
-// admit acquires a pipeline slot, translating scheduler errors into HTTP
-// responses. On failure it records the outcome and returns nil.
-func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Request, q *request) func() {
-	release, err := s.sched.acquire(ctx)
+// admit acquires a pipeline slot and the query's width, translating
+// scheduler errors into HTTP responses. On failure it records the outcome
+// and returns a nil release.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Request, q *request) (release func(), width int) {
+	release, width, err := s.sched.acquire(ctx)
 	switch {
 	case err == nil:
-		return release
+		return release, width
 	case errors.Is(err, errOverloaded):
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
 		s.reject(w, r, q, http.StatusServiceUnavailable, outcomeOverload, "server overloaded, retry later")
 	default: // the query context fired while queued
 		s.writeContextError(w, r, q, err, "queue wait exceeded query timeout")
 	}
-	return nil
+	return nil, 0
 }
 
 // writePipelineError maps a pipeline error to an HTTP response and outcome.
@@ -608,10 +606,10 @@ func (s *Server) pipelineConfig(req *MatchRequest) core.Config {
 
 // runQuery is the one path every query takes from "request accepted" to
 // "slot released": memory shed → deadline → admission → budget → pipeline →
-// error mapping → metrics → release. run executes the endpoint's pipeline
-// and, still holding the slot (it reads pipeline state), builds the wire
-// response; it returns the work counters to fold into /metrics and whether
-// the result is an anytime partial. run executes inside the panic
+// error mapping → metrics → release. run executes the endpoint's pipeline at
+// the width admission granted and, still holding the slot (it reads
+// pipeline state), builds the wire response; it returns the work counters to
+// fold into /metrics and whether the result is an anytime partial. run executes inside the panic
 // boundary, so a bug on the handler goroutine is isolated to this query.
 //
 // runQuery reports false when it has already written an error response and
@@ -619,19 +617,19 @@ func (s *Server) pipelineConfig(req *MatchRequest) core.Config {
 // or writes anything: serializing a huge response, or an error, to a slow
 // client must not occupy query capacity.
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, q *request, req *MatchRequest,
-	run func(ctx context.Context, cfg core.Config) (m *core.Metrics, partial bool, err error)) bool {
+	run func(ctx context.Context, cfg core.Config, width int) (m *core.Metrics, partial bool, err error)) bool {
 	if s.shedMemory(w, r, q) {
 		return false
 	}
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
-	release := s.admit(ctx, w, r, q)
+	release, width := s.admit(ctx, w, r, q)
 	if release == nil {
 		return false
 	}
 	m, partial, err := func() (m *core.Metrics, partial bool, err error) {
 		defer recoverToPanicError(&err)
-		return run(s.withQueryBudget(ctx), s.pipelineConfig(req))
+		return run(s.withQueryBudget(ctx), s.pipelineConfig(req), width)
 	}()
 	release()
 	if err != nil {
@@ -658,9 +656,10 @@ func recoverToPanicError(err *error) {
 }
 
 // testHookMatch, when set, runs inside /match's panic-isolation boundary,
-// just before the pipeline call — the seam the panic-isolation and
-// single-flight tests use to poison or pin one query.
-var testHookMatch func(*MatchRequest)
+// just before the pipeline call, with the width the query was admitted at —
+// the seam the panic-isolation, single-flight and width tests use to poison,
+// pin or observe one query.
+var testHookMatch func(req *MatchRequest, width int)
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	q := s.begin("match")
@@ -706,11 +705,11 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	defer land(nil)
 
 	var resp MatchResponse
-	if !s.runQuery(w, r, q, req, func(ctx context.Context, cfg core.Config) (*core.Metrics, bool, error) {
+	if !s.runQuery(w, r, q, req, func(ctx context.Context, cfg core.Config, width int) (*core.Metrics, bool, error) {
 		if h := testHookMatch; h != nil {
-			h(req)
+			h(req, width)
 		}
-		res, err := core.RunParallelContext(ctx, snap.Graph(), t, cfg, s.cfg.Parallelism)
+		res, err := core.RunParallelContext(ctx, snap.Graph(), t, cfg, width)
 		if err != nil && (res == nil || !res.Partial) {
 			return nil, false, err
 		}
@@ -845,7 +844,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	defer snap.Release()
 
 	var resp ExploreResponse
-	if !s.runQuery(w, r, q, req, func(ctx context.Context, cfg core.Config) (*core.Metrics, bool, error) {
+	if !s.runQuery(w, r, q, req, func(ctx context.Context, cfg core.Config, _ int) (*core.Metrics, bool, error) {
 		cfg.CountMatches = false // exploration reports no counts
 		res, err := core.RunTopDownContext(ctx, snap.Graph(), t, cfg)
 		if err != nil {
