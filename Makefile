@@ -16,8 +16,8 @@ test:
 # distributed runtime's anytime-partial and shared-cache differential
 # suites, and the replica router's loopback-HTTP suites). The -cpu leg
 # reruns the pipeline, serving, distributed-runtime and router suites at
-# three GOMAXPROCS values, because the server derives its default
-# Workers/Parallelism from it and the runtime runs its ranks as goroutines:
+# three GOMAXPROCS values, because the server derives its default slot
+# count and per-query width from it and the runtime runs its ranks as goroutines:
 # no test outcome may depend on the host's CPU count. bench-module
 # rides along because bench/ is its own module, import-boundary keeps
 # the simulated runtime off the serving path, and experiments-smoke runs

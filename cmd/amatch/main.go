@@ -7,8 +7,7 @@
 //
 //	amatch -graph g.txt -template t.txt -k 2 [-count] [-labels] [-topdown]
 //	       [-ranks N] [-flips] [-features out.csv [-rates]] [-matches out.tsv]
-//	       [-timeout 30s] [-workers N]
-//	       [-max-work N] [-max-bytes N] [-cache-bytes N]
+//	       [-timeout 30s] [-max-work N] [-max-bytes N] [-cache-bytes N]
 //
 // Every mode runs under the same options: the budget and cache flags bound
 // -topdown, -flips, -ranks and batch runs exactly as they bound a plain one.
@@ -71,7 +70,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		matchesOut   = fs.String("matches", "", "write the base prototype's match enumeration (TSV) to this file")
 		flips        = fs.Bool("flips", false, "also search single-edge-flip variants of the template")
 		timeout      = fs.Duration("timeout", 0, "abort the search after this long (0 = no limit)")
-		workers      = fs.Int("workers", 0, "worker count for the candidate-set computation; the other kernels are sequential (0 = none)")
 		maxWork      = fs.Int64("max-work", 0, "abort the search after this many pipeline work units, keeping completed levels as an exact partial result (0 = no limit)")
 		maxBytes     = fs.Int64("max-bytes", 0, "bound the search's auxiliary allocations (state clones, compacted views) to this many bytes (0 = no limit)")
 		cacheBytes   = fs.Int64("cache-bytes", 0, "bound the work-recycling cache to this many bytes, evicting least-recently-used entries (0 = unbounded)")
@@ -92,7 +90,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// silently drop a flag another honours.
 	opts := approxmatch.DefaultOptions(*k)
 	opts.CountMatches = *count
-	opts.Workers = *workers
 	opts.Budget = approxmatch.Budget{MaxWork: *maxWork, MaxBytes: *maxBytes}
 	opts.CacheBytes = *cacheBytes
 

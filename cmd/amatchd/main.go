@@ -22,13 +22,10 @@
 //	        [-partial-grace 5s] [-mem-watermark N]
 //	        [-ingest] [-ingest-maxbody 16777216]
 //	        [-wal-dir DIR] [-wal-sync always|interval|none]
-//	        [-wal-checkpoint-every N] [-wal-segment-bytes N]
+//	        [-wal-sync-interval 100ms] [-wal-checkpoint-every N]
+//	        [-wal-segment-bytes N]
 //	        [-ranks-addr host:p1,host:p2 -ranks-timeout 5s
 //	         -ranks-dial-timeout 30s]
-//
-// The query-engine flags (-graph -maxk -querytimeout -workers -max-work
-// -max-bytes -cache-bytes -result-cache-bytes -shared-nlcc) are declared by
-// server.RegisterFlags; the rest are declared here.
 //
 // The listener binds before recovery begins and -addr may be ":0"; the
 // bound address is printed in the "serving" log line ("addr" field), which
@@ -106,44 +103,64 @@ import (
 	"approxmatch/internal/wal"
 )
 
+// options is amatchd's command line: the server Config its flags describe
+// plus the deployment settings main acts on itself.
+type options struct {
+	graph, addr             string
+	ranksAddr               string
+	ranksTimeout, ranksDial time.Duration
+	walDir, walSync         string
+	walSyncEvery            time.Duration
+	walCkptEvery            int
+	walSegBytes             int64
+	cfg                     server.Config
+}
+
+// registerFlags declares every amatchd flag on fs; fs.Parse fills the
+// returned options.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	c := &o.cfg
+	fs.StringVar(&o.graph, "graph", "", "background graph edge-list file (required)")
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&c.MaxEditDistance, "maxk", 6, "largest accepted edit distance")
+	fs.DurationVar(&c.QueryTimeout, "querytimeout", 30*time.Second, "per-query pipeline timeout (0 = none)")
+	fs.IntVar(&c.MaxConcurrent, "concurrency", 0, "max in-flight queries (0 = GOMAXPROCS, one per core; each query is widened only onto cores no other in-flight query holds)")
+	fs.IntVar(&c.QueueDepth, "queue", 0, "admission queue depth beyond in-flight (0 = 2×concurrency, -1 = none)")
+	fs.Int64Var(&c.MaxBodyBytes, "maxbody", 1<<20, "max request body bytes")
+	fs.Int64Var(&c.MaxWork, "max-work", 0, "per-query pipeline work-unit budget; exhausted /match queries return an exact partial result (0 = no limit)")
+	fs.Int64Var(&c.MaxBytes, "max-bytes", 0, "per-query auxiliary allocation budget in bytes (0 = no limit)")
+	fs.Int64Var(&c.CacheBytes, "cache-bytes", 0, "work-recycling cache cap in bytes, LRU-evicted beyond it (0 = unbounded); caps the shared store with -shared-nlcc, per-query caches otherwise")
+	fs.Int64Var(&c.ResultCacheBytes, "result-cache-bytes", 64<<20, "cross-query result cache cap in bytes: completed /match responses are cached under the template's canonical key and served verbatim to isomorphic queries (0 = disabled)")
+	fs.BoolVar(&c.SharedNLCC, "shared-nlcc", true, "share one NLCC work-recycling store across queries so constraint walks recycle across the query boundary")
+	fs.DurationVar(&c.PartialGrace, "partial-grace", 0, "slow-query watchdog window: queries crossing -querytimeout get this long to wind down into a partial result before a hard kill (0 = querytimeout/4, min 1s; negative disables the downgrade)")
+	fs.Uint64Var(&c.MemHighWatermark, "mem-watermark", 0, "shed new queries with 503 while the live Go heap exceeds this many bytes (0 = disabled)")
+	fs.BoolVar(&c.EnableIngest, "ingest", false, "enable POST /ingest live mutation batches (unauthenticated graph writes — only expose on trusted networks)")
+	fs.Int64Var(&c.IngestMaxBodyBytes, "ingest-maxbody", 16<<20, "max /ingest request body bytes")
+	fs.StringVar(&o.ranksAddr, "ranks-addr", "", "comma-separated host:port addresses of amatchd workers serving the same graph; when set, /match and /explore are routed to them over HTTP (empty = in-process engine)")
+	fs.DurationVar(&o.ranksTimeout, "ranks-timeout", 0, "per-exchange coordinator timeout for dials and routed queries (0 = querytimeout, or 5s when that is unset)")
+	fs.DurationVar(&o.ranksDial, "ranks-dial-timeout", 30*time.Second, "total budget for dialing the rank group: a worker that refuses the dial or is not ready yet (503) is retried with capped exponential backoff until it elapses (0 = one attempt per worker)")
+	fs.StringVar(&o.walDir, "wal-dir", "", "write-ahead log directory for durable ingest; recovered on startup (empty = ingest is volatile)")
+	fs.StringVar(&o.walSync, "wal-sync", "always", "WAL append sync policy: always (fsync per batch), interval (background fsync), none")
+	fs.DurationVar(&o.walSyncEvery, "wal-sync-interval", 100*time.Millisecond, "background fsync period under -wal-sync interval")
+	fs.IntVar(&o.walCkptEvery, "wal-checkpoint-every", 256, "write a CSR checkpoint after this many logged batches, bounding restart replay to the tail (0 = never)")
+	fs.Int64Var(&o.walSegBytes, "wal-segment-bytes", 64<<20, "rotate WAL segments at this size")
+	return o
+}
+
 func main() {
-	serving := server.RegisterFlags(flag.CommandLine)
-	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		concurrency  = flag.Int("concurrency", 0, "max in-flight queries (0 = GOMAXPROCS, one per core; each query is widened only onto cores no other in-flight query holds)")
-		queueDepth   = flag.Int("queue", 0, "admission queue depth beyond in-flight (0 = 2×concurrency, -1 = none)")
-		maxBody      = flag.Int64("maxbody", 1<<20, "max request body bytes")
-		partialGrace = flag.Duration("partial-grace", 0, "slow-query watchdog window: queries crossing -querytimeout get this long to wind down into a partial result before a hard kill (0 = querytimeout/4, min 1s; negative disables the downgrade)")
-		memWatermark = flag.Uint64("mem-watermark", 0, "shed new queries with 503 while the live Go heap exceeds this many bytes (0 = disabled)")
-		ingest       = flag.Bool("ingest", false, "enable POST /ingest live mutation batches (unauthenticated graph writes — only expose on trusted networks)")
-		ingestBody   = flag.Int64("ingest-maxbody", 16<<20, "max /ingest request body bytes")
-		ranksAddr    = flag.String("ranks-addr", "", "comma-separated host:port addresses of amatchd workers serving the same graph; when set, /match and /explore are routed to them over HTTP (empty = in-process engine)")
-		ranksTimeout = flag.Duration("ranks-timeout", 0, "per-exchange coordinator timeout for dials and routed queries (0 = querytimeout, or 5s when that is unset)")
-		ranksDial    = flag.Duration("ranks-dial-timeout", 30*time.Second, "total budget for dialing the rank group: a worker that refuses the dial or is not ready yet (503) is retried with capped exponential backoff until it elapses (0 = one attempt per worker)")
-		walDir       = flag.String("wal-dir", "", "write-ahead log directory for durable ingest; recovered on startup (empty = ingest is volatile)")
-		walSync      = flag.String("wal-sync", "always", "WAL append sync policy: always (fsync per batch), interval (background fsync), none")
-		walSyncEvery = flag.Duration("wal-sync-interval", 100*time.Millisecond, "background fsync period under -wal-sync interval")
-		walCkptEvery = flag.Int("wal-checkpoint-every", 256, "write a CSR checkpoint after this many logged batches, bounding restart replay to the tail (0 = never)")
-		walSegBytes  = flag.Int64("wal-segment-bytes", 64<<20, "rotate WAL segments at this size")
-	)
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	graphPath, cfg := serving()
-	if graphPath == "" {
+	if o.graph == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	g, err := graphfile.Load(graphPath)
+	g, err := graphfile.Load(o.graph)
 	if err != nil {
 		fatal(logger, "load graph", err)
 	}
-	cfg.MaxConcurrent = *concurrency
-	cfg.QueueDepth = *queueDepth
-	cfg.MaxBodyBytes = *maxBody
-	cfg.PartialGrace = *partialGrace
-	cfg.MemHighWatermark = *memWatermark
-	cfg.EnableIngest = *ingest
-	cfg.IngestMaxBodyBytes = *ingestBody
+	cfg := o.cfg
 	cfg.Logger = logger
 	// Bind the listener and start serving behind a ready gate before
 	// recovery and rank dialing begin: probes and smoke scripts see a live
@@ -166,7 +183,7 @@ func main() {
 		IdleTimeout:       2 * time.Minute,
 		ErrorLog:          slog.NewLogLogger(logger.Handler(), slog.LevelWarn),
 	}
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		fatal(logger, "listen", err)
 	}
@@ -176,25 +193,25 @@ func main() {
 
 	// -wal-dir recovers the durable state before anything is published:
 	// checkpoint (or the seed graph just loaded), then tail replay.
-	if *walDir != "" {
-		policy, err := wal.ParseSyncPolicy(*walSync)
+	if o.walDir != "" {
+		policy, err := wal.ParseSyncPolicy(o.walSync)
 		if err != nil {
 			fatal(logger, "parse -wal-sync", err)
 		}
 		var rec *wal.Recovery
 		cfg.WAL, rec, err = wal.Open(wal.Options{
-			Dir:             *walDir,
+			Dir:             o.walDir,
 			Sync:            policy,
-			SyncEvery:       *walSyncEvery,
-			SegmentBytes:    *walSegBytes,
-			CheckpointEvery: *walCkptEvery,
+			SyncEvery:       o.walSyncEvery,
+			SegmentBytes:    o.walSegBytes,
+			CheckpointEvery: o.walCkptEvery,
 		}, g)
 		if err != nil {
 			fatal(logger, "recover wal", err)
 		}
 		g, cfg.StartEpoch = rec.Graph, rec.Epoch
 		logger.Info("wal recovered",
-			"dir", *walDir, "epoch", rec.Epoch,
+			"dir", o.walDir, "epoch", rec.Epoch,
 			"from_checkpoint", rec.FromCheckpoint, "checkpoint_epoch", rec.CheckpointEpoch,
 			"replayed", rec.Replayed, "torn_tail", rec.TornTail,
 			"elapsed_ms", rec.Elapsed.Milliseconds())
@@ -207,17 +224,17 @@ func main() {
 	// contract that workers and coordinator agree on ids. Failed dials
 	// retry with backoff for up to -ranks-dial-timeout, so workers started
 	// in parallel with the server do not have to win the race.
-	if *ranksAddr != "" {
-		to := *ranksTimeout
+	if o.ranksAddr != "" {
+		to := o.ranksTimeout
 		if to <= 0 {
 			to = cfg.QueryTimeout
 		}
-		coord, err := router.DialGroupWithin(splitAddrs(*ranksAddr), router.GraphSignature(g), to, *ranksDial)
+		coord, err := router.DialGroupWithin(splitAddrs(o.ranksAddr), router.GraphSignature(g), to, o.ranksDial)
 		if err != nil {
 			fatal(logger, "dial rank group", err)
 		}
 		defer coord.Close()
-		logger.Info("rank group dialed", "workers", coord.Size(), "addrs", *ranksAddr)
+		logger.Info("rank group dialed", "workers", coord.Size(), "addrs", o.ranksAddr)
 		cfg.Coordinator = coord
 	}
 	s := server.NewWithConfig(g, cfg)

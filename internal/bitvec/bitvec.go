@@ -194,8 +194,7 @@ func (ws *WordScan) Next() bool {
 }
 
 // ForEachInRange calls fn for every set bit i with lo <= i < hi, in
-// increasing order. The per-vertex loops of the superstep partitions use it;
-// anything that runs per neighbour drives Words itself.
+// increasing order. Anything that runs per neighbour drives Words itself.
 func (v *Vector) ForEachInRange(lo, hi int, fn func(i int)) {
 	for ws := v.Words(lo, hi); ws.Next(); {
 		for w := ws.Word; w != 0; w &= w - 1 {
@@ -205,8 +204,7 @@ func (v *Vector) ForEachInRange(lo, hi int, fn func(i int)) {
 }
 
 // CountInRange returns the number of set bits i with lo <= i < hi, by
-// word-at-a-time popcounts — the per-partition active-work accounting used
-// by the superstep balance diagnostics and tests.
+// word-at-a-time popcounts.
 func (v *Vector) CountInRange(lo, hi int) int {
 	total := 0
 	for ws := v.Words(lo, hi); ws.Next(); {
@@ -239,73 +237,6 @@ func (v *Vector) ClearRange(lo, hi int) {
 		v.words[wi] = 0
 	}
 	v.words[last] &^= hiMask
-}
-
-// Span is a writer for one bit range of a Vector that may run concurrently
-// with Spans over disjoint ranges of the same Vector (the superstep kernels
-// hold one per vertex partition). Ranges split at arbitrary bits, so the
-// first and the last word of a range can also hold a neighbouring Span's
-// bits: writes to those two words are held back as masks and land in Flush,
-// while every word strictly between them belongs to this Span alone and is
-// written in place. Nothing may read the bits a Span wrote before its Flush,
-// and Flush calls must not run concurrently with each other or with any
-// Set/Clear on the same Vector.
-type Span struct {
-	v           *Vector
-	first, last int // word indices of the range's two edge words
-	edge        [2]heldWrite
-}
-
-// heldWrite is the pending update of one edge word: bits to set, bits to
-// clear.
-type heldWrite struct{ set, clr uint64 }
-
-// Span returns a writer for the bits [lo, hi) of v.
-func (v *Vector) Span(lo, hi int) Span {
-	return Span{v: v, first: lo / wordBits, last: (hi - 1) / wordBits}
-}
-
-// held returns the pending update of word wi when it is one of the range's
-// edge words, nil when the word is the span's alone.
-func (sp *Span) held(wi int) *heldWrite {
-	switch wi {
-	case sp.first:
-		return &sp.edge[0]
-	case sp.last:
-		return &sp.edge[1]
-	}
-	return nil
-}
-
-// Set sets bit i, which must lie in the span's range.
-func (sp *Span) Set(i int) {
-	wi, bit := i/wordBits, uint64(1)<<uint(i%wordBits)
-	if h := sp.held(wi); h != nil {
-		h.set, h.clr = h.set|bit, h.clr&^bit
-	} else {
-		sp.v.words[wi] |= bit
-	}
-}
-
-// Clear clears bit i, which must lie in the span's range.
-func (sp *Span) Clear(i int) {
-	wi, bit := i/wordBits, uint64(1)<<uint(i%wordBits)
-	if h := sp.held(wi); h != nil {
-		h.set, h.clr = h.set&^bit, h.clr|bit
-	} else {
-		sp.v.words[wi] &^= bit
-	}
-}
-
-// Flush applies the held-back writes to the range's edge words and leaves
-// the span ready for the next round.
-func (sp *Span) Flush() {
-	for k, wi := range [2]int{sp.first, sp.last} {
-		if e := sp.edge[k]; e.set|e.clr != 0 {
-			sp.v.words[wi] = sp.v.words[wi]&^e.clr | e.set
-		}
-	}
-	sp.edge = [2]heldWrite{}
 }
 
 // NextSet returns the index of the first set bit at or after i, or -1 if

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -404,110 +403,5 @@ func TestVectorClearRange(t *testing.T) {
 	v.ClearRange(-5, 1000)
 	if v.Any() {
 		t.Fatal("clamped ClearRange left bits set")
-	}
-}
-
-// TestSpanEdgeWords pins the Span contract on every range case: bits in
-// words wholly inside the range are written at once, bits in the range's
-// first and last word only by Flush, and no bit outside the range ever
-// changes.
-func TestSpanEdgeWords(t *testing.T) {
-	const n = 200
-	for _, c := range rangeCases {
-		lo, hi := c[0], c[1]
-		for _, set := range []bool{true, false} {
-			v := New(n)
-			if !set {
-				v.SetAll()
-			}
-			sp := v.Span(lo, hi)
-			for i := lo; i < hi; i++ {
-				if set {
-					sp.Set(i)
-				} else {
-					sp.Clear(i)
-				}
-			}
-			for i := 0; i < n; i++ {
-				inner := i >= lo && i < hi && i/64 != lo/64 && i/64 != (hi-1)/64
-				if written := v.Get(i) == set; written != inner {
-					t.Fatalf("span [%d,%d) set=%v before Flush: bit %d written=%v, want %v", lo, hi, set, i, written, inner)
-				}
-			}
-			sp.Flush()
-			for i := 0; i < n; i++ {
-				if written := v.Get(i) == set; written != (i >= lo && i < hi) {
-					t.Fatalf("span [%d,%d) set=%v after Flush: bit %d written=%v", lo, hi, set, i, written)
-				}
-			}
-			// A flushed span starts the next round empty.
-			sp.Flush()
-			if hi > lo {
-				if set {
-					v.Clear(lo)
-				} else {
-					v.Set(lo)
-				}
-				sp.Flush()
-				if v.Get(lo) == set {
-					t.Fatalf("span [%d,%d): second Flush replayed a held write", lo, hi)
-				}
-			}
-		}
-	}
-}
-
-// TestSpanLastWriteWins checks that a Set and a Clear of the same held-back
-// bit resolve in program order, like writes to an in-place word do.
-func TestSpanLastWriteWins(t *testing.T) {
-	v := New(130)
-	sp := v.Span(0, 130)
-	for _, i := range []int{3, 70, 129} { // first word, inner word, last word
-		sp.Set(i)
-		sp.Clear(i)
-	}
-	sp.Flush()
-	if v.Any() {
-		t.Fatalf("Set then Clear left bits: %v", v)
-	}
-	for _, i := range []int{3, 70, 129} {
-		sp.Clear(i)
-		sp.Set(i)
-	}
-	sp.Flush()
-	if v.Count() != 3 {
-		t.Fatalf("Clear then Set kept %d of 3 bits", v.Count())
-	}
-}
-
-// TestSpansConcurrentDisjointRanges runs adjacent spans that share their
-// edge words from separate goroutines; under -race this is the check that
-// only Flush touches a shared word.
-func TestSpansConcurrentDisjointRanges(t *testing.T) {
-	const n = 1000
-	bounds := []int{0, 1, 63, 64, 65, 70, 70, 300, 511, 513, n}
-	v := New(n)
-	spans := make([]Span, len(bounds)-1)
-	var wg sync.WaitGroup
-	for k := range spans {
-		spans[k] = v.Span(bounds[k], bounds[k+1])
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			for i := bounds[k]; i < bounds[k+1]; i++ {
-				if i%3 != 0 {
-					spans[k].Set(i)
-				}
-			}
-		}(k)
-	}
-	wg.Wait()
-	for k := range spans {
-		spans[k].Flush()
-	}
-	for i := 0; i < n; i++ {
-		if v.Get(i) != (i%3 != 0) {
-			t.Fatalf("bit %d = %v", i, v.Get(i))
-		}
 	}
 }

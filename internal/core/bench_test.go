@@ -16,23 +16,14 @@ import (
 // BenchmarkMaxCandidateSet times M* generation alone on the R-MAT workload
 // shape of the repo benchmark's cold-candset.rmat (scale 14 here): seeding is
 // O(m) over the whole graph while the fixpoint only sees what survived, so
-// this is where a seeding regression shows. Workers 0 runs the supersteps on
-// the calling goroutine, 2 on a two-worker pool.
+// this is where a seeding regression shows.
 func BenchmarkMaxCandidateSet(b *testing.B) {
-	defer func(old int) { minParallelScan = old }(minParallelScan)
-	minParallelScan = prodMinParallelScan
 	g, tp := datagen.RMATWithPattern(14)
-	for _, workers := range []int{0, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			pool := NewPool(workers)
-			defer pool.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var m Metrics
-				benchState = maxCandidateSet(g, tp, nil, pool, nil, &m)
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var m Metrics
+		benchState = maxCandidateSet(g, tp, nil, nil, &m)
 	}
 }
 
@@ -98,21 +89,6 @@ func benchRMAT(b *testing.B) (*graph.Graph, *pattern.Template) {
 	return g, tp
 }
 
-func BenchmarkSearchWorkers(b *testing.B) {
-	g, tp := benchRMAT(b)
-	for _, workers := range []int{0, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := DefaultConfig(1)
-			cfg.Workers = workers
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(g, tp, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCountWDC times the count phase alone — what CountMatches adds to
 // the repo benchmark's cold-search.wdc queries — on the per-prototype
 // solution states of WDC-1/2/3. The pipeline runs once, outside the timer;
@@ -152,15 +128,12 @@ var benchCount int64
 
 // BenchmarkSearchWDC times the repo benchmark's cold-search.wdc queries
 // in-process at the shape amatchd serves them: WDC-1/2/3 at DefaultConfig(k)
-// with CountMatches, M* inline (Workers 0) and on a two-worker pool
-// (Workers 2), level width 1 and 2 (the served default on a 2-CPU host is
-// Workers 2 × width 2). Allocations are part of the contract: see the
+// with CountMatches, at level width 1 and 2 (a lone query on a 2-CPU host is
+// served at width 2, one beside another query at width 1). Allocations are part of the contract: see the
 // per-query figures in ROADMAP.md. lcc-ms/op is the LCC phase's share
 // (Metrics.LCCTime, summed over the level's concurrent searches, so at width
 // 2 it can exceed the wall time's share).
 func BenchmarkSearchWDC(b *testing.B) {
-	defer func(old int) { minParallelScan = old }(minParallelScan)
-	minParallelScan = prodMinParallelScan
 	g := datagen.WDC(datagen.DefaultWDCConfig())
 	queries := []struct {
 		name string
@@ -168,25 +141,22 @@ func BenchmarkSearchWDC(b *testing.B) {
 		k    int
 	}{{"WDC-1", datagen.WDC1(), 2}, {"WDC-2", datagen.WDC2(), 2}, {"WDC-3", datagen.WDC3(), 3}}
 	for _, q := range queries {
-		for _, workers := range []int{0, 2} {
-			for _, width := range []int{1, 2} {
-				b.Run(fmt.Sprintf("%s/workers=%d/width=%d", q.name, workers, width), func(b *testing.B) {
-					cfg := DefaultConfig(q.k)
-					cfg.CountMatches = true
-					cfg.Workers = workers
-					b.ReportAllocs()
-					b.ResetTimer()
-					var lcc time.Duration
-					for i := 0; i < b.N; i++ {
-						res, err := RunParallelContext(context.Background(), g, q.tp, cfg, width)
-						if err != nil {
-							b.Fatal(err)
-						}
-						lcc += res.Metrics.LCCTime
+		for _, width := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/width=%d", q.name, width), func(b *testing.B) {
+				cfg := DefaultConfig(q.k)
+				cfg.CountMatches = true
+				b.ReportAllocs()
+				b.ResetTimer()
+				var lcc time.Duration
+				for i := 0; i < b.N; i++ {
+					res, err := RunParallelContext(context.Background(), g, q.tp, cfg, width)
+					if err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(float64(lcc.Microseconds())/1e3/float64(b.N), "lcc-ms/op")
-				})
-			}
+					lcc += res.Metrics.LCCTime
+				}
+				b.ReportMetric(float64(lcc.Microseconds())/1e3/float64(b.N), "lcc-ms/op")
+			})
 		}
 	}
 }

@@ -19,8 +19,8 @@ import (
 //
 // Charging stays off the hot path: work is charged in cancelInterval-sized
 // batches by the same amortized CancelCheck probes that poll cancellation —
-// plus each probe's tail when it is released, at every superstep barrier and
-// at the end of every prototype search, right before the coordinator
+// plus each probe's tail when it is released, at the end of every M* round
+// and of every prototype search, right before the coordinator
 // re-checks the budget — and byte charges happen only at the pipeline's few
 // large allocation sites (state clones, candidate masks, containment states,
 // compacted views, bit-sliced LCC blocks).
@@ -78,8 +78,7 @@ func (e *BudgetError) Is(target error) bool { return target == ErrBudgetExhauste
 
 // BudgetTracker is the shared, concurrency-safe account a run charges
 // against. One tracker serves every goroutine of a run (parallel prototype
-// searches and superstep workers charge the same atomics through their
-// forked probes).
+// searches charge the same atomics through their forked probes).
 type BudgetTracker struct {
 	maxWork  int64
 	maxBytes int64

@@ -82,8 +82,8 @@ func assertPartialPrefix(t *testing.T, want, got *Result, tag string) {
 // TestPartialDifferentialRMAT is the anytime-partial property test: on
 // seeded R-MAT graphs with randomized templates, a run whose work budget is a
 // fraction of the full run's work must return a Partial result whose
-// completed levels are bit-identical to the unbudgeted run — with M* inline
-// and pooled, at level width > 1, and with compaction forced on.
+// completed levels are bit-identical to the unbudgeted run — sequential, at
+// level width > 1, and with compaction forced on.
 func TestPartialDifferentialRMAT(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	partials := 0
@@ -103,10 +103,6 @@ func TestPartialDifferentialRMAT(t *testing.T) {
 			run func(ctx context.Context, c Config) (*Result, error)
 		}{
 			{"seq", func(ctx context.Context, c Config) (*Result, error) {
-				return RunContext(ctx, g, tp, c)
-			}},
-			{"workers", func(ctx context.Context, c Config) (*Result, error) {
-				c.Workers = 3
 				return RunContext(ctx, g, tp, c)
 			}},
 			{"parallel", func(ctx context.Context, c Config) (*Result, error) {
@@ -255,10 +251,9 @@ func TestBudgetTrackerDims(t *testing.T) {
 // TestBudgetChargeScheduleIndependent puts the budget charge under the same
 // schedule-independent contract as Rho, solutions and counters. For a seeded
 // R-MAT query and for the serving layer's 6-vertex test graph, the work a
-// complete run charges must be equal across Workers {0,1,2,3} × parallelism
-// {1,3} for every entry point, and equal between RunContext and
-// RunParallelContext (they are one code path): every M* superstep vertex
-// visit, LCC visit, token hop and verification probe ticks exactly once
+// complete run charges must be equal across parallelism {1,3} for every
+// entry point, and equal between RunContext and RunParallelContext (they are
+// one code path): every M* round's vertex visit, LCC visit, token hop and verification probe ticks exactly once
 // whichever goroutine runs it, and no probe dies with uncharged ticks.
 //
 // One cell is exempt from the equality: work recycling at parallelism > 1.
@@ -314,37 +309,34 @@ func TestBudgetChargeScheduleIndependent(t *testing.T) {
 			want := map[string]int64{} // group → the first cell's charge
 			for _, en := range entries {
 				for _, par := range []int{1, 3} {
-					for _, workers := range []int{1, 2, 3, 0} {
-						tag := fmt.Sprintf("%s recycle=%v %s parallelism=%d workers=%d", fx.name, recycle, en.name, par, workers)
-						cfg := DefaultConfig(fx.k)
-						cfg.CountMatches = true
-						cfg.WorkRecycling = recycle
-						cfg.Workers = workers
-						tracker := NewBudgetTracker(Budget{MaxWork: 1 << 62})
-						if _, err := en.run(WithBudgetTracker(context.Background(), tracker), fx.g, fx.tp, cfg, par); err != nil {
-							t.Fatalf("%s: %v", tag, err)
+					tag := fmt.Sprintf("%s recycle=%v %s parallelism=%d", fx.name, recycle, en.name, par)
+					cfg := DefaultConfig(fx.k)
+					cfg.CountMatches = true
+					cfg.WorkRecycling = recycle
+					tracker := NewBudgetTracker(Budget{MaxWork: 1 << 62})
+					if _, err := en.run(WithBudgetTracker(context.Background(), tracker), fx.g, fx.tp, cfg, par); err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					used := tracker.WorkUsed()
+					ref, seen := want[en.group]
+					switch {
+					case !seen:
+						want[en.group] = used
+					case !(recycle && par > 1):
+						if used != ref {
+							t.Errorf("%s: charged %d work units, want %d", tag, used, ref)
 						}
-						used := tracker.WorkUsed()
-						ref, seen := want[en.group]
-						switch {
-						case !seen:
-							want[en.group] = used
-						case !(recycle && par > 1):
-							if used != ref {
-								t.Errorf("%s: charged %d work units, want %d", tag, used, ref)
-							}
-						case 4*used < 3*ref || 4*used > 5*ref:
-							t.Errorf("%s: charged %d work units, outside 25%% of %d", tag, used, ref)
-						}
+					case 4*used < 3*ref || 4*used > 5*ref:
+						t.Errorf("%s: charged %d work units, outside 25%% of %d", tag, used, ref)
+					}
 
-						cfg.Budget = Budget{MaxWork: 1}
-						partial, err := en.run(context.Background(), fx.g, fx.tp, cfg, par)
-						if !errors.Is(err, ErrBudgetExhausted) {
-							t.Errorf("%s: one-unit budget: err = %v, want budget exhaustion", tag, err)
-						}
-						if en.group == "bottom-up" && !partial {
-							t.Errorf("%s: one-unit budget: no partial result", tag)
-						}
+					cfg.Budget = Budget{MaxWork: 1}
+					partial, err := en.run(context.Background(), fx.g, fx.tp, cfg, par)
+					if !errors.Is(err, ErrBudgetExhausted) {
+						t.Errorf("%s: one-unit budget: err = %v, want budget exhaustion", tag, err)
+					}
+					if en.group == "bottom-up" && !partial {
+						t.Errorf("%s: one-unit budget: no partial result", tag)
 					}
 				}
 			}

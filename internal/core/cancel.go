@@ -22,8 +22,8 @@ const cancelInterval = 256
 // loops still only pay a local counter increment per tick.
 //
 // A CancelCheck is NOT safe for concurrent use: every level work item (one
-// prototype search, or a bit-sliced LCC block and its searches) and every
-// superstep partition Forks its own (forks share the underlying
+// prototype search, or a bit-sliced LCC block and its searches) and the M*
+// fixpoint Forks its own (forks share the underlying
 // tracker, whose counters are atomic) and Releases it when its unit of work
 // ends, so the run's charge is the sum of its ticks regardless of how the
 // work was spread over goroutines.
@@ -62,9 +62,9 @@ func (c *CancelCheck) Fork() *CancelCheck {
 // Release drains the ticks counted since the probe's last poll into the
 // shared tracker. It never aborts — it is safe to defer on a path already
 // unwinding from an abort — so exhaustion it causes is observed by the next
-// Check on any probe of the run: the coordinator's at a superstep barrier or
-// level end. The probe stays usable; the M* supersteps Release their
-// partition probes at every barrier.
+// Check on any probe of the run: the coordinator's at an M* round end or a
+// level end. The probe stays usable; the M* fixpoint Releases its probe at
+// every round end.
 func (c *CancelCheck) Release() {
 	if c == nil || c.tracker == nil || c.sinceCharge == 0 {
 		return
@@ -104,8 +104,8 @@ func (c *CancelCheck) tickN(n int) {
 // Check polls the context and the budget immediately and aborts the pipeline
 // when either has fired. Entry points call it up front so a query with an
 // already-expired deadline returns before any graph work starts; the
-// M* supersteps call it at each barrier merge so budget exhaustion is
-// observed at superstep granularity even when worker probes are mid-batch.
+// M* fixpoint calls it at each round end so budget exhaustion is observed at
+// round granularity even when the round's probe is mid-batch.
 func (c *CancelCheck) Check() {
 	if c == nil {
 		return

@@ -17,16 +17,15 @@ import (
 // vertex and (b) active neighbors covering every mandatory neighbor of that
 // candidate. Metrics are accumulated into m.CandidateMessages.
 func MaxCandidateSet(g *graph.Graph, t *pattern.Template, m *Metrics) *State {
-	return maxCandidateSet(g, t, nil, nil, nil, m)
+	return maxCandidateSet(g, t, nil, nil, m)
 }
 
-// MaxCandidateSetWorkers is MaxCandidateSet running the seed and the
-// fixpoint supersteps on workers parallel workers (0 = the calling
-// goroutine). Results and counters are identical for every value.
+// MaxCandidateSetWorkers is MaxCandidateSet; workers is ignored.
+//
+// Deprecated: M* has one schedule, on the calling goroutine. Call
+// MaxCandidateSet.
 func MaxCandidateSetWorkers(g *graph.Graph, t *pattern.Template, workers int, m *Metrics) *State {
-	pool := NewPool(workers)
-	defer pool.Close()
-	return maxCandidateSet(g, t, nil, pool, nil, m)
+	return MaxCandidateSet(g, t, m)
 }
 
 // candsetPrep holds the per-template lookup tables of maxCandidateSet.
@@ -55,69 +54,56 @@ func newCandsetPrep(t *pattern.Template) *candsetPrep {
 	return p
 }
 
-// seed is the one seeding pass of M*, for the vertices [lo, hi): ω(v) from
-// v's label (zero outside the restrict mask), the vertex bit from ω(v) ≠ 0,
-// and out-slot (v,i) kept iff both endpoints have a non-zero ω, their label
-// pair is spanned by a template edge and some template edge accepts the
-// slot's edge label. Every term reads only the graph, the mask and the
-// template, and every term is symmetric in the two endpoints: the owner of
-// the reverse slot reaches the same verdict, so writing only the slots a
-// vertex owns leaves the slot vector symmetric, and disjoint vertex ranges
-// can be seeded concurrently with no exchange at all (the Spans take care of
-// the bitvec words two ranges share).
-func (p *candsetPrep) seed(g *graph.Graph, restrict *bitvec.Vector, omega candidateSet, verts, edges *bitvec.Span, lo, hi int) {
+// seedState is the one seeding pass of M*: a fresh State and ω in which
+// ω(v) comes from v's label (zero outside the restrict mask), the vertex bit
+// from ω(v) ≠ 0, and out-slot (v,i) is kept iff both endpoints have a
+// non-zero ω, their label pair is spanned by a template edge and some
+// template edge accepts the slot's edge label. Every term reads only the
+// graph, the mask and the template, and every term is symmetric in the two
+// endpoints: the owner of the reverse slot reaches the same verdict, so
+// writing only the slots a vertex owns leaves the slot vector symmetric.
+func (p *candsetPrep) seedState(g *graph.Graph, restrict *bitvec.Vector) (*State, candidateSet) {
+	s := NewEmptyState(g)
+	omega := make(candidateSet, g.NumVertices())
 	bitsOf := func(v graph.VertexID) uint64 {
 		if restrict != nil && !restrict.Get(int(v)) {
 			return 0
 		}
 		return p.labelBits.at(g.Label(v)) | p.wildBits
 	}
-	for v := graph.VertexID(lo); int(v) < hi; v++ {
+	for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
 		omega[v] = bitsOf(v)
 		if omega[v] == 0 {
 			continue
 		}
-		verts.Set(int(v))
+		s.verts.Set(int(v))
 		base := int(g.AdjOffset(v))
 		lv := g.Label(v)
 		for i, u := range g.Neighbors(v) {
 			if bitsOf(u) != 0 && p.pairs.Matches(lv, g.Label(u)) &&
 				(p.elWild || p.edgeLabel.at(g.EdgeLabelAt(v, i)) != 0) {
-				edges.Set(base + i)
+				s.edges.Set(base + i)
 			}
 		}
 	}
-}
-
-// seedState runs seed over the whole graph into a fresh State and ω, and
-// returns the superstep that holds them. With no pool the superstep is a
-// single partition run on the calling goroutine.
-func (p *candsetPrep) seedState(g *graph.Graph, restrict *bitvec.Vector, pool *Pool, cc *CancelCheck, m *Metrics) *superstep {
-	omega := make(candidateSet, g.NumVertices())
-	ss := newSuperstep(pool, NewEmptyState(g), omega, cc)
-	ss.scan = g.NumVertices() // the seed visits every vertex, not the still empty active set
-	ss.run(func(d *partDelta, lo, hi int) {
-		p.seed(g, restrict, omega, &d.verts, &d.edges, lo, hi)
-	})
-	ss.merge(m)
-	return ss
+	return s, omega
 }
 
 // maxCandidateSet is MaxCandidateSet with an optional restriction mask (the
 // pipeline seeds from the induced subgraph of the mask's vertices instead of
-// the full graph — the incremental-maintenance dirty region), a worker pool
-// for the seed and the fixpoint supersteps (nil = the calling goroutine) and
-// a cancellation probe threaded through the fixpoint loop.
-func maxCandidateSet(g *graph.Graph, t *pattern.Template, restrict *bitvec.Vector, pool *Pool, cc *CancelCheck, m *Metrics) *State {
+// the full graph — the incremental-maintenance dirty region) and a
+// cancellation probe threaded through the fixpoint loop.
+func maxCandidateSet(g *graph.Graph, t *pattern.Template, restrict *bitvec.Vector, cc *CancelCheck, m *Metrics) *State {
 	defer func(start time.Time) { m.CandidateTime += time.Since(start) }(time.Now())
 	p := newCandsetPrep(t)
-	ss := p.seedState(g, restrict, pool, cc, m)
+	s, omega := p.seedState(g, restrict)
+	cc.Check() // the seed does not tick; a fired context stops before round one
 	// The fixpoint has no edge phase to sweep up after the vertices it
 	// dropped.
-	if candidateFixpointPar(ss, p, m) {
-		ss.s.clearDanglingSlots()
+	if candidateFixpoint(s, omega, p, cc, m) {
+		s.clearDanglingSlots()
 	}
-	return ss.s
+	return s
 }
 
 // unviable returns the candidates of ov that fail the max-candidate-set

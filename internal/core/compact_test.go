@@ -27,8 +27,8 @@ func compactingBelow(cfg Config, threshold float64) Config {
 // TestCompactionDifferentialRMAT is the compaction-invisibility property
 // test: on seeded R-MAT graphs with randomized templates, compaction off,
 // the default threshold, and compaction forced at every
-// level must produce bit-identical Rho, Solutions and match counts, for
-// Workers in {0, 1, 3} — and identical schedule-sensitive work counters,
+// level must produce bit-identical Rho, Solutions and match counts — and
+// identical schedule-sensitive work counters,
 // because the monotone remap makes a compacted search step-isomorphic to
 // the original one.
 func TestCompactionDifferentialRMAT(t *testing.T) {
@@ -38,32 +38,29 @@ func TestCompactionDifferentialRMAT(t *testing.T) {
 		p.EdgeFactor = 4
 		g := rmat.Generate(p)
 		tp := randomDecoratedTemplate(rng, g)
-		for _, workers := range []int{0, 1, 3} {
-			cfg := DefaultConfig(1 + trial%2)
-			cfg.CountMatches = true
-			cfg.Workers = workers
-			cfg = compactingBelow(cfg, 0)
-			want, err := Run(g, tp, cfg)
+		cfg := DefaultConfig(1 + trial%2)
+		cfg.CountMatches = true
+		cfg = compactingBelow(cfg, 0)
+		want, err := Run(g, tp, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, threshold := range []float64{0.5, forceCompact} {
+			ccfg := compactingBelow(cfg, threshold)
+			got, err := Run(g, tp, ccfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, threshold := range []float64{0.5, forceCompact} {
-				ccfg := compactingBelow(cfg, threshold)
-				got, err := Run(g, tp, ccfg)
-				if err != nil {
-					t.Fatal(err)
+			assertSameResult(t, want, got, tp.String())
+			wantC, gotC := counterVector(&want.Metrics), counterVector(&got.Metrics)
+			for i := range wantC {
+				if wantC[i] != gotC[i] {
+					t.Errorf("%v threshold=%v: counter %d = %d, want %d",
+						tp, threshold, i, gotC[i], wantC[i])
 				}
-				assertSameResult(t, want, got, tp.String())
-				wantC, gotC := counterVector(&want.Metrics), counterVector(&got.Metrics)
-				for i := range wantC {
-					if wantC[i] != gotC[i] {
-						t.Errorf("%v workers=%d threshold=%v: counter %d = %d, want %d",
-							tp, workers, threshold, i, gotC[i], wantC[i])
-					}
-				}
-				if threshold == forceCompact && got.Metrics.Compactions == 0 {
-					t.Errorf("%v workers=%d: forced compaction never fired", tp, workers)
-				}
+			}
+			if threshold == forceCompact && got.Metrics.Compactions == 0 {
+				t.Errorf("%v: forced compaction never fired", tp)
 			}
 		}
 	}
@@ -209,94 +206,5 @@ func TestCompactStateMechanics(t *testing.T) {
 	}
 	if m.CompactionChecks != 1 || m.Compactions != 0 {
 		t.Fatalf("dense: checks=%d compactions=%d", m.CompactionChecks, m.Compactions)
-	}
-}
-
-// skewedGraph builds a graph whose low-id half is a dense high-degree
-// community and whose high-id half is a sparse ring: edge-balancing over
-// the full CSR assigns nearly all partitions to the dense region.
-func skewedGraph(t *testing.T, dense, sparse int) *graph.Graph {
-	b := graph.NewBuilder(0)
-	for v := 0; v < dense; v++ {
-		b.AddVertex(0)
-	}
-	for v := 0; v < sparse; v++ {
-		b.AddVertex(1)
-	}
-	for u := 0; u < dense; u++ {
-		for v := u + 1; v < dense; v++ {
-			b.AddEdge(graph.VertexID(u), graph.VertexID(v))
-		}
-	}
-	for i := 0; i < sparse; i++ {
-		u := graph.VertexID(dense + i)
-		v := graph.VertexID(dense + (i+1)%sparse)
-		if u != v {
-			b.AddEdge(u, v)
-		}
-	}
-	g := b.Build()
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-// TestSuperstepPartitionSkewFixedByView is the partition-skew regression
-// test: once the dense region is pruned away, edge-balancing over the
-// original CSR offsets crams every active vertex into one partition (the
-// others idle over dead memory), while partitioning the compacted view
-// spreads the active directed slots evenly.
-func TestSuperstepPartitionSkewFixedByView(t *testing.T) {
-	const dense, sparse, parts = 64, 256, 4
-	g := skewedGraph(t, dense, sparse)
-	s := NewFullState(g)
-	for v := 0; v < dense; v++ {
-		s.DeactivateVertex(graph.VertexID(v))
-	}
-
-	activeSlots := func(st *State, gr *graph.Graph, bounds []int) []int {
-		counts := make([]int, len(bounds)-1)
-		for i := range counts {
-			lo := int(gr.AdjOffset(graph.VertexID(bounds[i])))
-			end := gr.NumDirectedEdges()
-			if bounds[i+1] < gr.NumVertices() {
-				end = int(gr.AdjOffset(graph.VertexID(bounds[i+1])))
-			}
-			counts[i] = st.EdgeBits().CountInRange(lo, end)
-		}
-		return counts
-	}
-
-	// Original-CSR partitioning: the dense region dominates the offsets, so
-	// the active ring collapses into the last partition.
-	origBounds := partitionBounds(g, parts)
-	origCounts := activeSlots(s, g, origBounds)
-	totalActive := s.NumActiveDirectedEdges()
-	maxOrig := 0
-	for _, c := range origCounts {
-		if c > maxOrig {
-			maxOrig = c
-		}
-	}
-	if maxOrig < totalActive*9/10 {
-		t.Fatalf("expected skew on the original CSR: max partition %d of %d active slots (%v)",
-			maxOrig, totalActive, origCounts)
-	}
-
-	// View partitioning: every partition gets a fair share of active slots.
-	var m Metrics
-	cs := compactState(s, 0.9, &m, nil)
-	if cs.View() == nil {
-		t.Fatal("compaction did not fire")
-	}
-	viewBounds := partitionBounds(cs.Graph(), parts)
-	viewCounts := activeSlots(cs, cs.Graph(), viewBounds)
-	mean := totalActive / parts
-	for i, c := range viewCounts {
-		if c < mean/2 || c > mean*2 {
-			t.Errorf("view partition %d holds %d active slots, want within [%d, %d] (counts %v)",
-				i, c, mean/2, mean*2, viewCounts)
-		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // with other searches: no recycling cache, no containment.
 func ExactMatch(g *graph.Graph, t *pattern.Template, freqOrdering, countMatches bool) (*Solution, Metrics) {
 	var m Metrics
-	s := maxCandidateSet(g, t, nil, nil, nil, &m)
+	s := maxCandidateSet(g, t, nil, nil, &m)
 	var freq constraint.LabelFreq
 	if freqOrdering {
 		freq = make(constraint.LabelFreq)

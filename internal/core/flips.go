@@ -40,12 +40,11 @@ func matchFlips(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	// The flip variants are not a prototype set, but they share one run's
-	// worth of machinery: cache, label frequencies, worker pool, metrics.
+	// worth of machinery: cache, label frequencies, metrics.
 	e := newEngine(g, nil, cfg, cc)
-	defer e.close()
 	search := func(tpl *pattern.Template) *Solution {
 		cc.Check()
-		s := maxCandidateSet(g, tpl, cfg.Restrict, e.pool, cc, &e.metrics)
+		s := maxCandidateSet(g, tpl, cfg.Restrict, cc, &e.metrics)
 		// Each flip variant has its own candidate set; compact it when the
 		// label classes are selective enough. Cache keys stay in original-id
 		// space, so recycling still crosses flips.

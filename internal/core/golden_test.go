@@ -24,8 +24,9 @@ type goldenCounters struct {
 // TestGoldenCounters pins absolute counter values of the repo benchmark's
 // cold queries (the differential suites only pin cross-schedule equality),
 // once without and once with match counting. One table serves every Workers
-// value: Workers only sizes the M* supersteps, whose counters do not depend
-// on it, so the rows are asserted at Workers 0 and 2.
+// value: the deprecated Workers field is inert (M* has one inline schedule)
+// and stays settable only for callers that still set it, so the rows are
+// asserted at Workers 0 and 2 to keep it from ever moving a counter.
 //
 // The search table (CountMatches=false) pins candidate generation, LCC, NLCC
 // and verification. It must not be edited by a change that claims to keep
@@ -46,8 +47,6 @@ func TestGoldenCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the benchmark's WDC and RMAT queries")
 	}
-	defer func(old int) { minParallelScan = old }(minParallelScan)
-	minParallelScan = prodMinParallelScan
 	wdc := datagen.WDC(datagen.DefaultWDCConfig())
 	rg, rt := datagen.RMATWithPattern(16)
 	cases := []struct {

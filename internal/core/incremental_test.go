@@ -88,9 +88,10 @@ func assertIncrementalEqual(t *testing.T, tag string, got, want *Result) {
 // TestIncrementalDifferential is the randomized differential suite for the
 // incremental maintenance path: over streams of insert/delete/relabel
 // batches, the incrementally maintained result must stay bit-identical to a
-// from-scratch run on the mutated graph — across worker counts, forced
-// compaction and edge-labeled graphs. Each step chains off the previous
-// incremental result, so drift would compound and get caught.
+// from-scratch run on the mutated graph — with and without forced
+// compaction, and on edge-labeled graphs. Each step chains off the previous
+// incremental result, so drift would compound and get caught. Each cell of
+// the deprecated, inert Workers field draws its own random streams.
 func TestIncrementalDifferential(t *testing.T) {
 	for _, workers := range []int{0, 1, 3} {
 		for _, compact := range []float64{0, 1.0} {
@@ -215,29 +216,26 @@ func TestIncrementalContractErrors(t *testing.T) {
 
 // TestRestrictFullMaskIdentical: a Restrict mask covering every vertex must
 // be bit-identical to an unrestricted run — results AND deterministic
-// counters — with M* inline (Workers 0) and on a two-worker pool.
+// counters.
 func TestRestrictFullMaskIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := randomGraph(rng, 30, 80, 3)
 	tpl := randomTemplate(rng, 4, 3)
-	for _, workers := range []int{0, 2} {
-		cfg := DefaultConfig(1)
-		cfg.CountMatches = true
-		cfg.Workers = workers
-		base, err := Run(g, tpl, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full := NewFullState(g)
-		cfg.Restrict = full.VertexBits()
-		masked, err := Run(g, tpl, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIncrementalEqual(t, fmt.Sprintf("workers=%d", workers), masked, base)
-		if masked.Metrics.CandidateMessages != base.Metrics.CandidateMessages {
-			t.Errorf("workers=%d: candidate messages %d, want %d",
-				workers, masked.Metrics.CandidateMessages, base.Metrics.CandidateMessages)
-		}
+	cfg := DefaultConfig(1)
+	cfg.CountMatches = true
+	base, err := Run(g, tpl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := NewFullState(g)
+	cfg.Restrict = full.VertexBits()
+	masked, err := Run(g, tpl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIncrementalEqual(t, "full mask", masked, base)
+	if masked.Metrics.CandidateMessages != base.Metrics.CandidateMessages {
+		t.Errorf("candidate messages %d, want %d",
+			masked.Metrics.CandidateMessages, base.Metrics.CandidateMessages)
 	}
 }

@@ -124,8 +124,8 @@ func TestLCCBlockMatchesLCC(t *testing.T) {
 		}
 		starts := map[string]*State{
 			"full":       NewFullState(g),
-			"restricted": maxCandidateSet(g, tp, restrict, nil, nil, &m),
-			"compacted":  compactState(maxCandidateSet(g, tp, nil, nil, nil, &m), forceCompact, &m, nil),
+			"restricted": maxCandidateSet(g, tp, restrict, nil, &m),
+			"compacted":  compactState(maxCandidateSet(g, tp, nil, nil, &m), forceCompact, &m, nil),
 		}
 		for name, level := range starts {
 			before := level.Clone()

@@ -33,12 +33,11 @@ type Config struct {
 	LabelPairRefinement bool
 	// CountMatches computes per-prototype match counts during the search.
 	CountMatches bool
-	// Workers is the size of the worker pool the maximum-candidate-set
-	// computation (the O(m) seed and the fixpoint supersteps) runs on; 0 and
-	// 1 run it on the calling goroutine. The per-prototype kernels (LCC, NLCC,
-	// verification, counting) are sequential and take their parallelism from
-	// the level width instead. Rho, Solutions and every counter are identical
-	// for every value.
+	// Workers is ignored: every kernel runs on the goroutine of its
+	// prototype search, and a run takes its parallelism from the level width
+	// (RunParallelContext).
+	//
+	// Deprecated: set nothing; the field goes once no caller names it.
 	Workers int
 	// Budget bounds the run's work, auxiliary memory and wall time; the
 	// zero value is unlimited. On exhaustion the bottom-up pipeline stops
@@ -170,9 +169,6 @@ type engine struct {
 	// walks and the local profile.
 	walks    map[int][]*constraint.Walk
 	profiles map[int]*localProfile
-	// pool is the maximum-candidate-set computation's worker pool (nil =
-	// the calling goroutine), closed by the run entry points via close().
-	pool *Pool
 }
 
 func newEngine(g *graph.Graph, set *prototype.Set, cfg Config, cc *CancelCheck) *engine {
@@ -196,12 +192,8 @@ func newEngine(g *graph.Graph, set *prototype.Set, cfg Config, cc *CancelCheck) 
 		// The wildcard "label" occurs at every vertex.
 		e.freq[pattern.Wildcard] = int64(g.NumVertices())
 	}
-	e.pool = NewPool(cfg.Workers)
 	return e
 }
-
-// close releases the engine's worker pool.
-func (e *engine) close() { e.pool.Close() }
 
 func (e *engine) walksFor(pi int) []*constraint.Walk {
 	if ws, ok := e.walks[pi]; ok {
@@ -296,7 +288,6 @@ func runLevels(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config,
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	e := newEngine(g, set, cfg, cc)
-	defer e.close()
 
 	res := &Result{
 		Graph:     g,
@@ -309,7 +300,7 @@ func runLevels(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config,
 	// yields a Partial result with zero completed levels (Candidate nil).
 	if err := func() (err error) {
 		defer recoverBudgetAbort(&err)
-		res.Candidate = maxCandidateSet(g, t, e.cfg.Restrict, e.pool, cc, &e.metrics)
+		res.Candidate = maxCandidateSet(g, t, e.cfg.Restrict, cc, &e.metrics)
 		return nil
 	}(); err != nil {
 		return e.finishPartial(res, err)

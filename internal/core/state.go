@@ -162,12 +162,6 @@ func (s *State) ForEachActiveVertex(fn func(v graph.VertexID)) {
 	s.verts.ForEach(func(i int) { fn(graph.VertexID(i)) })
 }
 
-// forEachActiveVertexIn calls fn for every active vertex in [lo, hi), in
-// increasing order — the partitioned scan the M* supersteps run per worker.
-func (s *State) forEachActiveVertexIn(lo, hi int, fn func(v graph.VertexID)) {
-	s.verts.ForEachInRange(lo, hi, func(i int) { fn(graph.VertexID(i)) })
-}
-
 // slotScan is the start of every pass over u's active out-slots: u's
 // adjacency, the slot index of its first entry, and a scan of the slots still
 // active (see bitvec.WordScan for the loop; slot i leads to ns[i-base]). Heavily

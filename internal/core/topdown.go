@@ -58,14 +58,13 @@ func runTopDown(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	e := newEngine(g, set, cfg, cc)
-	defer e.close()
 	res := &TopDownResult{
 		Set:              set,
 		FoundDist:        -1,
 		MatchingVertices: bitvec.New(g.NumVertices()),
 		Solutions:        make([]*Solution, set.Count()),
 	}
-	candidate := maxCandidateSet(g, t, e.cfg.Restrict, e.pool, cc, &e.metrics)
+	candidate := maxCandidateSet(g, t, e.cfg.Restrict, cc, &e.metrics)
 	// Top-down searches every level on the candidate set, so one compaction
 	// pays off across all of them.
 	frac := ActiveFraction(candidate)

@@ -89,10 +89,11 @@ func assertSameResult(t *testing.T, want, got *Result, tag string) {
 	}
 }
 
-// TestWorkersDifferentialRMAT is the kernel-equivalence property test: on
+// TestWorkersDifferentialRMAT is the level-parallelism property test: on
 // seeded R-MAT graphs with randomized templates (wildcards, mandatory
-// edges) and k in {0,1,2}, Workers: N must produce bit-identical Rho,
-// Solutions and match counts to the sequential reference path.
+// edges) and k in {0,1,2}, a level searched on N worker goroutines
+// (RunParallelContext at width N) must produce bit-identical Rho, Solutions
+// and match counts to the sequential run.
 func TestWorkersDifferentialRMAT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1701))
 	for trial := 0; trial < 10; trial++ {
@@ -106,10 +107,8 @@ func TestWorkersDifferentialRMAT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 3} {
-			wcfg := cfg
-			wcfg.Workers = workers
-			got, err := Run(g, tp, wcfg)
+		for _, workers := range []int{2, 3} {
+			got, err := RunParallelContext(context.Background(), g, tp, cfg, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,9 +130,7 @@ func TestWorkersDifferentialEdgeLabels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wcfg := cfg
-		wcfg.Workers = 4
-		got, err := Run(g, tp, wcfg)
+		got, err := RunParallelContext(context.Background(), g, tp, cfg, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,9 +138,9 @@ func TestWorkersDifferentialEdgeLabels(t *testing.T) {
 	}
 }
 
-// TestWorkersRunParallelMatchesRun crosses both parallelism layers:
-// concurrent prototype searches on a pooled M* must still match the fully
-// sequential run.
+// TestWorkersRunParallelMatchesRun: concurrent prototype searches with the
+// deprecated, inert Workers field set must still match the fully sequential
+// run.
 func TestWorkersRunParallelMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(1703))
 	g := randomGraph(rng, 40, 110, 3)
@@ -162,50 +159,6 @@ func TestWorkersRunParallelMatchesRun(t *testing.T) {
 	assertSameResult(t, want, got, tp.String())
 }
 
-// The graphs of this package's suites are far smaller than minParallelScan.
-// Send every superstep through the pool, so that -race watches the partitions
-// run side by side; TestSmallSuperstepsRunInline covers the other path.
-func init() { minParallelScan = 0 }
-
-// prodMinParallelScan is the shipped threshold (package variables are
-// initialised before init runs), for the benchmarks.
-var prodMinParallelScan = minParallelScan
-
-// TestSmallSuperstepsRunInline pins the inline path of superstep.run — the
-// partitions of a small superstep run one after another on the calling
-// goroutine — against the pooled one: same Rho, solutions and counts, and
-// the same counters, for every worker count.
-func TestSmallSuperstepsRunInline(t *testing.T) {
-	defer func(old int) { minParallelScan = old }(minParallelScan)
-	rng := rand.New(rand.NewSource(1706))
-	for trial := 0; trial < 6; trial++ {
-		p := rmat.Graph500(7, int64(1706+trial))
-		p.EdgeFactor = 4
-		g := rmat.Generate(p)
-		tp := randomDecoratedTemplate(rng, g)
-		for _, workers := range []int{1, 2, 3} {
-			cfg := DefaultConfig(trial % 3)
-			cfg.CountMatches = true
-			cfg.Workers = workers
-			run := func(ctx context.Context) (*Result, error) { return RunContext(ctx, g, tp, cfg) }
-			minParallelScan = 0
-			pooled, pooledWork := measureWork(t, run)
-			minParallelScan = g.NumVertices() + 1
-			inline, inlineWork := measureWork(t, run)
-			assertSameResult(t, pooled, inline, tp.String())
-			want, got := counterVector(&pooled.Metrics), counterVector(&inline.Metrics)
-			for i := range want {
-				if want[i] != got[i] {
-					t.Errorf("%v workers=%d: counter %d = %d inline, %d pooled", tp, workers, i, got[i], want[i])
-				}
-			}
-			if pooledWork != inlineWork {
-				t.Errorf("%v workers=%d: %d work units inline, %d pooled", tp, workers, inlineWork, pooledWork)
-			}
-		}
-	}
-}
-
 // counterVector extracts the schedule-sensitive work counters (durations
 // excluded).
 func counterVector(m *Metrics) []int64 {
@@ -217,33 +170,33 @@ func counterVector(m *Metrics) []int64 {
 }
 
 // TestWorkersCountersScheduleIndependent asserts the counters do not depend
-// on Workers: every worker count, 0 included, reports the same
-// message/iteration counters. Workers only sizes the M* supersteps, whose
-// per-round work depends only on the round-start snapshot, not on the
-// partitioning; every other kernel runs the same sequential loop whatever
-// the value.
+// on how many worker goroutines search a level: without work recycling
+// (whose sharing between concurrent searches is a race by design) every
+// width reports the same message/iteration counters as the sequential run.
+// Each prototype search runs the same sequential kernels whatever goroutine
+// it lands on, and a bit-sliced LCC block charges exactly its lanes' lcc
+// counters.
 func TestWorkersCountersScheduleIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(1704))
 	for trial := 0; trial < 4; trial++ {
 		g := rmat.Generate(rmat.Params{Scale: 6, EdgeFactor: 4, A: 0.57, B: 0.19, C: 0.19, Seed: int64(trial)})
 		tp := randomDecoratedTemplate(rng, g)
 		cfg := DefaultConfig(1)
-		cfg.Workers = 1
+		cfg.WorkRecycling = false
 		base, err := Run(g, tp, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := counterVector(&base.Metrics)
-		for _, workers := range []int{0, 2, 5} {
-			cfg.Workers = workers
-			res, err := Run(g, tp, cfg)
+		for _, workers := range []int{2, 5} {
+			res, err := RunParallelContext(context.Background(), g, tp, cfg, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := counterVector(&res.Metrics)
 			for i := range want {
 				if want[i] != got[i] {
-					t.Errorf("%v workers=%d: counter %d = %d, want %d (workers=1)",
+					t.Errorf("%v workers=%d: counter %d = %d, want %d (sequential)",
 						tp, workers, i, got[i], want[i])
 				}
 			}
@@ -278,8 +231,7 @@ func assertSlotSymmetry(t *testing.T, s *State, tag string) {
 	}
 }
 
-// TestSlotSymmetryAfterKernels runs every kernel — M* inline and on a
-// 3-worker pool, and every lane of an lccBlock over the template's k=1
+// TestSlotSymmetryAfterKernels runs every kernel — M*, and every lane of an lccBlock over the template's k=1
 // prototypes — and asserts the State invariant at each kernel's exit — what
 // NumActiveDirectedEdges/StateBytes accounting and CompactState rely on. The
 // kernels drop vertices without touching reverse slots, so the trials must
@@ -311,15 +263,11 @@ func TestSlotSymmetryAfterKernels(t *testing.T) {
 	dropsIn := map[string]int{}
 	for _, in := range inputs {
 		g, tp := in.g, in.tp
-		var s *State
 		var m Metrics
-		for _, workers := range []int{0, 3} {
-			pool := NewPool(workers)
-			s = maxCandidateSet(g, tp, nil, pool, nil, &m)
-			assertSlotSymmetry(t, s, "maxCandidateSet")
-			dropsIn["maxCandidateSet"] += newCandsetPrep(tp).seedState(g, nil, pool, nil, &m).s.NumActiveVertices() - s.NumActiveVertices()
-			pool.Close()
-		}
+		s := maxCandidateSet(g, tp, nil, nil, &m)
+		assertSlotSymmetry(t, s, "maxCandidateSet")
+		seeded, _ := newCandsetPrep(tp).seedState(g, nil)
+		dropsIn["maxCandidateSet"] += seeded.NumActiveVertices() - s.NumActiveVertices()
 
 		set, err := prototype.Generate(tp, 1)
 		if err != nil {
@@ -363,33 +311,12 @@ func TestSlotSymmetryAfterKernels(t *testing.T) {
 	}
 }
 
-// TestPoolPanicPropagation checks that a worker panic crosses the barrier
-// back onto the caller instead of killing the process from a pool
-// goroutine.
-func TestPoolPanicPropagation(t *testing.T) {
-	pool := NewPool(2)
-	defer pool.Close()
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("recovered %v, want boom", r)
-		}
-	}()
-	pool.run(4, func(part int) {
-		if part == 2 {
-			panic("boom")
-		}
-	})
-	t.Fatal("unreachable")
-}
-
-// TestWorkersCancellation exercises cancellation through the superstep
-// path: the forked per-partition probes must abort the run with the
-// context's error.
+// TestWorkersCancellation exercises cancellation through the M* fixpoint:
+// its forked probe must abort the run with the context's error.
 func TestWorkersCancellation(t *testing.T) {
 	g := rmat.Generate(rmat.Graph500(9, 7))
 	tp := randomDecoratedTemplate(rand.New(rand.NewSource(9)), g)
 	cfg := DefaultConfig(2)
-	cfg.Workers = 3
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -15,10 +15,9 @@ import (
 )
 
 // Options are the pipeline's core.Config plus the distributed engine's own
-// knob. The embedded fields mean what they mean in core, except Workers,
-// which has no effect here: the engine computes its own candidate set, and
-// the core kernels it calls back into (the gather-and-finalize step) run on
-// the calling goroutine. Budget charging rides the core probes of the
+// knob. The embedded fields mean what they mean in core; the engine computes
+// its own candidate set, and the core kernels it calls back into (the
+// gather-and-finalize step) run on the calling goroutine. Budget charging rides the core probes of the
 // finalization phase plus the checks between distributed phases, and
 // SharedCache replaces the run's private core.Cache. The fields this engine
 // cannot honour are rejected at the entry point, see unsupported.

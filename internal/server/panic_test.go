@@ -119,11 +119,12 @@ func TestMemWatermarkSheds503(t *testing.T) {
 	}
 }
 
-// forEachSchedule runs fn once per kernel schedule the server can pick — M*
-// inline and on a pool (Workers) crossed with sequential and level-parallel
-// prototype search (Parallelism) — with both pinned, so what
-// a test asserts about budget charging never depends on the defaults the
-// host's GOMAXPROCS would derive.
+// forEachSchedule runs fn once per kernel schedule the server can pick —
+// sequential and level-parallel prototype search (Parallelism) — with the
+// width pinned, so what a test asserts about budget charging never depends
+// on the width the host's GOMAXPROCS would derive. Each schedule also runs
+// with the deprecated Workers field unset (-1) and set (2): it is inert and
+// must not change what a query charges.
 func forEachSchedule(t *testing.T, cfg Config, fn func(t *testing.T, cfg Config)) {
 	for _, workers := range []int{-1, 2} {
 		for _, parallelism := range []int{1, 3} {

@@ -65,14 +65,10 @@ type Config struct {
 	// in-flight query holds, at least one — full width alone, width 1
 	// under concurrent load. Answers do not depend on the width.
 	Parallelism int
-	// Workers is the per-query worker count for the maximum-candidate-set
-	// computation (core.Config.Workers); the other kernels are sequential
-	// and parallelize across prototypes (Parallelism). 0 picks a
-	// scheduler-aware default — GOMAXPROCS/MaxConcurrent, so slots × workers
-	// never exceeds GOMAXPROCS, or the calling goroutine when that quota is
-	// a single core, as it is at the default MaxConcurrent. Negative forces
-	// the calling goroutine. Answers and counters are the same for every
-	// value.
+	// Workers is ignored: a query's kernels run on its own goroutines and
+	// parallelize across prototypes (Parallelism).
+	//
+	// Deprecated: set nothing; the field goes once no caller names it.
 	Workers int
 	// MaxEditDistance bounds accepted k values (default 6).
 	MaxEditDistance int
@@ -175,14 +171,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth < 0 { // explicit "no queue"
 		c.QueueDepth = 0
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0) / c.MaxConcurrent
-		if c.Workers <= 1 {
-			// One core per slot: a pool would only add barrier overhead,
-			// so run M* on the query's own goroutine.
-			c.Workers = -1
-		}
 	}
 	if c.MaxEditDistance <= 0 {
 		c.MaxEditDistance = 6
@@ -592,15 +580,12 @@ func (s *Server) writePipelineError(w http.ResponseWriter, r *http.Request, q *r
 
 // pipelineConfig builds the one per-query pipeline configuration /match and
 // /explore both run under: the fully optimized defaults for the request's k
-// with the server's worker and cache settings folded in.
+// with the server's cache settings folded in.
 func (s *Server) pipelineConfig(req *MatchRequest) core.Config {
 	cfg := core.DefaultConfig(req.K)
 	cfg.CountMatches = req.Count
 	cfg.CacheBytes = s.cfg.CacheBytes
 	cfg.SharedCache = s.nlccShared
-	if s.cfg.Workers > 0 {
-		cfg.Workers = s.cfg.Workers
-	}
 	return cfg
 }
 
