@@ -13,8 +13,9 @@ test:
 # layer — including the cross-query result cache, single-flight and
 # warm/cold differential suites — the pipeline's cancellation/parallel
 # paths, the canonicalization property tests backing the cache keys, the
-# distributed runtime's anytime-partial and shared-cache differential
-# suites, and the replica router's loopback-HTTP suites). The -cpu leg
+# distributed runtime's anytime-partial, shared-cache and replica-set
+# differential suites — every replica goroutine reads one shared graph.View
+# — and the replica router's loopback-HTTP suites). The -cpu leg
 # reruns the pipeline, serving, distributed-runtime and router suites at
 # three GOMAXPROCS values, because the server derives its default slot
 # count and per-query width from it and the runtime runs its ranks as goroutines:
@@ -27,7 +28,7 @@ check: bench-module import-boundary experiments-smoke
 	$(GO) test -race ./internal/server/ ./internal/core/ ./internal/wal/
 	$(GO) test -cpu 1,2,4 ./internal/core/ ./internal/server/ ./internal/dist/ ./internal/router/
 	$(GO) test -race -run 'Canonical' ./internal/pattern/
-	$(GO) test -race -run 'Partial|SharedCache' ./internal/dist/
+	$(GO) test -race -run 'Partial|SharedCache|ReplicaSet' ./internal/dist/
 	$(GO) test -race -run 'Coordinator|DialGroup' ./internal/router/
 
 # import-boundary fails if internal/dist, the simulated distributed runtime,

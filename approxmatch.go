@@ -160,12 +160,12 @@ func MatchParallelContext(ctx context.Context, g *Graph, t *Template, opts Optio
 // from the exact template, the edit distance grows one deletion at a time
 // until the first matches appear or opts.EditDistance is exhausted.
 func Explore(g *Graph, t *Template, opts Options) (*ExploreResult, error) {
-	return core.RunTopDownContext(context.Background(), g, t, opts)
+	return core.RunTopDownContext(context.Background(), g, t, opts, 1)
 }
 
 // ExploreContext is Explore honoring ctx (see MatchContext).
 func ExploreContext(ctx context.Context, g *Graph, t *Template, opts Options) (*ExploreResult, error) {
-	return core.RunTopDownContext(ctx, g, t, opts)
+	return core.RunTopDownContext(ctx, g, t, opts, 1)
 }
 
 // Prototypes generates the prototype set P_k of t without searching.
@@ -316,5 +316,5 @@ func MatchIncrementalContext(ctx context.Context, prev *Result, newG *Graph, cha
 func ConnectedComponents(g *Graph) ([]int, int) { return graph.ConnectedComponents(g) }
 
 // LargestComponent returns the subgraph induced by the largest connected
-// component and the mapping back to original vertex ids.
+// component and the mapping back to original vertex ids (increasing).
 func LargestComponent(g *Graph) (*Graph, []VertexID) { return graph.LargestComponent(g) }

@@ -314,7 +314,7 @@ func BenchmarkUseCaseExploratory(b *testing.B) {
 	g := benchWDC()
 	tpl := datagen.WDC4()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunTopDownContext(context.Background(), g, tpl, core.DefaultConfig(4))
+		res, err := core.RunTopDownContext(context.Background(), g, tpl, core.DefaultConfig(4), 1)
 		if err != nil {
 			b.Fatal(err)
 		}

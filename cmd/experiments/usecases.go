@@ -86,7 +86,7 @@ func expWDC4(w io.Writer, quick bool) {
 		panic(err)
 	}
 	_ = set
-	protoSet, err := core.RunTopDownContext(context.Background(), g, tpl, core.DefaultConfig(4))
+	protoSet, err := core.RunTopDownContext(context.Background(), g, tpl, core.DefaultConfig(4), 1)
 	if err != nil {
 		panic(err)
 	}

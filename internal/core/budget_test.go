@@ -299,8 +299,8 @@ func TestBudgetChargeScheduleIndependent(t *testing.T) {
 			res, err := RunParallelContext(ctx, g, tp, cfg, par)
 			return res != nil && res.Partial, err
 		}},
-		{"RunTopDownContext", "top-down", func(ctx context.Context, g *graph.Graph, tp *pattern.Template, cfg Config, _ int) (bool, error) {
-			_, err := RunTopDownContext(ctx, g, tp, cfg)
+		{"RunTopDownContext", "top-down", func(ctx context.Context, g *graph.Graph, tp *pattern.Template, cfg Config, par int) (bool, error) {
+			_, err := RunTopDownContext(ctx, g, tp, cfg, par)
 			return false, err
 		}},
 	}

@@ -25,7 +25,7 @@ func TestPreCanceledContextReturnsPromptly(t *testing.T) {
 	if _, err := RunParallelContext(ctx, g, tpl, DefaultConfig(2), 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunParallelContext err = %v, want context.Canceled", err)
 	}
-	if _, err := RunTopDownContext(ctx, g, tpl, DefaultConfig(2)); !errors.Is(err, context.Canceled) {
+	if _, err := RunTopDownContext(ctx, g, tpl, DefaultConfig(2), 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunTopDownContext err = %v, want context.Canceled", err)
 	}
 	if _, err := MatchFlipsContext(ctx, g, tpl, DefaultConfig(0)); !errors.Is(err, context.Canceled) {

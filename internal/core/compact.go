@@ -66,9 +66,7 @@ func compactState(s *State, threshold float64, m *Metrics, cc *CancelCheck) *Sta
 		m.CompactionFracAfter += frac
 		return s
 	}
-	verts := make([]graph.VertexID, 0, s.verts.Count())
-	s.ForEachActiveVertex(func(v graph.VertexID) { verts = append(verts, v) })
-	vw := graph.NewView(s.g, verts, s.edges)
+	vw := graph.NewView(s.g, s.verts, s.edges)
 	cg := vw.Graph()
 	vs := &State{
 		g:     cg,
@@ -114,19 +112,4 @@ func (e *engine) compact(s *State) *State {
 		threshold = o
 	}
 	return compactState(s, threshold, &e.metrics, e.cc)
-}
-
-// translateSolution rewrites a view-space solution into the original
-// graph's id space, in place.
-func translateSolution(sol *Solution, vw *graph.View) {
-	og := vw.Orig()
-	verts := bitvec.New(og.NumVertices())
-	sol.Verts.ForEach(func(nv int) {
-		verts.Set(int(vw.OrigVertex(graph.VertexID(nv))))
-	})
-	edges := bitvec.New(og.NumDirectedEdges())
-	sol.Edges.ForEach(func(ns int) {
-		edges.Set(int(vw.OrigSlot(ns)))
-	})
-	sol.Verts, sol.Edges = verts, edges
 }

@@ -109,11 +109,11 @@ func TestCompactionDifferentialModes(t *testing.T) {
 	}
 	assertSameResult(t, wantPar, gotPar, "RunParallel")
 
-	wantTD, err := RunTopDownContext(context.Background(), g, tp, off)
+	wantTD, err := RunTopDownContext(context.Background(), g, tp, off, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTD, err := RunTopDownContext(context.Background(), g, tp, on)
+	gotTD, err := RunTopDownContext(context.Background(), g, tp, on, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

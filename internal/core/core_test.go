@@ -261,7 +261,7 @@ func TestTopDownMatchesBottomUp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		td, err := RunTopDownContext(context.Background(), g, tp, cfg)
+		td, err := RunTopDownContext(context.Background(), g, tp, cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,45 +27,13 @@ func (r *Result) UnionEdges() *bitvec.Vector {
 // edge-restricted to participating edges), along with the mapping from new
 // vertex ids back to the background graph's.
 func (r *Result) MatchUnionGraph(pi int) (*graph.Graph, []graph.VertexID) {
-	return extractSubgraph(r.Graph, r.Solutions[pi].Verts, r.Solutions[pi].Edges)
+	vw := graph.NewView(r.Graph, r.Solutions[pi].Verts, r.Solutions[pi].Edges)
+	return vw.Graph(), vw.OrigVertices()
 }
 
 // AllMatchesUnionGraph extracts the union of every prototype's solution
 // subgraph as a standalone graph.
 func (r *Result) AllMatchesUnionGraph() (*graph.Graph, []graph.VertexID) {
-	return extractSubgraph(r.Graph, r.UnionVertices(), r.UnionEdges())
-}
-
-// extractSubgraph builds a graph from active vertex and directed-slot bit
-// vectors, preserving vertex and edge labels.
-func extractSubgraph(g *graph.Graph, verts *bitvec.Vector, slots *bitvec.Vector) (*graph.Graph, []graph.VertexID) {
-	remap := make(map[graph.VertexID]graph.VertexID)
-	var orig []graph.VertexID
-	verts.ForEach(func(v int) {
-		remap[graph.VertexID(v)] = graph.VertexID(len(orig))
-		orig = append(orig, graph.VertexID(v))
-	})
-	b := graph.NewBuilder(len(orig))
-	for nv, ov := range orig {
-		b.SetLabel(graph.VertexID(nv), g.Label(ov))
-	}
-	labeled := g.HasEdgeLabels()
-	for _, ov := range orig {
-		base := int(g.AdjOffset(ov))
-		for i, w := range g.Neighbors(ov) {
-			if !slots.Get(base + i) {
-				continue
-			}
-			nw, ok := remap[w]
-			if !ok || remap[ov] >= nw {
-				continue
-			}
-			if labeled {
-				b.AddEdgeLabeled(remap[ov], nw, g.EdgeLabelAt(ov, i))
-			} else {
-				b.AddEdge(remap[ov], nw)
-			}
-		}
-	}
-	return b.Build(), orig
+	vw := graph.NewView(r.Graph, r.UnionVertices(), r.UnionEdges())
+	return vw.Graph(), vw.OrigVertices()
 }

@@ -150,7 +150,7 @@ func TestFeatureCrossProduct(t *testing.T) {
 		}
 		checkAgainstOracle(t, g, tp, DefaultConfig(2))
 
-		td, err := RunTopDownContext(context.Background(), g, tp, DefaultConfig(2))
+		td, err := RunTopDownContext(context.Background(), g, tp, DefaultConfig(2), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,7 +108,7 @@ func finishSearch(s *State, omega candidateSet, t *pattern.Template, prof *local
 	// public results are independent of whether compaction fired. Matches
 	// biject between the spaces, so the count needs no adjustment.
 	if vw := s.view; vw != nil {
-		translateSolution(sol, vw)
+		sol.Verts, sol.Edges = vw.OrigBits(sol.Verts, sol.Edges)
 	}
 	return sol
 }

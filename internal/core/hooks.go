@@ -61,7 +61,7 @@ func FinalizeSolution(ctx context.Context, s *State, t *pattern.Template, count 
 		sol.MatchCount = CountOn(ctx, s, t, m)
 	}
 	if vw := s.view; vw != nil {
-		translateSolution(sol, vw)
+		sol.Verts, sol.Edges = vw.OrigBits(sol.Verts, sol.Edges)
 	}
 	return sol
 }

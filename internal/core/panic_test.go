@@ -13,8 +13,9 @@ import (
 // TestWorkerPanicIsolation injects a panic into one prototype search and
 // checks the level driver converts it into a *PanicError carrying the
 // search's stack at every width — on the calling goroutine (1) and on the
-// worker group (2) alike: the query fails, the process survives, and a
-// subsequent clean run on the same inputs is unaffected.
+// worker group (2) alike, bottom-up and top-down: the query fails, the
+// process survives, and a subsequent clean run on the same inputs is
+// unaffected.
 func TestWorkerPanicIsolation(t *testing.T) {
 	g := rmat.Generate(rmat.Graph500(7, 55))
 	tp := randomDecoratedTemplate(rand.New(rand.NewSource(55)), g)
@@ -54,5 +55,12 @@ func TestWorkerPanicIsolation(t *testing.T) {
 			t.Fatalf("width %d: clean rerun failed: %v", width, err)
 		}
 		assertSameResult(t, want, clean, "post-panic rerun")
+
+		testHookPrototypeSearch = func(int) { panic("injected worker bug") }
+		_, err = RunTopDownContext(context.Background(), g, tp, cfg, width)
+		testHookPrototypeSearch = nil
+		if !errors.As(err, &pe) || pe.Val != "injected worker bug" {
+			t.Fatalf("width %d: top-down err = %v (%T), want *PanicError", width, err, err)
+		}
 	}
 }

@@ -163,7 +163,7 @@ type engine struct {
 	metrics Metrics
 	// cc is the run's root cancellation probe (nil when the run's context
 	// can never fire and carries no budget). It serves the coordinator
-	// goroutine; every bottom-up level work item Forks its own.
+	// goroutine; every level work item Forks its own.
 	cc *CancelCheck
 	// walks caches, per prototype index, the oriented/ordered pruning
 	// walks and the local profile.
@@ -211,16 +211,6 @@ func (e *engine) profileFor(pi int) *localProfile {
 	p := buildLocalProfile(e.set.Protos[pi].Template)
 	e.profiles[pi] = p
 	return p
-}
-
-// searchPrototype implements Alg. 2 for prototype pi: LCC fixpoint,
-// interleaved NLCC pruning walks (with re-LCC after eliminations), then the
-// exact verification phase. The input level state is not modified.
-func (e *engine) searchPrototype(level *State, pi int) *Solution {
-	t := e.set.Protos[pi].Template
-	sol := searchTemplateOn(level, t, e.profileFor(pi), e.walksFor(pi), e.cache, e.cc, e.cfg.CountMatches, &e.metrics, e.cfg.kernel())
-	sol.Proto = pi
-	return sol
 }
 
 // cleanEdges returns the active-edge vector restricted to slots whose both
@@ -308,7 +298,7 @@ func runLevels(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config,
 
 	level := res.Candidate
 	for dist := set.MaxDist; dist >= 0; dist-- {
-		next, err := e.searchLevel(res, level, dist, width)
+		next, err := e.runLevel(res, level, dist, width)
 		if err != nil {
 			if errors.Is(err, ErrBudgetExhausted) {
 				return e.finishPartial(res, err)
@@ -322,34 +312,46 @@ func runLevels(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config,
 	return res, nil
 }
 
-// testHookPrototypeSearch, when set, runs at the start of every bottom-up
-// prototype search — the seam the panic-isolation tests use to inject a
+// testHookPrototypeSearch, when set, runs at the start of every prototype
+// search of a level — the seam the panic-isolation tests use to inject a
 // worker panic into a live query.
 var testHookPrototypeSearch func(proto int)
 
-// searchLevel searches every prototype of one edit-distance level, up to
-// width at a time, and commits the results — solutions, Rho columns, level
-// stats and the next level's containment state — only once the whole level
-// has completed. A budget abort mid-level therefore leaves res exactly as it
-// was before the level started (the level's half-computed solutions are
-// discarded), which is what makes the Partial contract airtight: committed
-// levels are always whole levels.
+// runLevel searches one edit-distance level of the bottom-up pipeline, up
+// to width prototypes at a time, and commits the results — solutions, Rho
+// columns, level stats and the next level's containment state — only once
+// the whole level has completed. A budget abort mid-level therefore leaves
+// res exactly as it was before the level started (the level's half-computed
+// solutions are discarded), which is what makes the Partial contract
+// airtight: committed levels are always whole levels.
+func (e *engine) runLevel(res *Result, level *State, dist, width int) (next *State, err error) {
+	defer recoverBudgetAbort(&err)
+	e.cc.Check()
+	start := time.Now()
+	frac := ActiveFraction(level)
+	state := e.compact(level)
+	sols, err := e.searchLevel(state, res.Candidate, res.Set.At(dist), dist, width)
+	if err != nil {
+		return nil, err
+	}
+	lv := LevelStats{Dist: dist, Duration: time.Since(start), ActiveFraction: frac, Compacted: state.View() != nil}
+	return res.CommitLevel(sols, lv, e.cfg.LabelPairRefinement, e.cc), nil
+}
+
+// searchLevel searches the prototypes ids of level dist, up to width at a
+// time, on state — a childless prototype (see startsFromLevel) on cand — and
+// returns their solutions, index-aligned with ids; it is the search half of
+// both the bottom-up and the top-down level. It returns the first abort — a
+// fired context, a spent budget or a *PanicError — instead of solutions.
 //
 // The level runs as work items (planLevel), each on one goroutine with its
 // own forked probe, released when the item returns; every search has its
 // own Metrics, folded in prototype order once they all have — so neither the
-// budget charge nor the counters depend on the width.
-func (e *engine) searchLevel(res *Result, level *State, dist, width int) (next *State, err error) {
-	defer recoverBudgetAbort(&err)
-	e.cc.Check()
-	set := res.Set
-	start := time.Now()
-	// Compact, plan, and build the level's walks and profiles, on the
-	// coordinator goroutine before any search launches: the view, the engine
-	// metrics and the engine's lazy maps are not synchronized.
-	frac := ActiveFraction(level)
-	state := e.compact(level)
-	ids := set.At(dist)
+// budget charge nor the counters depend on the width. It must be called from
+// the coordinator goroutine.
+func (e *engine) searchLevel(state, cand *State, ids []int, dist, width int) ([]*Solution, error) {
+	// Plan, and build the level's walks and profiles, before any search
+	// launches: the engine metrics and its lazy maps are not synchronized.
 	for _, pi := range ids {
 		e.walksFor(pi)
 		e.profileFor(pi)
@@ -360,7 +362,7 @@ func (e *engine) searchLevel(res *Result, level *State, dist, width int) (next *
 	abortErr := forEachBounded(len(items), width, func(it int) {
 		cc := e.cc.Fork()
 		defer cc.Release()
-		e.searchItem(res, state, dist, ids, items[it], cc, sols, metrics)
+		e.searchItem(state, cand, dist, ids, items[it], cc, sols, metrics)
 	})
 	// Fold the searches' counters before any abort: work actually performed
 	// must reach the caller (and /metrics) even when the level dies.
@@ -373,8 +375,7 @@ func (e *engine) searchLevel(res *Result, level *State, dist, width int) (next *
 	// The searches' released ticks are on the tracker now; a level that
 	// overran the budget only in its probes' tails must not commit.
 	e.cc.Check()
-	lv := LevelStats{Dist: dist, Duration: time.Since(start), ActiveFraction: frac, Compacted: state.View() != nil}
-	return res.CommitLevel(sols, lv, e.cfg.LabelPairRefinement, e.cc), nil
+	return sols, nil
 }
 
 // levelItem is one unit of a level's work: positions into the level's
@@ -440,7 +441,7 @@ func (e *engine) startsFromLevel(pi, dist int) bool {
 // searchItem runs one levelItem's searches on the calling goroutine, the
 // item's lccBlock when its first lane comes up, and stores each search's
 // solution and counters at its position.
-func (e *engine) searchItem(res *Result, state *State, dist int, ids []int, item levelItem, cc *CancelCheck, sols []*Solution, metrics []Metrics) {
+func (e *engine) searchItem(state, cand *State, dist int, ids []int, item levelItem, cc *CancelCheck, sols []*Solution, metrics []Metrics) {
 	var blk *laneBlock
 	lane := 0
 	for _, idx := range item.idx {
@@ -468,7 +469,7 @@ func (e *engine) searchItem(res *Result, state *State, dist int, ids []int, item
 		} else {
 			from := state
 			if !e.startsFromLevel(pi, dist) {
-				from = res.Candidate
+				from = cand
 			}
 			sol = searchTemplateOn(from, t, e.profiles[pi], e.walks[pi], e.cache, cc, e.cfg.CountMatches, m, e.cfg.kernel())
 		}

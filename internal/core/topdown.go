@@ -39,20 +39,24 @@ type TopDownResult struct {
 // searches every prototype at distance δ on the maximum candidate set and
 // stops at the first δ with a non-empty match set. Work recycling naturally
 // applies in the top-down direction too (Obs. 2): constraints proven for a δ
-// prototype are shared with the δ+1 prototypes that inherit them.
+// prototype are shared with the δ+1 prototypes that inherit them. width is
+// the level's width, as in RunParallelContext: up to that many prototypes of
+// a level are searched concurrently, and the answer is the same at every
+// width.
 //
 // The per-prototype searches carry cancellation probes and the run returns
-// ctx.Err() once the context fires. Budget exhaustion surfaces as a plain
-// ErrBudgetExhausted error — the top-down mode has no containment guarantee
-// to salvage a partial result from (an unfinished level says nothing about
-// smaller distances).
-func RunTopDownContext(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg Config) (*TopDownResult, error) {
+// ctx.Err() once the context fires; a panic inside a search is returned as
+// a *PanicError. Budget exhaustion surfaces as a plain ErrBudgetExhausted
+// error — the top-down mode has no containment guarantee to salvage a
+// partial result from (an unfinished level says nothing about smaller
+// distances).
+func RunTopDownContext(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg Config, width int) (*TopDownResult, error) {
 	return guardedRun(ctx, cfg.Budget, func(cc *CancelCheck) (*TopDownResult, error) {
-		return runTopDown(cc, g, t, cfg)
+		return runTopDown(cc, g, t, cfg, width)
 	})
 }
 
-func runTopDown(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config) (*TopDownResult, error) {
+func runTopDown(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config, width int) (*TopDownResult, error) {
 	set, err := prototype.Generate(t, cfg.EditDistance)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -73,18 +77,18 @@ func runTopDown(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config
 	for dist := 0; dist <= set.MaxDist; dist++ {
 		cc.Check()
 		start := time.Now()
-		found := false
+		ids := set.At(dist)
+		sols, err := e.searchLevel(searchCand, searchCand, ids, dist, width)
+		if err != nil {
+			return nil, err
+		}
+		res.PrototypesSearched += len(ids)
 		var labels int64
 		levelVerts := bitvec.New(g.NumVertices())
-		for _, pi := range set.At(dist) {
-			sol := e.searchPrototype(searchCand, pi)
-			res.PrototypesSearched++
-			res.Solutions[pi] = sol
-			if sol.Verts.Any() {
-				found = true
-				levelVerts.Or(sol.Verts)
-				labels += int64(sol.Verts.Count())
-			}
+		for _, sol := range sols {
+			res.Solutions[sol.Proto] = sol
+			levelVerts.Or(sol.Verts)
+			labels += int64(sol.Verts.Count())
 		}
 		res.Levels = append(res.Levels, LevelStats{
 			Dist:            dist,
@@ -96,7 +100,7 @@ func runTopDown(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config
 			Compacted:       searchCand.View() != nil,
 			Complete:        true,
 		})
-		if found {
+		if levelVerts.Any() {
 			res.FoundDist = dist
 			res.MatchingVertices = levelVerts
 			break

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -335,5 +336,71 @@ func TestWorkersCancellation(t *testing.T) {
 		}
 	} else if time.Since(start) > 5*time.Second {
 		t.Fatalf("cancellation took %v", time.Since(start))
+	}
+}
+
+// TestTopDownWidthsMatchSequential is the level-parallelism differential of
+// the top-down mode: RunTopDownContext at widths {2,3} must find the same
+// distance, search the same prototypes and return the same solutions as at
+// width 1, and — without work recycling, whose sharing between concurrent
+// searches is a race by design — report the same LCC, NLCC and verification
+// message counters.
+func TestTopDownWidthsMatchSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(1705))
+	// A 5-cycle with two chords: a level of up to 21 prototypes, enough for
+	// the width-1 run to search its first LCC fixpoints bit-sliced.
+	chorded := func(g *graph.Graph) *pattern.Template {
+		ls := make([]pattern.Label, 5)
+		for i := range ls {
+			ls[i] = g.Label(graph.VertexID(rng.Intn(g.NumVertices())))
+		}
+		return pattern.MustNew(ls, []pattern.Edge{{I: 0, J: 1}, {I: 1, J: 2}, {I: 2, J: 3}, {I: 3, J: 4}, {I: 0, J: 4}, {I: 0, J: 2}, {I: 0, J: 3}})
+	}
+	var blocks int64
+	for trial := 0; trial < 6; trial++ {
+		g := rmat.Generate(rmat.Params{Scale: 7, EdgeFactor: 4, A: 0.57, B: 0.19, C: 0.19, Seed: int64(trial)})
+		tp, k := randomDecoratedTemplate(rng, g), 2
+		if trial%2 == 1 {
+			tp, k = chorded(g), 3
+		}
+		cfg := DefaultConfig(k)
+		cfg.WorkRecycling = false
+		cfg.CountMatches = true
+		want, err := RunTopDownContext(context.Background(), g, tp, cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks += want.Metrics.LCCBlocks
+		for _, width := range []int{2, 3} {
+			got, err := RunTopDownContext(context.Background(), g, tp, cfg, width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tag := fmt.Sprintf("trial %d %v width=%d", trial, tp, width)
+			if got.FoundDist != want.FoundDist || got.PrototypesSearched != want.PrototypesSearched {
+				t.Errorf("%s: found %d after %d prototypes, want %d after %d",
+					tag, got.FoundDist, got.PrototypesSearched, want.FoundDist, want.PrototypesSearched)
+			}
+			if !got.MatchingVertices.Equal(want.MatchingVertices) {
+				t.Errorf("%s: matching vertices differ", tag)
+			}
+			for pi, ws := range want.Solutions {
+				gs := got.Solutions[pi]
+				if (ws == nil) != (gs == nil) {
+					t.Fatalf("%s: proto %d searched in one run only", tag, pi)
+				}
+				if ws != nil && (!ws.Verts.Equal(gs.Verts) || !ws.Edges.Equal(gs.Edges) || ws.MatchCount != gs.MatchCount) {
+					t.Errorf("%s: proto %d solutions differ", tag, pi)
+				}
+			}
+			wm, gm := want.Metrics, got.Metrics
+			if gm.LCCMessages != wm.LCCMessages || gm.NLCCMessages != wm.NLCCMessages || gm.VerifyMessages != wm.VerifyMessages {
+				t.Errorf("%s: lcc/nlcc/verify messages %d/%d/%d, want %d/%d/%d", tag,
+					gm.LCCMessages, gm.NLCCMessages, gm.VerifyMessages, wm.LCCMessages, wm.NLCCMessages, wm.VerifyMessages)
+			}
+		}
+	}
+	if blocks == 0 {
+		t.Error("no width-1 run searched a bit-sliced LCC block")
 	}
 }

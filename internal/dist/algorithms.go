@@ -42,17 +42,12 @@ func newDistState(e *Engine) *distState {
 // ownership is keyed by original vertex id.
 func fromCoreState(e *Engine, cs *core.State) *distState {
 	s := newDistState(e)
+	verts, edges := cs.VertexBits(), cs.EdgeBits()
 	if vw := cs.View(); vw != nil {
-		cs.VertexBits().ForEach(func(v int) {
-			s.active[vw.OrigVertex(graph.VertexID(v))] = true
-		})
-		cs.EdgeBits().ForEach(func(slot int) {
-			s.edgeOn[vw.OrigSlot(slot)] = true
-		})
-		return s
+		verts, edges = vw.OrigBits(verts, edges)
 	}
-	cs.VertexBits().ForEach(func(v int) { s.active[v] = true })
-	cs.EdgeBits().ForEach(func(slot int) { s.edgeOn[slot] = true })
+	verts.ForEach(func(v int) { s.active[v] = true })
+	edges.ForEach(func(slot int) { s.edgeOn[slot] = true })
 	return s
 }
 

@@ -26,33 +26,6 @@ func BalancedOwners(active *bitvec.Vector, ranks int) []int32 {
 	return owner
 }
 
-// balancedOwnersView is BalancedOwners driven by a compacted view: the
-// active vertices are exactly the view's kept vertices, already enumerated
-// in increasing original id, so the assignment walks the compacted list
-// instead of scanning the full bit vector. The result is identical to
-// BalancedOwners over the view's original active set — the paper's per-level
-// rebalancing made cheap by compaction.
-func balancedOwnersView(vw *graph.View, ranks int) []int32 {
-	owner := make([]int32, vw.Orig().NumVertices())
-	for v := range owner {
-		owner[v] = int32(hashVertex(graph.VertexID(v)) % uint32(ranks))
-	}
-	next := int32(0)
-	for _, ov := range vw.OrigVertices() {
-		owner[ov] = next
-		next = (next + 1) % int32(ranks)
-	}
-	return owner
-}
-
-// balancedOwners dispatches on whether the level state was compacted.
-func balancedOwners(s *core.State, ranks int) []int32 {
-	if vw := s.View(); vw != nil {
-		return balancedOwnersView(vw, ranks)
-	}
-	return BalancedOwners(s.VertexBits(), ranks)
-}
-
 // LoadImbalance summarizes compute distribution: the ratio of the maximum
 // per-rank visitor count to the mean (1.0 = perfectly balanced).
 func LoadImbalance(e *Engine) float64 {
@@ -75,19 +48,20 @@ func LoadImbalance(e *Engine) float64 {
 }
 
 // Checkpoint serializes the active subgraph of state s (the pruned
-// intermediate graph) to a byte buffer using the binary CSR format — the
-// §4 checkpoint/reload path that lets a pruned graph move to a smaller
-// deployment. It returns the serialized bytes and the mapping from
-// checkpointed vertex ids back to original ids.
-func Checkpoint(g *graph.Graph, s *core.State) ([]byte, []graph.VertexID, error) {
-	sub, orig := graph.InducedSubgraph(g, func(v graph.VertexID) bool {
-		return s.VertexActive(v)
-	})
+// intermediate graph: its active vertices and every edge of g between them)
+// to a byte buffer using the binary CSR format — the §4 checkpoint/reload
+// path that lets a pruned graph move to a smaller deployment. It returns the
+// serialized bytes and the graph.View they were cut through, which maps the
+// checkpointed ids back to g's (View.OrigBits).
+func Checkpoint(g *graph.Graph, s *core.State) ([]byte, *graph.View, error) {
+	slots := bitvec.New(g.NumDirectedEdges())
+	slots.SetAll()
+	vw := graph.NewView(g, s.VertexBits(), slots)
 	var buf bytes.Buffer
-	if err := graph.WriteBinary(&buf, sub); err != nil {
+	if err := graph.WriteBinary(&buf, vw.Graph()); err != nil {
 		return nil, nil, fmt.Errorf("dist: checkpoint: %w", err)
 	}
-	return buf.Bytes(), orig, nil
+	return buf.Bytes(), vw, nil
 }
 
 // Reload deserializes a checkpoint into a fresh engine on a (typically

@@ -298,12 +298,12 @@ func TestCheckpointReload(t *testing.T) {
 	for v := 0; v < 30; v++ {
 		s.VertexBits().Set(v)
 	}
-	data, orig, err := Checkpoint(g, s)
+	data, vw, err := Checkpoint(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(orig) != 30 {
-		t.Fatalf("checkpointed %d vertices", len(orig))
+	if vw.NumVertices() != 30 {
+		t.Fatalf("checkpointed %d vertices", vw.NumVertices())
 	}
 	e, err := Reload(data, Config{Ranks: 2})
 	if err != nil {
@@ -312,10 +312,39 @@ func TestCheckpointReload(t *testing.T) {
 	if e.Graph().NumVertices() != 30 {
 		t.Errorf("reloaded %d vertices", e.Graph().NumVertices())
 	}
-	for nv, ov := range orig {
+	for nv, ov := range vw.OrigVertices() {
 		if e.Graph().Label(graph.VertexID(nv)) != g.Label(ov) {
 			t.Errorf("label mismatch at %d", nv)
 		}
+	}
+}
+
+// TestCheckpointEdgelessEdgeLabeled checkpoints a cut of an edge-labeled
+// graph that keeps no edge: the reloaded graph must still be edge-labeled,
+// so an edge-labeled template searched on it sees the graph it was cut
+// from.
+func TestCheckpointEdgelessEdgeLabeled(t *testing.T) {
+	b := graph.NewBuilder(4)
+	b.AddEdgeLabeled(0, 1, 1)
+	b.AddEdgeLabeled(2, 3, 2)
+	g := b.Build()
+	s := core.NewEmptyState(g)
+	s.VertexBits().Set(0)
+	s.VertexBits().Set(2)
+	data, vw, err := Checkpoint(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Reload(data, Config{Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg := e.Graph()
+	if rg.NumVertices() != 2 || rg.NumEdges() != 0 || vw.NumVertices() != 2 {
+		t.Fatalf("reloaded %d vertices, %d edges", rg.NumVertices(), rg.NumEdges())
+	}
+	if !rg.HasEdgeLabels() {
+		t.Fatal("an edgeless cut of an edge-labeled graph reloaded edge-unlabeled")
 	}
 }
 
@@ -480,13 +509,38 @@ func TestReplicaSetMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestReplicaSlotOwner checks the replica-to-original slot map: every
+// directed slot of a reloaded replica must map, through the checkpoint's
+// view, to the original slot joining the same two vertices.
 func TestReplicaSlotOwner(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(82)), 30, 80, 2)
-	for v := 0; v < g.NumVertices(); v++ {
-		base := int(g.AdjOffset(graph.VertexID(v)))
-		for i := range g.Neighbors(graph.VertexID(v)) {
-			if got := replicaSlotOwner(g, base+i); got != graph.VertexID(v) {
-				t.Fatalf("slot %d: owner %d, want %d", base+i, got, v)
+	s := core.NewEmptyState(g)
+	for v := 0; v < g.NumVertices(); v += 1 + v%2 {
+		s.VertexBits().Set(v)
+	}
+	data, vw, err := Checkpoint(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Reload(data, Config{Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg := e.Graph()
+	if rg.NumDirectedEdges() == 0 {
+		t.Fatal("checkpoint kept no edge; the check is vacuous")
+	}
+	for u := 0; u < rg.NumVertices(); u++ {
+		base := int(rg.AdjOffset(graph.VertexID(u)))
+		for i, w := range rg.Neighbors(graph.VertexID(u)) {
+			verts := bitvec.New(rg.NumVertices())
+			slots := bitvec.New(rg.NumDirectedEdges())
+			slots.Set(base + i)
+			_, os := vw.OrigBits(verts, slots)
+			ou, ow := vw.OrigVertex(graph.VertexID(u)), vw.OrigVertex(w)
+			want := int(g.AdjOffset(ou)) + g.EdgeIndex(ou, ow)
+			if os.Count() != 1 || !os.Get(want) {
+				t.Fatalf("replica slot %d (%d->%d): maps to %v, want original slot %d", base+i, u, w, os, want)
 			}
 		}
 	}
@@ -692,8 +746,9 @@ func TestDistLevelsMatchSequential(t *testing.T) {
 }
 
 // TestBalancedOwnersViewMatchesBitvec pins the repartitioning equivalence:
-// owners computed from a compacted view must equal owners computed from the
-// original active bit vector, for every rank count.
+// owners computed from the level's original active bit vector must equal
+// owners computed from the compacted view's vertices mapped back through
+// OrigBits, for every rank count.
 func TestBalancedOwnersViewMatchesBitvec(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	g := randomGraph(rng, 80, 200, 3)
@@ -708,9 +763,10 @@ func TestBalancedOwnersViewMatchesBitvec(t *testing.T) {
 	if cs.View() == nil {
 		t.Fatal("compaction did not fire")
 	}
+	verts, _ := cs.View().OrigBits(cs.VertexBits(), cs.EdgeBits())
 	for _, ranks := range []int{1, 2, 5} {
 		want := BalancedOwners(s.VertexBits(), ranks)
-		got := balancedOwnersView(cs.View(), ranks)
+		got := BalancedOwners(verts, ranks)
 		if len(want) != len(got) {
 			t.Fatalf("ranks %d: length %d vs %d", ranks, len(got), len(want))
 		}

@@ -174,7 +174,7 @@ func runLevel(ctx context.Context, e *Engine, res *core.Result, level *core.Stat
 	frac := core.ActiveFraction(level)
 	state := core.CompactState(level, &res.Metrics, cc)
 	if opts.Rebalance {
-		e.SetOwners(balancedOwners(state, e.cfg.Ranks))
+		e.SetOwners(BalancedOwners(level.VertexBits(), e.cfg.Ranks))
 	}
 	ids := res.Set.At(dist)
 	sols := make([]*core.Solution, len(ids))

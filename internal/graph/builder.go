@@ -119,36 +119,3 @@ func FromEdges(labels []Label, edges []Edge) *Graph {
 	}
 	return b.Build()
 }
-
-// InducedSubgraph returns the subgraph of g induced by keep (a vertex
-// predicate), along with a mapping from new vertex ids to original ids.
-// It is used by tests and by the load-rebalancing checkpoint path.
-func InducedSubgraph(g *Graph, keep func(VertexID) bool) (*Graph, []VertexID) {
-	remap := make(map[VertexID]VertexID)
-	var orig []VertexID
-	for v := 0; v < g.NumVertices(); v++ {
-		if keep(VertexID(v)) {
-			remap[VertexID(v)] = VertexID(len(orig))
-			orig = append(orig, VertexID(v))
-		}
-	}
-	b := NewBuilder(len(orig))
-	for nv, ov := range orig {
-		b.SetLabel(VertexID(nv), g.Label(ov))
-	}
-	labeled := g.HasEdgeLabels()
-	for _, ov := range orig {
-		for i, w := range g.Neighbors(ov) {
-			nw, ok := remap[w]
-			if !ok || remap[ov] >= nw {
-				continue
-			}
-			if labeled {
-				b.AddEdgeLabeled(remap[ov], nw, g.EdgeLabelAt(ov, i))
-			} else {
-				b.AddEdge(remap[ov], nw)
-			}
-		}
-	}
-	return b.Build(), orig
-}

@@ -1,5 +1,7 @@
 package graph
 
+import "approxmatch/internal/bitvec"
+
 // ConnectedComponents labels each vertex with a component id (0-based,
 // ordered by smallest member vertex) and returns the labels plus the
 // component count. Useful for scoping exploratory searches and for
@@ -33,7 +35,8 @@ func ConnectedComponents(g *Graph) (comp []int, count int) {
 }
 
 // LargestComponent returns the subgraph induced by the largest connected
-// component together with the mapping back to original vertex ids.
+// component — a View over its vertices and every slot — together with the
+// mapping from its vertex ids back to g's, in increasing order.
 func LargestComponent(g *Graph) (*Graph, []VertexID) {
 	comp, count := ConnectedComponents(g)
 	if count == 0 {
@@ -49,5 +52,14 @@ func LargestComponent(g *Graph) (*Graph, []VertexID) {
 			best = c
 		}
 	}
-	return InducedSubgraph(g, func(v VertexID) bool { return comp[v] == best })
+	verts := bitvec.New(g.NumVertices())
+	for v, c := range comp {
+		if c == best {
+			verts.Set(v)
+		}
+	}
+	slots := bitvec.New(g.NumDirectedEdges())
+	slots.SetAll()
+	vw := NewView(g, verts, slots)
+	return vw.Graph(), vw.OrigVertices()
 }

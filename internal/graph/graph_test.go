@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"approxmatch/internal/bitvec"
 )
 
 func triangleWithTail(t *testing.T) *Graph {
@@ -130,7 +132,16 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 
 func TestInducedSubgraph(t *testing.T) {
 	g := triangleWithTail(t)
-	sub, orig := InducedSubgraph(g, func(v VertexID) bool { return v != 3 })
+	verts := bitvec.New(g.NumVertices())
+	for v := 0; v < g.NumVertices(); v++ {
+		if v != 3 {
+			verts.Set(v)
+		}
+	}
+	slots := bitvec.New(g.NumDirectedEdges())
+	slots.SetAll()
+	vw := NewView(g, verts, slots)
+	sub, orig := vw.Graph(), vw.OrigVertices()
 	if sub.NumVertices() != 3 || sub.NumEdges() != 3 {
 		t.Fatalf("induced triangle: n=%d m=%d", sub.NumVertices(), sub.NumEdges())
 	}
@@ -141,6 +152,9 @@ func TestInducedSubgraph(t *testing.T) {
 		if sub.Label(VertexID(nv)) != g.Label(ov) {
 			t.Errorf("label mismatch at %d", nv)
 		}
+	}
+	if err := sub.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

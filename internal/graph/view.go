@@ -28,23 +28,26 @@ type View struct {
 	newVerts []int32
 }
 
-// NewView extracts the compacted view of orig over the kept vertices verts
-// (increasing original ids) and the directed slots set in slots whose far
-// endpoint is kept too. Only each kept vertex's set slots are read — a word
-// scan of its adjacency range, so a pruned hub costs O(words + kept slots),
-// not O(degree). slots must be symmetric (the slot (u,v) is set iff (v,u)
-// is), as State's slot invariant guarantees; an asymmetric vector yields a
-// view graph that fails Validate. The view keeps verts as its vertex map.
-func NewView(orig *Graph, verts []VertexID, slots *bitvec.Vector) *View {
+// NewView extracts the compacted view of orig over the kept vertices set in
+// verts and the directed slots set in slots whose far endpoint is kept too.
+// It is the one way to cut a subgraph out of a graph: compaction, the
+// derived match graphs, the §4 checkpoint and LargestComponent all use it.
+// Only each kept vertex's set slots are read — a word scan of its adjacency
+// range, so a pruned hub costs O(words + kept slots), not O(degree). slots
+// must be symmetric (the slot (u,v) is set iff (v,u) is), as State's slot
+// invariant guarantees; an asymmetric vector yields a view graph that fails
+// Validate. The view graph is edge-labeled exactly when orig is.
+func NewView(orig *Graph, verts, slots *bitvec.Vector) *View {
 	n := orig.NumVertices()
-	vw := &View{orig: orig, origVerts: verts, newVerts: make([]int32, n)}
+	vw := &View{orig: orig, origVerts: make([]VertexID, 0, verts.Count()), newVerts: make([]int32, n)}
 	for v := range vw.newVerts {
 		vw.newVerts[v] = -1
 	}
-	for nv, ov := range verts {
-		vw.newVerts[ov] = int32(nv)
-	}
-	nn := len(verts)
+	verts.ForEach(func(ov int) {
+		vw.newVerts[ov] = int32(len(vw.origVerts))
+		vw.origVerts = append(vw.origVerts, VertexID(ov))
+	})
+	nn := len(vw.origVerts)
 
 	// One pass: each kept vertex's surviving slots are emitted in original
 	// adjacency order and the vertex remap is monotone, so the view
@@ -57,7 +60,7 @@ func NewView(orig *Graph, verts []VertexID, slots *bitvec.Vector) *View {
 	if orig.edgeLabels != nil {
 		edgeLabels = make([]Label, 0, cap(adj))
 	}
-	for nv, ov := range verts {
+	for nv, ov := range vw.origVerts {
 		labels[nv] = orig.labels[ov]
 		ns := orig.Neighbors(ov)
 		base := int(orig.offsets[ov])
@@ -85,9 +88,6 @@ func NewView(orig *Graph, verts []VertexID, slots *bitvec.Vector) *View {
 // Graph returns the compacted graph.
 func (vw *View) Graph() *Graph { return vw.g }
 
-// Orig returns the original graph the view was extracted from.
-func (vw *View) Orig() *Graph { return vw.orig }
-
 // NumVertices returns the number of kept vertices.
 func (vw *View) NumVertices() int { return len(vw.origVerts) }
 
@@ -106,6 +106,17 @@ func (vw *View) NewVertex(ov VertexID) (VertexID, bool) {
 
 // OrigSlot maps a view directed slot index back to its original slot index.
 func (vw *View) OrigSlot(ns int) int64 { return vw.origSlots[ns] }
+
+// OrigBits maps a view-space vertex vector and directed-slot vector back to
+// fresh vectors over orig's vertices and directed slots — the one
+// back-translation from a view's id space.
+func (vw *View) OrigBits(verts, slots *bitvec.Vector) (*bitvec.Vector, *bitvec.Vector) {
+	ov := bitvec.New(vw.orig.NumVertices())
+	verts.ForEach(func(nv int) { ov.Set(int(vw.origVerts[nv])) })
+	os := bitvec.New(vw.orig.NumDirectedEdges())
+	slots.ForEach(func(ns int) { os.Set(int(vw.origSlots[ns])) })
+	return ov, os
+}
 
 // OrigVertices returns the view-to-original vertex map, indexed by view id
 // and increasing. The caller must not modify it.

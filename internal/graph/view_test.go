@@ -50,12 +50,12 @@ func symmetricKeepSlots(rng *rand.Rand, g *Graph) map[int64]bool {
 	return keep
 }
 
-// keptList lists the vertices keep marks, in increasing order.
-func keptList(keep []bool) []VertexID {
-	var verts []VertexID
+// keptList sets the vertices keep marks.
+func keptList(keep []bool) *bitvec.Vector {
+	verts := bitvec.New(len(keep))
 	for v, k := range keep {
 		if k {
-			verts = append(verts, VertexID(v))
+			verts.Set(v)
 		}
 	}
 	return verts
@@ -98,7 +98,7 @@ func TestViewRoundTripQuick(t *testing.T) {
 			t.Logf("seed %d: view graph invalid: %v", seed, err)
 			return false
 		}
-		if vw.Orig() != g || vw.NumVertices() != cg.NumVertices() {
+		if vw.NumVertices() != cg.NumVertices() {
 			return false
 		}
 
@@ -178,6 +178,24 @@ func TestViewRoundTripQuick(t *testing.T) {
 				}
 			}
 		}
+
+		// OrigBits maps the view's whole vertex and slot sets back onto
+		// exactly the kept vertices and the kept slots between them.
+		allV, allS := bitvec.New(cg.NumVertices()), bitvec.New(cg.NumDirectedEdges())
+		allV.SetAll()
+		allS.SetAll()
+		ov, os := vw.OrigBits(allV, allS)
+		if !ov.Equal(keptList(keepV)) || os.Count() != cg.NumDirectedEdges() {
+			return false
+		}
+		for ou := 0; ou < n; ou++ {
+			for i, ow := range g.Neighbors(VertexID(ou)) {
+				slot := g.AdjOffset(VertexID(ou)) + int64(i)
+				if os.Get(int(slot)) != (keepV[ou] && keepV[ow] && keepS[slot]) {
+					return false
+				}
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -206,7 +224,7 @@ func TestViewEmptyAndFull(t *testing.T) {
 			t.Fatalf("full view: slot %d maps to %d", s, all.OrigSlot(s))
 		}
 	}
-	none := NewView(g, nil, allSlots)
+	none := NewView(g, keptList(make([]bool, g.NumVertices())), allSlots)
 	if none.Graph().NumVertices() != 0 || none.Graph().NumDirectedEdges() != 0 {
 		t.Fatal("empty view not empty")
 	}

@@ -829,9 +829,9 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	defer snap.Release()
 
 	var resp ExploreResponse
-	if !s.runQuery(w, r, q, req, func(ctx context.Context, cfg core.Config, _ int) (*core.Metrics, bool, error) {
+	if !s.runQuery(w, r, q, req, func(ctx context.Context, cfg core.Config, width int) (*core.Metrics, bool, error) {
 		cfg.CountMatches = false // exploration reports no counts
-		res, err := core.RunTopDownContext(ctx, snap.Graph(), t, cfg)
+		res, err := core.RunTopDownContext(ctx, snap.Graph(), t, cfg, width)
 		if err != nil {
 			return nil, false, err
 		}
