@@ -9,8 +9,9 @@ test:
 	$(GO) test ./...
 
 # check is the fast pre-commit gate: static analysis plus the
-# race-detector suites for the concurrent parts of the tree (the serving
-# layer — including the cross-query result cache, single-flight and
+# race-detector suites for the concurrent parts of the tree (the graph's
+# epoch snapshots, which readers hold while ingest builds the next, the
+# serving layer — including the cross-query result cache, single-flight and
 # warm/cold differential suites — the pipeline's cancellation/parallel
 # paths, the canonicalization property tests backing the cache keys, the
 # distributed runtime's anytime-partial, shared-cache and replica-set
@@ -25,7 +26,7 @@ test:
 # every §5 experiment at CI size so one that crashes fails the gate.
 check: bench-module import-boundary experiments-smoke
 	$(GO) vet ./...
-	$(GO) test -race ./internal/server/ ./internal/core/ ./internal/wal/
+	$(GO) test -race ./internal/server/ ./internal/core/ ./internal/wal/ ./internal/graph/
 	$(GO) test -cpu 1,2,4 ./internal/core/ ./internal/server/ ./internal/dist/ ./internal/router/
 	$(GO) test -race -run 'Canonical' ./internal/pattern/
 	$(GO) test -race -run 'Partial|SharedCache|ReplicaSet' ./internal/dist/
@@ -68,12 +69,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime $(FUZZTIME) ./internal/prototype/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime $(FUZZTIME) ./internal/wal/
 
-# bench runs the in-process Go micro-benchmarks of the kernels and the
-# serving layer, for timing a change while you work on it. End-to-end
+# bench runs the in-process Go micro-benchmarks of the kernels, the
+# serving layer and the graph's load and delta paths, for timing a change while you work on it. End-to-end
 # numbers — served latency, throughput, ingest and recovery against a real
 # amatchd — come from the repo benchmark, bench/run.sh (see bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench . ./internal/core/ ./internal/server/
+	$(GO) test -run '^$$' -bench . ./internal/core/ ./internal/server/ ./internal/graph/
 
 # loopback-smoke stands up a real multi-process deployment on loopback —
 # four amatchd workers plus an amatchd coordinator (-ranks-addr) — and

@@ -1,8 +1,12 @@
-package graph
+package graph_test
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
+
+	. "approxmatch/internal/graph"
+	"approxmatch/internal/rmat"
 )
 
 func benchGraph(n, m int) *Graph {
@@ -52,5 +56,83 @@ func BenchmarkComputeStats(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ComputeStats(g)
+	}
+}
+
+// hubGraph is the hub-heavy R-MAT scale-16 graph (Graph500 parameters, 65K
+// vertices, ~0.9M edges) in degree order, the shape amatchd serves.
+func hubGraph() *Graph {
+	return RelabelByDegree(rmat.Generate(rmat.Graph500(16, 1016)))
+}
+
+// BenchmarkApplyDelta applies one ingest-sized batch — 8 inserts, 4
+// deletes, 2 relabels, one insert and one delete on the top hub — to the
+// same scale-16 graph each iteration.
+func BenchmarkApplyDelta(b *testing.B) {
+	g := hubGraph()
+	rng := rand.New(rand.NewSource(3))
+	n := g.NumVertices()
+	db := NewDeltaBuilder()
+	deleted := map[Edge]bool{}
+	for len(deleted) < 4 {
+		u := VertexID(rng.Intn(n))
+		if len(deleted) == 0 {
+			u = 0
+		}
+		ns := g.Neighbors(u)
+		if len(ns) == 0 {
+			continue
+		}
+		e := Edge{U: u, V: ns[rng.Intn(len(ns))]}
+		if e.U > e.V {
+			e.U, e.V = e.V, e.U
+		}
+		if !deleted[e] {
+			deleted[e] = true
+			db.DeleteEdge(e.U, e.V)
+		}
+	}
+	inserted := map[Edge]bool{}
+	for len(inserted) < 8 {
+		u, v := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
+		if len(inserted) == 0 {
+			u = 0
+		}
+		if u > v {
+			u, v = v, u
+		}
+		if u != v && !g.HasEdge(u, v) && !inserted[Edge{U: u, V: v}] {
+			inserted[Edge{U: u, V: v}] = true
+			db.InsertEdge(u, v)
+		}
+	}
+	db.RelabelVertex(VertexID(rng.Intn(n)), 1)
+	db.RelabelVertex(0, 2)
+	d := db.Delta()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ApplyDelta(g, d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoadEdgeList is the boot path of graphfile.Load: parse the
+// scale-16 graph's edge list, then relabel it into degree order.
+func BenchmarkLoadEdgeList(b *testing.B) {
+	var file bytes.Buffer
+	if err := WriteEdgeList(&file, rmat.Generate(rmat.Graph500(16, 1016))); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(file.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := ReadEdgeList(bytes.NewReader(file.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		RelabelByDegree(g)
 	}
 }

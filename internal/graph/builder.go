@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates labeled vertices and undirected edges and produces a
@@ -49,60 +49,60 @@ func (b *Builder) AddEdge(u, v VertexID) {
 
 // Build produces the CSR graph. The builder may be reused afterwards, but
 // the produced graph is independent of it.
+//
+// Build sorts nothing. It buckets both directions of every recorded edge by
+// source row, then transposes the buckets: visiting w in increasing order
+// and appending w to the row of each of its neighbors leaves every row
+// sorted, because the edge set is symmetric, and puts the copies of a
+// repeated edge side by side, where one pass drops them.
 func (b *Builder) Build() *Graph {
 	n := len(b.labels)
-	// Sort and deduplicate the canonicalized (u<v) edge list.
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].U != b.edges[j].U {
-			return b.edges[i].U < b.edges[j].U
-		}
-		return b.edges[i].V < b.edges[j].V
-	})
-	dedup := b.edges[:0]
-	for i, e := range b.edges {
-		if i > 0 && e == b.edges[i-1] {
-			continue
-		}
-		dedup = append(dedup, e)
-	}
-	b.edges = dedup
-
-	deg := make([]int64, n+1)
-	for _, e := range b.edges {
-		deg[e.U+1]++
-		deg[e.V+1]++
-	}
 	offsets := make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		offsets[i+1] = offsets[i] + deg[i+1]
-	}
-	adj := make([]VertexID, offsets[n])
-	cursor := make([]int64, n)
-	copy(cursor, offsets[:n])
 	for _, e := range b.edges {
-		adj[cursor[e.U]] = e.V
+		offsets[e.U+1]++
+		offsets[e.V+1]++
+	}
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+	buckets := make([]VertexID, offsets[n])
+	cursor := slices.Clone(offsets[:n])
+	for _, e := range b.edges {
+		buckets[cursor[e.U]] = e.V
 		cursor[e.U]++
-		adj[cursor[e.V]] = e.U
+		buckets[cursor[e.V]] = e.U
 		cursor[e.V]++
 	}
-	// Neighbor lists of each vertex are already sorted because edges were
-	// processed in (U,V) order: entries written at u come in increasing V,
-	// and entries written at v (from the reverse direction) come in
-	// increasing U; but the two interleave, so sort each list.
-	g := &Graph{offsets: offsets, adj: adj, labels: append([]Label(nil), b.labels...)}
-	for v := 0; v < n; v++ {
-		ns := adj[offsets[v]:offsets[v+1]]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+	adj := make([]VertexID, offsets[n])
+	copy(cursor, offsets[:n])
+	for w := 0; w < n; w++ {
+		for _, v := range buckets[offsets[w]:offsets[w+1]] {
+			adj[cursor[v]] = VertexID(w)
+			cursor[v]++
+		}
 	}
+	// Drop repeated edges, compacting the rows in place.
+	k := int64(0)
+	for v := 0; v < n; v++ {
+		lo, hi := offsets[v], offsets[v+1]
+		offsets[v] = k
+		for i := lo; i < hi; i++ {
+			if i == lo || adj[i] != adj[i-1] {
+				adj[k] = adj[i]
+				k++
+			}
+		}
+	}
+	offsets[n] = k
+	if k < int64(len(adj)) {
+		adj = slices.Clone(adj[:k])
+	}
+	g := &Graph{offsets: offsets, adj: adj, labels: append([]Label(nil), b.labels...)}
 	if b.edgeLabels != nil {
 		g.edgeLabels = make([]Label, len(adj))
 		for v := 0; v < n; v++ {
 			for i, w := range g.Neighbors(VertexID(v)) {
-				a, bb := VertexID(v), w
-				if a > bb {
-					a, bb = bb, a
-				}
-				g.edgeLabels[offsets[v]+int64(i)] = b.edgeLabels[Edge{a, bb}]
+				g.edgeLabels[offsets[v]+int64(i)] = b.edgeLabels[normEdge(Edge{VertexID(v), w})]
 			}
 		}
 	}

@@ -1,16 +1,18 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Live-graph ingest: a Delta is a batch of edge insertions, edge deletions
 // and vertex relabelings applied to an immutable CSR snapshot. ApplyDelta
-// never mutates the input graph — it builds the next-epoch CSR from scratch
-// for the touched vertices and shares nothing mutable with the old one — so
-// in-flight readers of the previous snapshot are unaffected (see
-// snapshot.go for the epoch-swap machinery).
+// never mutates the input graph — it builds the next-epoch CSR in fresh
+// arrays, copying the untouched rows across in runs and merging only the
+// touched ones, and shares nothing mutable with the old one — so in-flight
+// readers of the previous snapshot are unaffected (see snapshot.go for the
+// epoch-swap machinery).
 //
 // The vertex set is fixed: deltas change edges and labels, never add or
 // remove vertices. That keeps every per-vertex auxiliary structure sized by
@@ -102,9 +104,8 @@ func normEdge(e Edge) Edge {
 	return e
 }
 
-// validateDelta checks d against g and returns the canonicalized insert and
-// delete maps. It performs no mutation.
-func validateDelta(g *Graph, d *Delta) (ins map[Edge]Label, del map[Edge]bool, err error) {
+// validateDelta checks d against g. It performs no mutation.
+func validateDelta(g *Graph, d *Delta) error {
 	n := g.NumVertices()
 	checkEdge := func(what string, e Edge) error {
 		if int(e.U) >= n || int(e.V) >= n {
@@ -116,58 +117,70 @@ func validateDelta(g *Graph, d *Delta) (ins map[Edge]Label, del map[Edge]bool, e
 		return nil
 	}
 	if len(d.InsertLabels) != 0 && len(d.InsertLabels) != len(d.Insert) {
-		return nil, nil, fmt.Errorf("graph: delta has %d insert labels for %d inserts",
+		return fmt.Errorf("graph: delta has %d insert labels for %d inserts",
 			len(d.InsertLabels), len(d.Insert))
 	}
-	ins = make(map[Edge]Label, len(d.Insert))
+	ins := make(map[Edge]bool, len(d.Insert))
 	for i, e := range d.Insert {
 		if err := checkEdge("insert", e); err != nil {
-			return nil, nil, err
+			return err
 		}
 		ce := normEdge(e)
-		if _, dup := ins[ce]; dup {
-			return nil, nil, fmt.Errorf("graph: delta inserts edge (%d,%d) twice", ce.U, ce.V)
+		if ins[ce] {
+			return fmt.Errorf("graph: delta inserts edge (%d,%d) twice", ce.U, ce.V)
 		}
 		if g.HasEdge(ce.U, ce.V) {
-			return nil, nil, fmt.Errorf("graph: delta inserts edge (%d,%d) already present", ce.U, ce.V)
+			return fmt.Errorf("graph: delta inserts edge (%d,%d) already present", ce.U, ce.V)
 		}
-		l := EdgeLabelDefault
-		if len(d.InsertLabels) > 0 {
-			l = d.InsertLabels[i]
+		if insertLabel(d, i) != EdgeLabelDefault && !g.HasEdgeLabels() {
+			return fmt.Errorf("graph: delta inserts labeled edge (%d,%d) into an edge-unlabeled graph", ce.U, ce.V)
 		}
-		if l != EdgeLabelDefault && !g.HasEdgeLabels() {
-			return nil, nil, fmt.Errorf("graph: delta inserts labeled edge (%d,%d) into an edge-unlabeled graph", ce.U, ce.V)
-		}
-		ins[ce] = l
+		ins[ce] = true
 	}
-	del = make(map[Edge]bool, len(d.Delete))
+	del := make(map[Edge]bool, len(d.Delete))
 	for _, e := range d.Delete {
 		if err := checkEdge("delete", e); err != nil {
-			return nil, nil, err
+			return err
 		}
 		ce := normEdge(e)
 		if del[ce] {
-			return nil, nil, fmt.Errorf("graph: delta deletes edge (%d,%d) twice", ce.U, ce.V)
+			return fmt.Errorf("graph: delta deletes edge (%d,%d) twice", ce.U, ce.V)
 		}
-		if _, both := ins[ce]; both {
-			return nil, nil, fmt.Errorf("graph: delta both inserts and deletes edge (%d,%d)", ce.U, ce.V)
+		if ins[ce] {
+			return fmt.Errorf("graph: delta both inserts and deletes edge (%d,%d)", ce.U, ce.V)
 		}
 		if !g.HasEdge(ce.U, ce.V) {
-			return nil, nil, fmt.Errorf("graph: delta deletes edge (%d,%d) not present", ce.U, ce.V)
+			return fmt.Errorf("graph: delta deletes edge (%d,%d) not present", ce.U, ce.V)
 		}
 		del[ce] = true
 	}
 	seen := make(map[VertexID]bool, len(d.Relabels))
 	for _, r := range d.Relabels {
 		if int(r.V) >= n {
-			return nil, nil, fmt.Errorf("graph: delta relabels vertex %d out of range (n=%d)", r.V, n)
+			return fmt.Errorf("graph: delta relabels vertex %d out of range (n=%d)", r.V, n)
 		}
 		if seen[r.V] {
-			return nil, nil, fmt.Errorf("graph: delta relabels vertex %d twice", r.V)
+			return fmt.Errorf("graph: delta relabels vertex %d twice", r.V)
 		}
 		seen[r.V] = true
 	}
-	return ins, del, nil
+	return nil
+}
+
+// insertLabel is the edge label of d.Insert[i].
+func insertLabel(d *Delta, i int) Label {
+	if len(d.InsertLabels) == 0 {
+		return EdgeLabelDefault
+	}
+	return d.InsertLabels[i]
+}
+
+// rowEdit is one direction of an inserted or deleted edge: row v gains, or
+// loses, neighbor w.
+type rowEdit struct {
+	v, w VertexID
+	l    Label
+	del  bool
 }
 
 // ApplyDelta validates d against g and, if valid, returns the next-epoch
@@ -175,101 +188,120 @@ func validateDelta(g *Graph, d *Delta) (ins map[Edge]Label, del map[Edge]bool, e
 // inserted or deleted edges and relabeled vertices — the seed set for
 // incremental re-matching). g is never modified; on error the returned
 // graph is nil and g is untouched. An empty delta returns g itself.
+//
+// The next epoch is g with its touched rows patched. The edits are sorted
+// once by (row, neighbor); every row between two touched ones keeps its
+// neighbors and moves by the running change in degree, so each run of
+// untouched rows is one copy of the adjacency (and edge labels), and only a
+// touched row is merged with its edits. The cost is the touched rows plus
+// one memmove of g's arrays; no step probes a map per vertex or per edge.
 func ApplyDelta(g *Graph, d *Delta) (*Graph, []VertexID, error) {
-	ins, del, err := validateDelta(g, d)
-	if err != nil {
+	if err := validateDelta(g, d); err != nil {
 		return nil, nil, err
 	}
-	if len(ins) == 0 && len(del) == 0 && len(d.Relabels) == 0 {
+	if d.Empty() {
 		return g, nil, nil
 	}
+	edits := make([]rowEdit, 0, 2*(len(d.Insert)+len(d.Delete)))
+	for i, e := range d.Insert {
+		l := insertLabel(d, i)
+		edits = append(edits, rowEdit{v: e.U, w: e.V, l: l}, rowEdit{v: e.V, w: e.U, l: l})
+	}
+	for _, e := range d.Delete {
+		edits = append(edits, rowEdit{v: e.U, w: e.V, del: true}, rowEdit{v: e.V, w: e.U, del: true})
+	}
+	slices.SortFunc(edits, func(a, b rowEdit) int {
+		if c := cmp.Compare(a.v, b.v); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.w, b.w)
+	})
+
 	n := g.NumVertices()
-
-	// Per-vertex insertion lists (both directions), sorted by neighbor.
-	type half struct {
-		w VertexID
-		l Label
-	}
-	insAdj := make(map[VertexID][]half, 2*len(ins))
-	for e, l := range ins {
-		insAdj[e.U] = append(insAdj[e.U], half{e.V, l})
-		insAdj[e.V] = append(insAdj[e.V], half{e.U, l})
-	}
-	for v := range insAdj {
-		hs := insAdj[v]
-		sort.Slice(hs, func(i, j int) bool { return hs[i].w < hs[j].w })
-	}
-	delCount := make(map[VertexID]int, 2*len(del))
-	for e := range del {
-		delCount[e.U]++
-		delCount[e.V]++
-	}
-
+	m := len(g.adj) + 2*(len(d.Insert)-len(d.Delete))
 	ng := &Graph{
 		offsets: make([]int64, n+1),
-		labels:  append([]Label(nil), g.labels...),
+		adj:     make([]VertexID, m),
+		labels:  slices.Clone(g.labels),
 		// The vertex set is fixed, so the id permutation survives deltas
 		// unchanged; epochs share the tables with the base graph.
 		toExt: g.toExt,
 		toInt: g.toInt,
 	}
+	if g.HasEdgeLabels() {
+		ng.edgeLabels = make([]Label, m)
+	}
 	for _, r := range d.Relabels {
 		ng.labels[r.V] = r.L
 	}
-	for v := 0; v < n; v++ {
-		deg := int64(g.Degree(VertexID(v)) + len(insAdj[VertexID(v)]) - delCount[VertexID(v)])
-		ng.offsets[v+1] = ng.offsets[v] + deg
-	}
-	ng.adj = make([]VertexID, ng.offsets[n])
-	labeled := g.HasEdgeLabels()
-	if labeled {
-		ng.edgeLabels = make([]Label, ng.offsets[n])
-	}
-	// Merge each vertex's retained old neighbors with its sorted insertions;
-	// both inputs are sorted, so the output list is sorted too.
-	for v := 0; v < n; v++ {
-		vid := VertexID(v)
-		old := g.Neighbors(vid)
-		add := insAdj[vid]
-		pos := ng.offsets[v]
-		oi := 0
-		emit := func(w VertexID, l Label) {
-			ng.adj[pos] = w
-			if labeled {
-				ng.edgeLabels[pos] = l
-			}
-			pos++
+	changed := make([]VertexID, 0, len(edits)+len(d.Relabels))
+	var shift int64 // the degree change summed over the rows patched so far
+	next := 0       // the first row not yet placed
+	for i := 0; i < len(edits); {
+		v := edits[i].v
+		j := i + 1
+		for j < len(edits) && edits[j].v == v {
+			j++
 		}
-		for _, h := range add {
-			for oi < len(old) && old[oi] < h.w {
-				if !del[normEdge(Edge{vid, old[oi]})] {
-					emit(old[oi], g.EdgeLabelAt(vid, oi))
-				}
-				oi++
-			}
-			emit(h.w, h.l)
-		}
-		for ; oi < len(old); oi++ {
-			if !del[normEdge(Edge{vid, old[oi]})] {
-				emit(old[oi], g.EdgeLabelAt(vid, oi))
-			}
-		}
-	}
-
-	changedSet := make(map[VertexID]bool, len(delCount)+len(insAdj)+len(d.Relabels))
-	for v := range insAdj {
-		changedSet[v] = true
-	}
-	for v := range delCount {
-		changedSet[v] = true
-	}
-	for _, r := range d.Relabels {
-		changedSet[r.V] = true
-	}
-	changed := make([]VertexID, 0, len(changedSet))
-	for v := range changedSet {
+		ng.moveRows(g, next, int(v), shift)
+		shift = ng.patchRow(g, v, edits[i:j], shift)
 		changed = append(changed, v)
+		next, i = int(v)+1, j
 	}
-	sort.Slice(changed, func(i, j int) bool { return changed[i] < changed[j] })
-	return ng, changed, nil
+	ng.moveRows(g, next, n, shift)
+	ng.offsets[n] = g.offsets[n] + shift
+
+	for _, r := range d.Relabels {
+		changed = append(changed, r.V)
+	}
+	slices.Sort(changed)
+	return ng, slices.Compact(changed), nil
+}
+
+// moveRows places g's rows [lo, hi), which the delta does not touch: each
+// offset moves by shift and their adjacency moves with one copy.
+func (ng *Graph) moveRows(g *Graph, lo, hi int, shift int64) {
+	for v := lo; v < hi; v++ {
+		ng.offsets[v] = g.offsets[v] + shift
+	}
+	a, b := g.offsets[lo], g.offsets[hi]
+	copy(ng.adj[a+shift:b+shift], g.adj[a:b])
+	if ng.edgeLabels != nil {
+		copy(ng.edgeLabels[a+shift:b+shift], g.edgeLabels[a:b])
+	}
+}
+
+// patchRow writes row v of the next epoch: g's row v, placed shift slots
+// later, merged with edits (v's edits, sorted by neighbor). It returns the
+// shift of the rows after v.
+func (ng *Graph) patchRow(g *Graph, v VertexID, edits []rowEdit, shift int64) int64 {
+	src, end := g.offsets[v], g.offsets[v+1]
+	dst := src + shift
+	ng.offsets[v] = dst
+	keep := func(to int64) { // carry g's slots [src, to) over unchanged
+		copy(ng.adj[dst:], g.adj[src:to])
+		if ng.edgeLabels != nil {
+			copy(ng.edgeLabels[dst:], g.edgeLabels[src:to])
+		}
+		dst += to - src
+		src = to
+	}
+	for _, e := range edits {
+		to := src
+		for to < end && g.adj[to] < e.w {
+			to++
+		}
+		keep(to)
+		if e.del {
+			src++ // g.adj[src] == e.w: validation saw the edge present
+			continue
+		}
+		ng.adj[dst] = e.w
+		if ng.edgeLabels != nil {
+			ng.edgeLabels[dst] = e.l
+		}
+		dst++
+	}
+	keep(end)
+	return dst - end
 }

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -248,6 +250,185 @@ func TestApplyDeltaRandomizedDifferential(t *testing.T) {
 			!reflect.DeepEqual(got.edgeLabels, want.edgeLabels) {
 			t.Fatalf("round %d: delta result differs from rebuilt graph", round)
 		}
+	}
+
+	// Row-patch boundary cells: graphs of 200-255 vertices, some isolated,
+	// under deltas on the first and last rows, on runs of adjacent rows, on
+	// labels alone, and deltas that empty a row or fill an isolated one.
+	for _, edgeLabeled := range []bool{false, true} {
+		for _, relabeled := range []bool{false, true} {
+			g := boundaryGraph(rng, 200+rng.Intn(56), edgeLabeled, relabeled)
+			for _, c := range boundaryDeltas(g) {
+				name := fmt.Sprintf("labeled=%t/relabeled=%t/%s", edgeLabeled, relabeled, c.name)
+				t.Run(name, func(t *testing.T) { checkDeltaAgainstBuild(t, g, c.d) })
+			}
+		}
+	}
+}
+
+// boundaryGraph is a random graph on n vertices whose vertex 0 is a hub and
+// whose vertices 1, n-2 and every v ≡ 4 (mod 9) are isolated; relabeled
+// puts it in degree order, which moves the isolated vertices to the end.
+func boundaryGraph(rng *rand.Rand, n int, edgeLabeled, relabeled bool) *Graph {
+	isolated := func(v int) bool { return v == 1 || v == n-2 || v%9 == 4 }
+	b := NewBuilder(n)
+	for v := 0; v < n; v++ {
+		b.SetLabel(VertexID(v), Label(rng.Intn(4)))
+	}
+	for i := 0; i < 4*n; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if i < n/4 {
+			u = 0
+		}
+		if isolated(u) || isolated(v) {
+			continue
+		}
+		if edgeLabeled {
+			b.AddEdgeLabeled(VertexID(u), VertexID(v), Label(1+rng.Intn(3)))
+		} else {
+			b.AddEdge(VertexID(u), VertexID(v))
+		}
+	}
+	g := b.Build()
+	if relabeled {
+		g = RelabelByDegree(g)
+	}
+	return g
+}
+
+// boundaryDeltas returns the named deltas the row-patch cells apply to g.
+func boundaryDeltas(g *Graph) []struct {
+	name string
+	d    *Delta
+} {
+	n := VertexID(g.NumVertices())
+	// toggle deletes each edge that is present and inserts each that is
+	// absent, skipping self loops and repeats.
+	toggle := func(edges ...Edge) *Delta {
+		db := NewDeltaBuilder()
+		seen := map[Edge]bool{}
+		for _, e := range edges {
+			ce := normEdge(e)
+			if ce.U == ce.V || seen[ce] {
+				continue
+			}
+			seen[ce] = true
+			switch {
+			case g.HasEdge(ce.U, ce.V):
+				db.DeleteEdge(e.U, e.V)
+			case g.HasEdgeLabels():
+				db.InsertEdgeLabeled(e.U, e.V, 1+(e.U+e.V)%3)
+			default:
+				db.InsertEdge(e.U, e.V)
+			}
+		}
+		return db.Delta()
+	}
+	var adjacent []Edge
+	for v := VertexID(0); v < 6; v++ {
+		adjacent = append(adjacent, Edge{v, v + 1}, Edge{n - 2 - v, n - 1 - v}, Edge{v, n - 1 - v})
+	}
+	// emptyRows deletes every edge of each row in vs.
+	emptyRows := func(vs ...VertexID) *Delta {
+		var edges []Edge
+		for _, v := range vs {
+			for _, w := range g.Neighbors(v) {
+				edges = append(edges, Edge{v, w})
+			}
+		}
+		return toggle(edges...)
+	}
+	// fillIsolated joins every isolated vertex to vertices 0 and n-1.
+	var fill []Edge
+	for v := VertexID(0); v < n; v++ {
+		if g.Degree(v) == 0 {
+			fill = append(fill, Edge{v, 0}, Edge{n - 1, v})
+		}
+	}
+	return []struct {
+		name string
+		d    *Delta
+	}{
+		{"ends", toggle(Edge{0, n - 1}, Edge{0, 1}, Edge{n - 2, n - 1}, Edge{1, 2}, Edge{n - 3, n - 2})},
+		{"adjacent", toggle(adjacent...)},
+		{"relabel-only", &Delta{Relabels: []Relabel{{V: 0, L: 7}, {V: 1, L: 7}, {V: n - 2, L: 0}, {V: n - 1, L: 7}}}},
+		{"empty-first-row", emptyRows(0)},
+		{"empty-adjacent-rows", emptyRows(2, 3, n-1)},
+		{"fill-isolated", toggle(fill...)},
+		{"empty-and-fill", toggle(append(emptyRows(n/2).Delete, Edge{n / 2, n/2 + 1}, Edge{n / 2, n/2 - 1})...)},
+	}
+}
+
+// checkDeltaAgainstBuild applies d to g and checks the result, array by
+// array, against the graph a fresh Build makes of g's edit, and checks that
+// g is bit-identical afterwards and shares no array with the result.
+func checkDeltaAgainstBuild(t *testing.T, g *Graph, d *Delta) {
+	t.Helper()
+	before := *g
+	before.offsets = slices.Clone(g.offsets)
+	before.adj = slices.Clone(g.adj)
+	before.labels = slices.Clone(g.labels)
+	before.edgeLabels = slices.Clone(g.edgeLabels)
+	before.toExt = slices.Clone(g.toExt)
+	before.toInt = slices.Clone(g.toInt)
+
+	got, changed, err := ApplyDelta(g, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*g, before) {
+		t.Fatal("ApplyDelta changed its input graph")
+	}
+	if &got.offsets[0] == &g.offsets[0] || &got.labels[0] == &g.labels[0] ||
+		(len(got.adj) > 0 && len(g.adj) > 0 && &got.adj[0] == &g.adj[0]) {
+		t.Fatal("the next epoch aliases an array of its input")
+	}
+
+	n := g.NumVertices()
+	ref := NewBuilder(n)
+	copy(ref.labels, g.labels)
+	wantChanged := map[VertexID]bool{}
+	for _, r := range d.Relabels {
+		ref.SetLabel(r.V, r.L)
+		wantChanged[r.V] = true
+	}
+	deleted := map[Edge]bool{}
+	for _, e := range d.Delete {
+		deleted[normEdge(e)] = true
+		wantChanged[e.U], wantChanged[e.V] = true, true
+	}
+	add := func(e Edge, l Label) {
+		if g.HasEdgeLabels() {
+			ref.AddEdgeLabeled(e.U, e.V, l)
+		} else {
+			ref.AddEdge(e.U, e.V)
+		}
+	}
+	for _, e := range g.Edges() {
+		if !deleted[e] {
+			l, _ := g.EdgeLabelBetween(e.U, e.V)
+			add(e, l)
+		}
+	}
+	for i, e := range d.Insert {
+		add(e, insertLabel(d, i))
+		wantChanged[e.U], wantChanged[e.V] = true, true
+	}
+	want := ref.Build()
+	if !reflect.DeepEqual(got.offsets, want.offsets) || !reflect.DeepEqual(got.adj, want.adj) ||
+		!reflect.DeepEqual(got.labels, want.labels) || !reflect.DeepEqual(got.edgeLabels, want.edgeLabels) {
+		t.Fatal("delta result differs from rebuilt graph")
+	}
+	if !reflect.DeepEqual(got.toExt, g.toExt) || !reflect.DeepEqual(got.toInt, g.toInt) {
+		t.Fatal("delta result lost the id permutation")
+	}
+	var wantList []VertexID
+	for v := range wantChanged {
+		wantList = append(wantList, v)
+	}
+	slices.Sort(wantList)
+	if !reflect.DeepEqual(changed, wantList) {
+		t.Fatalf("changed = %v, want %v", changed, wantList)
 	}
 }
 

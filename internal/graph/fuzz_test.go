@@ -57,6 +57,9 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("# vertices 3\nv 0 5\n0 1\n1 2\n")
 	f.Add("0 1 7\n1 2 8\n")
 	f.Add("v 0 1\n")
+	for _, c := range edgeListParity {
+		f.Add(c.in)
+	}
 	f.Fuzz(func(t *testing.T, in string) {
 		g, err := ReadEdgeList(strings.NewReader(in))
 		if err != nil {
@@ -80,8 +83,8 @@ func FuzzReadEdgeList(f *testing.F) {
 }
 
 // FuzzApplyDelta feeds hostile mutation batches to ApplyDelta: any batch
-// must either be rejected with an error or produce a structurally valid
-// next-epoch graph — never panic, and never corrupt the input snapshot.
+// must either be rejected with an error or produce the next-epoch graph a
+// fresh Build makes — never panic, and never corrupt the input snapshot.
 // The byte stream decodes to ops of 5 bytes: opcode, two 2-byte operands.
 func FuzzApplyDelta(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 0, 5, 1, 0, 0, 0, 1, 2, 0, 4, 0, 9})
@@ -91,15 +94,17 @@ func FuzzApplyDelta(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		base := NewBuilder(6)
-		for v := 0; v < 6; v++ {
+		// A 5-cycle with a chord on vertices 0-3 and 5; vertices 4 and 6
+		// are isolated, so rows before, between and after them get patched.
+		base := NewBuilder(7)
+		for v := 0; v < 7; v++ {
 			base.SetLabel(VertexID(v), Label(v%3))
 		}
 		base.AddEdge(0, 1)
 		base.AddEdge(1, 2)
 		base.AddEdge(2, 3)
-		base.AddEdge(3, 4)
-		base.AddEdge(4, 0)
+		base.AddEdge(3, 5)
+		base.AddEdge(5, 0)
 		base.AddEdge(0, 2)
 		g := base.Build()
 		before := struct {
@@ -137,6 +142,7 @@ func FuzzApplyDelta(f *testing.F) {
 			if len(changed) == 0 {
 				t.Fatal("accepted non-empty delta reported no changed vertices")
 			}
+			checkDeltaAgainstBuild(t, g, d)
 		}
 		// The input snapshot must be bit-identical either way.
 		if !reflect.DeepEqual(g.offsets, before.offsets) ||

@@ -2,11 +2,13 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
+	"math"
+	"unicode"
+	"unicode/utf8"
 )
 
 // WriteEdgeList writes g in a simple text format: a header line
@@ -72,6 +74,8 @@ func (l LoaderLimits) withDefaults() LoaderLimits {
 
 // ReadEdgeList parses the format produced by WriteEdgeList. Lines starting
 // with '#' other than the vertex header are ignored, as are blank lines.
+// Fields are separated by any run of Unicode white space, and ids and labels
+// are unsigned decimal uint32s.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	return ReadEdgeListLimits(r, DefaultLoaderLimits())
 }
@@ -95,51 +99,63 @@ func ReadEdgeListLimits(r io.Reader, lim LoaderLimits) (*Graph, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		if strings.HasPrefix(line, "#") {
+		if line[0] == '#' {
 			var n int64
-			if _, err := fmt.Sscanf(line, "# vertices %d", &n); err == nil && n > 0 {
+			if _, err := fmt.Sscanf(string(line), "# vertices %d", &n); err == nil && n > 0 {
 				if err := ensure(uint64(n) - 1); err != nil {
 					return nil, err
 				}
 			}
 			continue
 		}
-		fields := strings.Fields(line)
+		// Split the line in place; nf counts its fields up to one past the
+		// three any line may have.
+		var f [3][]byte
+		nf := 0
+		for rest := line; nf <= len(f); nf++ {
+			var tok []byte
+			if tok, rest = nextField(rest); len(tok) == 0 {
+				break
+			}
+			if nf < len(f) {
+				f[nf] = tok
+			}
+		}
 		switch {
-		case fields[0] == "v" && len(fields) == 3:
-			id, err1 := strconv.ParseUint(fields[1], 10, 32)
-			l, err2 := strconv.ParseUint(fields[2], 10, 32)
-			if err1 != nil || err2 != nil {
+		case nf == 3 && string(f[0]) == "v":
+			id, ok1 := parseUint32(f[1])
+			l, ok2 := parseUint32(f[2])
+			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("graph: line %d: bad vertex line %q", lineNo, line)
 			}
-			if err := ensure(id); err != nil {
+			if err := ensure(uint64(id)); err != nil {
 				return nil, err
 			}
-			b.SetLabel(VertexID(id), Label(l))
-		case len(fields) == 2 || len(fields) == 3:
-			u, err1 := strconv.ParseUint(fields[0], 10, 32)
-			v, err2 := strconv.ParseUint(fields[1], 10, 32)
-			if err1 != nil || err2 != nil {
+			b.SetLabel(id, l)
+		case nf == 2 || nf == 3:
+			u, ok1 := parseUint32(f[0])
+			v, ok2 := parseUint32(f[1])
+			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("graph: line %d: bad edge line %q", lineNo, line)
 			}
-			if err := ensure(u); err != nil {
+			if err := ensure(uint64(u)); err != nil {
 				return nil, err
 			}
-			if err := ensure(v); err != nil {
+			if err := ensure(uint64(v)); err != nil {
 				return nil, err
 			}
-			if len(fields) == 3 {
-				el, err := strconv.ParseUint(fields[2], 10, 32)
-				if err != nil {
+			if nf == 3 {
+				el, ok := parseUint32(f[2])
+				if !ok {
 					return nil, fmt.Errorf("graph: line %d: bad edge label %q", lineNo, line)
 				}
-				b.AddEdgeLabeled(VertexID(u), VertexID(v), Label(el))
+				b.AddEdgeLabeled(u, v, el)
 			} else {
-				b.AddEdge(VertexID(u), VertexID(v))
+				b.AddEdge(u, v)
 			}
 		default:
 			return nil, fmt.Errorf("graph: line %d: unrecognized line %q", lineNo, line)
@@ -149,6 +165,64 @@ func ReadEdgeListLimits(r io.Reader, lim LoaderLimits) (*Graph, error) {
 		return nil, err
 	}
 	return b.Build(), nil
+}
+
+// nextField splits the first field off s as strings.Fields would: fields
+// are separated by runs of Unicode white space, and a byte that is not valid
+// UTF-8 belongs to a field. The field is empty when s holds none. A field is
+// walked a byte at a time: a byte inside a multi-byte rune never starts a
+// valid rune, so it is never taken for white space.
+func nextField(s []byte) (field, rest []byte) {
+	i := 0
+	for i < len(s) {
+		w := spaceWidth(s[i:])
+		if w == 0 {
+			break
+		}
+		i += w
+	}
+	j := i
+	for j < len(s) && spaceWidth(s[j:]) == 0 {
+		j++
+	}
+	return s[i:j], s[j:]
+}
+
+// spaceWidth is the width in bytes of the white-space rune s starts with, or
+// 0 when s starts with anything else.
+func spaceWidth(s []byte) int {
+	if c := s[0]; c < utf8.RuneSelf {
+		return int(asciiSpace[c])
+	}
+	return runeSpaceWidth(s)
+}
+
+func runeSpaceWidth(s []byte) int {
+	if r, size := utf8.DecodeRune(s); unicode.IsSpace(r) {
+		return size
+	}
+	return 0
+}
+
+// asciiSpace marks the ASCII white-space bytes.
+var asciiSpace = [utf8.RuneSelf]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
+
+// parseUint32 parses s as strconv.ParseUint(s, 10, 32) does: one or more
+// ASCII digits, leading zeros allowed, no sign, at most math.MaxUint32.
+func parseUint32(s []byte) (uint32, bool) {
+	if len(s) == 0 {
+		return 0, false
+	}
+	var x uint64
+	for _, c := range s {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if x = x*10 + uint64(c-'0'); x > math.MaxUint32 {
+			return 0, false
+		}
+	}
+	return uint32(x), true
 }
 
 const (

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Degree-ordered internal vertex IDs. RelabelByDegree rewrites the CSR so
@@ -93,17 +93,26 @@ func RelabelByDegree(g *Graph) *Graph {
 	if n == 0 {
 		return g
 	}
-	order := make([]VertexID, n) // internal id -> previous id
-	for i := range order {
-		order[i] = VertexID(i)
+	// Counting sort: bucket d holds the vertices of degree maxDeg-d, so
+	// filling the buckets in id order lists vertices by descending degree,
+	// ascending prior id within a degree.
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, g.Degree(VertexID(v)))
 	}
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := g.Degree(order[i]), g.Degree(order[j])
-		if di != dj {
-			return di > dj
-		}
-		return order[i] < order[j]
-	})
+	next := make([]int, maxDeg+2) // next[d+1] counts bucket d, then next[d] is its next slot
+	for v := 0; v < n; v++ {
+		next[maxDeg-g.Degree(VertexID(v))+1]++
+	}
+	for d := 0; d <= maxDeg; d++ {
+		next[d+1] += next[d]
+	}
+	order := make([]VertexID, n) // internal id -> previous id
+	for v := 0; v < n; v++ {
+		d := maxDeg - g.Degree(VertexID(v))
+		order[next[d]] = VertexID(v)
+		next[d]++
+	}
 	identity := true
 	for i, p := range order {
 		if p != VertexID(i) {
@@ -143,30 +152,20 @@ func RelabelByDegree(g *Graph) *Graph {
 		ng.offsets[v+1] = ng.offsets[v] + int64(g.Degree(order[v]))
 		ng.labels[v] = g.labels[order[v]]
 	}
-	type half struct {
-		w VertexID
-		l Label
-	}
-	var hs []half
-	for v := 0; v < n; v++ {
-		prev := order[v]
-		old := g.Neighbors(prev)
-		hs = hs[:0]
-		for i, w := range old {
-			h := half{w: toPrevInt[w]}
+	// Fill the rows by transposition: visiting new ids x in increasing order
+	// and appending x to the row of each of its neighbors leaves every row
+	// sorted. An edge's label is the same from both ends, so x's slot for a
+	// neighbor carries over to the neighbor's slot for x.
+	cursor := slices.Clone(ng.offsets[:n])
+	for x, prev := range order {
+		lo := g.offsets[prev]
+		for i, w := range g.Neighbors(prev) {
+			y := toPrevInt[w]
+			ng.adj[cursor[y]] = VertexID(x)
 			if labeled {
-				h.l = g.EdgeLabelAt(prev, i)
+				ng.edgeLabels[cursor[y]] = g.edgeLabels[lo+int64(i)]
 			}
-			hs = append(hs, h)
-		}
-		sort.Slice(hs, func(i, j int) bool { return hs[i].w < hs[j].w })
-		pos := ng.offsets[v]
-		for _, h := range hs {
-			ng.adj[pos] = h.w
-			if labeled {
-				ng.edgeLabels[pos] = h.l
-			}
-			pos++
+			cursor[y]++
 		}
 	}
 	return ng
