@@ -52,7 +52,10 @@ func FuzzReadBinary(f *testing.F) {
 }
 
 // FuzzReadEdgeList exercises the graph text parser: any input must either
-// error or produce a structurally valid graph that round-trips.
+// error or produce a structurally valid graph that round-trips. Like
+// FuzzReadBinary it loads under test-sized limits: under the default ones a
+// ten-byte line such as "90000001 1" is a valid graph of 90M vertices, and
+// building it takes gigabytes.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("# vertices 3\nv 0 5\n0 1\n1 2\n")
 	f.Add("0 1 7\n1 2 8\n")
@@ -60,8 +63,9 @@ func FuzzReadEdgeList(f *testing.F) {
 	for _, c := range edgeListParity {
 		f.Add(c.in)
 	}
+	lim := LoaderLimits{MaxVertices: 1 << 12}
 	f.Fuzz(func(t *testing.T, in string) {
-		g, err := ReadEdgeList(strings.NewReader(in))
+		g, err := ReadEdgeListLimits(strings.NewReader(in), lim)
 		if err != nil {
 			return
 		}
@@ -72,7 +76,7 @@ func FuzzReadEdgeList(f *testing.F) {
 		if err := WriteEdgeList(&buf, g); err != nil {
 			t.Fatal(err)
 		}
-		g2, err := ReadEdgeList(&buf)
+		g2, err := ReadEdgeListLimits(&buf, lim)
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
