@@ -5,20 +5,20 @@ import (
 	"math/rand"
 	"testing"
 
-	. "approxmatch/internal/graph"
+	"approxmatch/internal/graph"
 	"approxmatch/internal/rmat"
 )
 
-func benchGraph(n, m int) *Graph {
+func benchGraph(n, m int) *graph.Graph {
 	rng := rand.New(rand.NewSource(1))
-	b := NewBuilder(n)
+	b := graph.NewBuilder(n)
 	for v := 0; v < n; v++ {
-		b.SetLabel(VertexID(v), Label(rng.Intn(8)))
+		b.SetLabel(graph.VertexID(v), graph.Label(rng.Intn(8)))
 	}
 	for i := 0; i < m; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {
-			b.AddEdge(VertexID(u), VertexID(v))
+			b.AddEdge(graph.VertexID(u), graph.VertexID(v))
 		}
 	}
 	return b.Build()
@@ -36,7 +36,7 @@ func BenchmarkHasEdge(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.HasEdge(VertexID(rng.Intn(10000)), VertexID(rng.Intn(10000)))
+		g.HasEdge(graph.VertexID(rng.Intn(10000)), graph.VertexID(rng.Intn(10000)))
 	}
 }
 
@@ -46,7 +46,7 @@ func BenchmarkNeighborsScan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var total int
 		for v := 0; v < g.NumVertices(); v++ {
-			total += len(g.Neighbors(VertexID(v)))
+			total += len(g.Neighbors(graph.VertexID(v)))
 		}
 	}
 }
@@ -55,25 +55,25 @@ func BenchmarkComputeStats(b *testing.B) {
 	g := benchGraph(10000, 80000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ComputeStats(g)
+		graph.ComputeStats(g)
 	}
 }
 
 // sink keeps each benchmarked result live.
-var sink *Graph
+var sink *graph.Graph
 
 // BenchmarkApplyDelta applies one ingest-sized batch — 8 inserts, 4
 // deletes, 2 relabels, one insert and one delete on the top hub — to the
 // same graph each iteration: hub-heavy R-MAT scale 16 (Graph500 parameters,
 // 65K vertices, ~0.9M edges) in degree order, the shape amatchd serves.
 func BenchmarkApplyDelta(b *testing.B) {
-	g := RelabelByDegree(rmat.Generate(rmat.Graph500(16, 1016)))
+	g := graph.RelabelByDegree(rmat.Generate(rmat.Graph500(16, 1016)))
 	rng := rand.New(rand.NewSource(3))
 	n := g.NumVertices()
-	db := NewDeltaBuilder()
-	deleted := map[Edge]bool{}
+	db := graph.NewDeltaBuilder()
+	deleted := map[graph.Edge]bool{}
 	for len(deleted) < 4 {
-		u := VertexID(rng.Intn(n))
+		u := graph.VertexID(rng.Intn(n))
 		if len(deleted) == 0 {
 			u = 0
 		}
@@ -81,7 +81,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 		if len(ns) == 0 {
 			continue
 		}
-		e := Edge{U: u, V: ns[rng.Intn(len(ns))]}
+		e := graph.Edge{U: u, V: ns[rng.Intn(len(ns))]}
 		if e.U > e.V {
 			e.U, e.V = e.V, e.U
 		}
@@ -90,28 +90,28 @@ func BenchmarkApplyDelta(b *testing.B) {
 			db.DeleteEdge(e.U, e.V)
 		}
 	}
-	inserted := map[Edge]bool{}
+	inserted := map[graph.Edge]bool{}
 	for len(inserted) < 8 {
-		u, v := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
+		u, v := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
 		if len(inserted) == 0 {
 			u = 0
 		}
 		if u > v {
 			u, v = v, u
 		}
-		if u != v && !g.HasEdge(u, v) && !inserted[Edge{U: u, V: v}] {
-			inserted[Edge{U: u, V: v}] = true
+		if u != v && !g.HasEdge(u, v) && !inserted[graph.Edge{U: u, V: v}] {
+			inserted[graph.Edge{U: u, V: v}] = true
 			db.InsertEdge(u, v)
 		}
 	}
-	db.RelabelVertex(VertexID(rng.Intn(n)), 1)
+	db.RelabelVertex(graph.VertexID(rng.Intn(n)), 1)
 	db.RelabelVertex(0, 2)
 	d := db.Delta()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if sink, _, err = ApplyDelta(g, d); err != nil {
+		if sink, _, err = graph.ApplyDelta(g, d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,17 +121,17 @@ func BenchmarkApplyDelta(b *testing.B) {
 // list of the same scale-16 graph, then relabel it into degree order.
 func BenchmarkLoadEdgeList(b *testing.B) {
 	var file bytes.Buffer
-	if err := WriteEdgeList(&file, rmat.Generate(rmat.Graph500(16, 1016))); err != nil {
+	if err := graph.WriteEdgeList(&file, rmat.Generate(rmat.Graph500(16, 1016))); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.SetBytes(int64(file.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := ReadEdgeList(bytes.NewReader(file.Bytes()))
+		g, err := graph.ReadEdgeList(bytes.NewReader(file.Bytes()))
 		if err != nil {
 			b.Fatal(err)
 		}
-		sink = RelabelByDegree(g)
+		sink = graph.RelabelByDegree(g)
 	}
 }

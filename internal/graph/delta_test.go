@@ -296,11 +296,14 @@ func boundaryGraph(rng *rand.Rand, n int, edgeLabeled, relabeled bool) *Graph {
 	return g
 }
 
-// boundaryDeltas returns the named deltas the row-patch cells apply to g.
-func boundaryDeltas(g *Graph) []struct {
+// namedDelta is one row-patch cell's delta.
+type namedDelta struct {
 	name string
 	d    *Delta
-} {
+}
+
+// boundaryDeltas returns the deltas the row-patch cells apply to g.
+func boundaryDeltas(g *Graph) []namedDelta {
 	n := VertexID(g.NumVertices())
 	// toggle deletes each edge that is present and inserts each that is
 	// absent, skipping self loops and repeats.
@@ -345,10 +348,7 @@ func boundaryDeltas(g *Graph) []struct {
 			fill = append(fill, Edge{v, 0}, Edge{n - 1, v})
 		}
 	}
-	return []struct {
-		name string
-		d    *Delta
-	}{
+	return []namedDelta{
 		{"ends", toggle(Edge{0, n - 1}, Edge{0, 1}, Edge{n - 2, n - 1}, Edge{1, 2}, Edge{n - 3, n - 2})},
 		{"adjacent", toggle(adjacent...)},
 		{"relabel-only", &Delta{Relabels: []Relabel{{V: 0, L: 7}, {V: 1, L: 7}, {V: n - 2, L: 0}, {V: n - 1, L: 7}}}},
