@@ -17,9 +17,10 @@ test:
 # distributed runtime's anytime-partial, shared-cache and replica-set
 # differential suites — every replica goroutine reads one shared graph.View
 # — and the replica router's loopback-HTTP suites). The -cpu leg
-# reruns the pipeline, serving, distributed-runtime and router suites at
-# three GOMAXPROCS values, because the server derives its default slot
-# count and per-query width from it and the runtime runs its ranks as goroutines:
+# reruns the pipeline, serving, distributed-runtime, router and evaluation
+# suites at three GOMAXPROCS values, because the server derives its default
+# slot count and per-query width from it, and the runtime runs its ranks as
+# goroutines whose counters the evaluation's shape tests assert:
 # no test outcome may depend on the host's CPU count. bench-module
 # rides along because bench/ is its own module, import-boundary keeps
 # the simulated runtime off the serving path, and experiments-smoke runs
@@ -27,20 +28,23 @@ test:
 check: bench-module import-boundary experiments-smoke
 	$(GO) vet ./...
 	$(GO) test -race ./internal/server/ ./internal/core/ ./internal/wal/ ./internal/graph/
-	$(GO) test -cpu 1,2,4 ./internal/core/ ./internal/server/ ./internal/dist/ ./internal/router/
+	$(GO) test -cpu 1,2,4 ./internal/core/ ./internal/server/ ./internal/dist/ ./internal/router/ ./internal/eval/
 	$(GO) test -race -run 'Canonical' ./internal/pattern/
 	$(GO) test -race -run 'Partial|SharedCache|ReplicaSet' ./internal/dist/
 	$(GO) test -race -run 'Coordinator|DialGroup' ./internal/router/
 
 # import-boundary fails if internal/dist, the simulated distributed runtime,
-# is a dependency of the serving binary: amatchd reaches its worker group
-# through internal/router only.
+# or internal/eval, the paper's evaluation built on it, is a dependency of
+# the serving binary: amatchd reaches its worker group through
+# internal/router only.
 import-boundary:
 	@deps=$$($(GO) list -deps ./internal/server ./cmd/amatchd) || exit 1; \
-	if echo "$$deps" | grep -q 'approxmatch/internal/dist'; then \
-		echo 'import-boundary: approxmatch/internal/dist is a dependency of the serving binary' >&2; \
-		exit 1; \
-	fi
+	for p in approxmatch/internal/dist approxmatch/internal/eval; do \
+		if echo "$$deps" | grep -q "$$p"; then \
+			echo "import-boundary: $$p is a dependency of the serving binary" >&2; \
+			exit 1; \
+		fi; \
+	done
 
 # bench-module vets and tests the repo benchmark. bench/ has its own go.mod,
 # so the root `go build ./... && go test ./...` never compiles it — and it
