@@ -62,7 +62,8 @@ experiments-smoke:
 
 # fuzz-smoke runs each native fuzz target for a short burst — enough to
 # shake out loader/parser/ingest regressions on hostile input without a
-# long fuzz campaign. Targets run one at a time: `go test -fuzz` refuses a pattern
+# long fuzz campaign, plus the canonical cache key against the isomorphism
+# walk. Targets run one at a time: `go test -fuzz` refuses a pattern
 # matching more than one target.
 FUZZTIME ?= 30s
 fuzz-smoke:
@@ -70,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/pattern/
+	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalKey$$' -fuzztime $(FUZZTIME) ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime $(FUZZTIME) ./internal/prototype/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime $(FUZZTIME) ./internal/wal/
 

@@ -135,7 +135,7 @@ func printFig9b(w io.Writer, quick bool) error {
 		return err
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "**Match enumeration for edit-distance matching (4-Motif, YouTube-like):**")
+	fmt.Fprintln(w, "**Match enumeration for edit-distance matching (4-Motif, power-law graph):**")
 	fmt.Fprintln(w)
 	table(w, []string{"strategy", "search probes (≈ messages)", "time"}, [][]string{
 		cells("re-enumerate every prototype", enum.Direct.Probes, ms(enum.Direct.Time)),

@@ -18,16 +18,20 @@ func ExactMatch(g *graph.Graph, t *pattern.Template, freqOrdering, countMatches 
 	s := maxCandidateSet(g, t, nil, nil, &m)
 	var freq constraint.LabelFreq
 	if freqOrdering {
-		freq = make(constraint.LabelFreq)
-		for l, c := range g.LabelFrequencies() {
-			freq[l] = c
-		}
-		freq[pattern.Wildcard] = int64(g.NumVertices())
+		freq = SearchFrequencies(g)
 	}
-	prof := buildLocalProfile(t)
-	walks := preparedWalks(g, t, freq)
-	sol := searchTemplateOn(s, t, prof, walks, nil, nil, countMatches, &m, kernelOpts{})
+	sol := searchTemplateOn(s, t, buildLocalProfile(t), preparedWalks(g, t, freq), nil, nil, countMatches, &m, kernelOpts{})
 	return sol, m
+}
+
+// SearchFrequencies returns the label-frequency map that frequency
+// ordering reads: each label's vertex count in g, plus pattern.Wildcard,
+// which occurs at every vertex. The map is fresh and never written after,
+// so concurrent searches may share it.
+func SearchFrequencies(g *graph.Graph) constraint.LabelFreq {
+	freq := g.LabelFrequencies()
+	freq[pattern.Wildcard] = int64(g.NumVertices())
+	return freq
 }
 
 // preparedWalks generates, orients and orders the pruning walks for t:

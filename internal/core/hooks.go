@@ -20,11 +20,8 @@ func SearchOn(ctx context.Context, level *State, t *pattern.Template, cache *Cac
 	// small-graph work never hits the budget.
 	defer cc.Release()
 	cc.Check()
-	return searchTemplateOn(level, t, preparedProfile(t), preparedWalks(level.Graph(), t, freq), cache, cc, count, m, kernelOpts{})
+	return searchTemplateOn(level, t, buildLocalProfile(t), preparedWalks(level.Graph(), t, freq), cache, cc, count, m, kernelOpts{})
 }
-
-// preparedProfile builds the local-constraint profile for t.
-func preparedProfile(t *pattern.Template) *localProfile { return buildLocalProfile(t) }
 
 // FinalizeExact reduces an already-pruned state (recall-safe, possibly
 // imprecise) to the exact solution subgraph of t: it rebuilds candidates,

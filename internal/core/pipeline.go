@@ -188,9 +188,7 @@ func newEngine(g *graph.Graph, set *prototype.Set, cfg Config, cc *CancelCheck) 
 		}
 	}
 	if cfg.FrequencyOrdering {
-		e.freq = g.LabelFrequencies()
-		// The wildcard "label" occurs at every vertex.
-		e.freq[pattern.Wildcard] = int64(g.NumVertices())
+		e.freq = SearchFrequencies(g)
 	}
 	return e
 }

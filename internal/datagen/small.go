@@ -7,18 +7,13 @@ import (
 )
 
 // The §5.6 comparison graphs are unlabeled real-world graphs used for motif
-// counting. These generators reproduce two of them — CiteSeer tiny and
-// sparse, YouTube larger with heavy degree skew — at sizes the in-process
-// TLE baseline can still materialize embeddings for. Sizes are scaled down
-// uniformly; the comparison's behaviour (embedding blow-up on the larger
-// graphs and patterns) is preserved.
+// counting. CiteSeerLike reproduces the smallest of them at its real size;
+// internal/eval builds the larger ones with PowerLaw and ER, scaled down to
+// sizes the in-process TLE baseline can still materialize embeddings for.
 
 // CiteSeerLike matches the real CiteSeer's published size (3.3K vertices,
 // ~4.7K undirected edges).
 func CiteSeerLike() *graph.Graph { return ER(3300, 4700, 101) }
-
-// YouTubeLike is a scaled-down social network with heavy degree skew.
-func YouTubeLike() *graph.Graph { return PowerLaw(15000, 10, 104) }
 
 // RMAT1 is the Fig. 4 weak-scaling pattern, instantiated against a concrete
 // R-MAT graph: a theta graph (two hubs joined by three paths of lengths 2,

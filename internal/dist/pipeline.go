@@ -66,8 +66,7 @@ func (opts *Options) withBudget(ctx context.Context) context.Context {
 func (opts *Options) recycling(g *graph.Graph) (constraint.LabelFreq, *core.Cache) {
 	var freq constraint.LabelFreq
 	if opts.FrequencyOrdering {
-		freq = g.LabelFrequencies()
-		freq[pattern.Wildcard] = int64(g.NumVertices())
+		freq = core.SearchFrequencies(g)
 	}
 	var cache *core.Cache
 	if opts.WorkRecycling {

@@ -22,7 +22,7 @@ type NaiveVsHGTRow struct {
 
 // Fig7 times the naïve approach (each prototype searched independently on
 // the full graph) against the pipeline for the paper's pattern/graph
-// combinations, then for 4-motif counting on the YouTube-like graph.
+// combinations, then for 4-motif counting on the power-law motif graph.
 func Fig7(quick bool) ([]NaiveVsHGTRow, error) {
 	var rows []NaiveVsHGTRow
 	for _, q := range []Query{RMAT1, WDC1, WDC2, WDC3, RDT1, IMDB1} {
@@ -48,7 +48,7 @@ func Fig7(quick bool) ([]NaiveVsHGTRow, error) {
 	if _, _, err := motif.PipelineCounts(g, clique.NumVertices(), core.DefaultConfig(0)); err != nil {
 		return nil, err
 	}
-	rows = append(rows, NaiveVsHGTRow{"4-Motif (YouTube-like)", g.NumEdges(), k, true, naiveT, time.Since(start)})
+	rows = append(rows, NaiveVsHGTRow{"4-Motif (power-law)", g.NumEdges(), k, true, naiveT, time.Since(start)})
 	return rows, nil
 }
 

@@ -106,9 +106,10 @@ var (
 	RMAT = &Dataset{"R-MAT", "", func(quick bool) *graph.Graph {
 		return datagen.RMATGraph(rmatScales(quick)[2])
 	}}
-	// MotifGraph is the sparser YouTube-like graph Figs. 7 and 9(b) count
-	// 4-motifs on.
-	MotifGraph = &Dataset{"YouTube-like (4-Motif)", "", func(quick bool) *graph.Graph {
+	// MotifGraph is the sparse power-law graph Figs. 7 and 9(b) count
+	// 4-motifs on: PowerLaw(n, 4, 104), not YouTube's PowerLaw(2n, 5, 104),
+	// so it is named for its generator.
+	MotifGraph = &Dataset{"power-law (4-Motif)", "", func(quick bool) *graph.Graph {
 		return datagen.PowerLaw(motifVertices(quick), 4, 104)
 	}}
 

@@ -118,11 +118,7 @@ func searchWDC3(quick bool) (*core.Result, *core.State, constraint.LabelFreq, er
 	}
 	var m core.Metrics
 	mcs := core.MaxCandidateSet(g, tpl, &m)
-	freq := constraint.LabelFreq{}
-	for l, c := range g.LabelFrequencies() {
-		freq[l] = c
-	}
-	return full, mcs, freq, nil
+	return full, mcs, core.SearchFrequencies(g), nil
 }
 
 // EnumerationCost is one match-enumeration strategy: its search probes

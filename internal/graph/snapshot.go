@@ -200,8 +200,7 @@ func (st *SnapshotStore) ApplyLogged(d *Delta, commit func(epoch uint64) error) 
 }
 
 // Bump republishes the current graph under a new epoch without mutating it,
-// for callers that need epoch-keyed caches invalidated (operator-driven
-// BumpEpoch).
+// for callers that need epoch-keyed caches invalidated.
 func (st *SnapshotStore) Bump() uint64 {
 	st.writeMu.Lock()
 	defer st.writeMu.Unlock()

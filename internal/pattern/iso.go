@@ -67,51 +67,46 @@ func Isomorphic(a, b *Template) bool {
 }
 
 // FindIsomorphism returns a label-preserving isomorphism from a's vertices
-// to b's vertices, or nil if none exists.
+// to b's vertices (p[q] = image of q), or nil if none exists: the first
+// bijection eachIsomorphism visits.
 func FindIsomorphism(a, b *Template) []int {
 	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
 		return nil
 	}
+	var found []int
+	eachIsomorphism(a, b, func(p []int) bool {
+		found = append([]int{}, p...)
+		return false
+	})
+	return found
+}
+
+// eachIsomorphism is pattern's one backtracking bijection walk, behind
+// FindIsomorphism, Automorphisms and CountAutomorphisms. It places a's
+// vertices q = 0…n−1 in turn, each onto the unused targets w of b in
+// ascending order whose colour, label and degree match q's and whose edges
+// to q's already-placed neighbours preserve adjacency and edge labels, and
+// calls visit with every complete placement (p[q] = image of q; p is
+// reused, so visit copies what it keeps) until visit returns false. a and b
+// must have equal vertex and edge counts: an injective map that preserves
+// every edge of a is then onto b's edges, hence an isomorphism.
+func eachIsomorphism(a, b *Template, visit func(p []int) bool) {
 	n := a.NumVertices()
-	ca, cb := refineColors(a), refineColors(b)
-	// Color histograms must agree.
-	ha, hb := map[int]int{}, map[int]int{}
-	for q := 0; q < n; q++ {
-		ha[ca[q]]++
-		hb[cb[q]]++
-	}
-	if len(ha) != len(hb) {
-		return nil
-	}
-	for c, k := range ha {
-		if hb[c] != k {
-			return nil
-		}
+	ca := refineColors(a)
+	cb := ca
+	if b != a {
+		cb = refineColors(b)
 	}
 	mapping := make([]int, n)
 	used := make([]bool, n)
 	for i := range mapping {
 		mapping[i] = -1
 	}
-	// Order a's vertices: most-constrained (rarest color, highest degree)
-	// first.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		qi, qj := order[i], order[j]
-		if ha[ca[qi]] != ha[ca[qj]] {
-			return ha[ca[qi]] < ha[ca[qj]]
+	var solve func(q int) bool
+	solve = func(q int) bool {
+		if q == n {
+			return visit(mapping)
 		}
-		return a.Degree(qi) > a.Degree(qj)
-	})
-	var solve func(idx int) bool
-	solve = func(idx int) bool {
-		if idx == n {
-			return true
-		}
-		q := order[idx]
 		for w := 0; w < n; w++ {
 			if used[w] || cb[w] != ca[q] || a.Label(q) != b.Label(w) || a.Degree(q) != b.Degree(w) {
 				continue
@@ -123,41 +118,21 @@ func FindIsomorphism(a, b *Template) []int {
 					break
 				}
 			}
-			if ok {
-				// Also reject extra adjacency to already-mapped vertices:
-				// matched degree + all required edges present implies edge
-				// counts line up only if we check the reverse too.
-				for _, x := range b.adj[w] {
-					src := -1
-					for qa, m := range mapping {
-						if m == x {
-							src = qa
-							break
-						}
-					}
-					if src != -1 && !a.HasEdge(q, src) {
-						ok = false
-						break
-					}
-				}
-			}
 			if !ok {
 				continue
 			}
 			mapping[q] = w
 			used[w] = true
-			if solve(idx + 1) {
-				return true
-			}
+			more := solve(q + 1)
 			mapping[q] = -1
 			used[w] = false
+			if !more {
+				return false
+			}
 		}
-		return false
+		return true
 	}
-	if !solve(0) {
-		return nil
-	}
-	return mapping
+	solve(0)
 }
 
 // edgeCompatible reports whether mapping template-a edge (q,r) onto
@@ -174,7 +149,7 @@ func edgeCompatible(a, b *Template, q, r, w, m int) bool {
 // exact.
 func CountAutomorphisms(t *Template) int64 {
 	var count int64
-	eachAutomorphism(t, func([]int) bool {
+	eachIsomorphism(t, t, func([]int) bool {
 		count++
 		return true
 	})

@@ -38,7 +38,7 @@ const maxAutomorphisms = 1 << 16
 func Automorphisms(t *Template) [][]int {
 	var out [][]int
 	overflow := false
-	eachAutomorphism(t, func(p []int) bool {
+	eachIsomorphism(t, t, func(p []int) bool {
 		if len(out) >= maxAutomorphisms {
 			overflow = true
 			return false
@@ -52,68 +52,12 @@ func Automorphisms(t *Template) [][]int {
 	return out
 }
 
-// eachAutomorphism is the backtracking walk behind Automorphisms and
-// CountAutomorphisms: it calls visit with every label-preserving
-// automorphism of t (p[q] = image of q; p is reused, so visit copies what it
-// keeps) until visit returns false.
-func eachAutomorphism(t *Template, visit func(p []int) bool) {
-	n := t.NumVertices()
-	colors := refineColors(t)
-	mapping := make([]int, n)
-	used := make([]bool, n)
-	for i := range mapping {
-		mapping[i] = -1
-	}
-	var solve func(q int) bool
-	solve = func(q int) bool {
-		if q == n {
-			return visit(mapping)
-		}
-		for w := 0; w < n; w++ {
-			if used[w] || colors[w] != colors[q] || t.Label(q) != t.Label(w) || t.Degree(q) != t.Degree(w) {
-				continue
-			}
-			ok := true
-			for _, r := range t.adj[q] {
-				if m := mapping[r]; m != -1 && !edgeCompatible(t, t, q, r, w, m) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			mapping[q] = w
-			used[w] = true
-			more := solve(q + 1)
-			mapping[q] = -1
-			used[w] = false
-			if !more {
-				return false
-			}
-		}
-		return true
-	}
-	solve(0)
-}
-
-// RestrictionSet derives the symmetry-breaking restrictions for t from its
-// automorphism group via the stabilizer chain, together with the group size.
-// A trivial group (or an over-large one, see Automorphisms) yields no
-// restrictions and aut = 1 so callers multiply counts by exactly the factor
-// the restrictions divided out.
-func RestrictionSet(t *Template) (restrictions []Restriction, aut int64) {
-	auts := Automorphisms(t)
-	if len(auts) <= 1 {
-		return nil, 1
-	}
-	return RestrictionsFor(t.NumVertices(), auts), int64(len(auts))
-}
-
-// RestrictionsFor derives the restriction set from an already-enumerated
-// automorphism group over n template vertices (see RestrictionSet); callers
-// that also need the group itself (orbit expansion during enumeration) use
-// this to avoid enumerating it twice.
+// RestrictionsFor derives the symmetry-breaking restrictions for a template
+// over n vertices from its automorphism group auts (as Automorphisms returns
+// it) via the stabilizer chain. A trivial group, or a nil one over
+// maxAutomorphisms, yields no restrictions. Taking the group rather than the
+// template lets callers that also need it (orbit expansion during
+// enumeration) enumerate it once.
 func RestrictionsFor(n int, auts [][]int) []Restriction {
 	if len(auts) <= 1 {
 		return nil

@@ -57,23 +57,17 @@ type Coordinator struct {
 // ErrNoWorkers reports a query that every worker of the group failed.
 var ErrNoWorkers = errors.New("router: no reachable rank worker")
 
-// DialGroup checks every worker's graph signature, validates that the group
-// serves one graph (all signatures equal — and equal to expectSig when
-// non-zero, the coordinator's own graph), and returns the coordinator.
-// timeout bounds each dial and each query exchange (0 = 5s). Each worker
-// gets exactly one attempt; see DialGroupWithin for startup resilience.
-func DialGroup(addrs []string, expectSig uint64, timeout time.Duration) (*Coordinator, error) {
-	return DialGroupWithin(addrs, expectSig, timeout, 0)
-}
-
-// DialGroupWithin is DialGroup with a startup budget: a worker that refuses
-// the dial or is not ready yet (503 from its ready gate) is retried with
-// capped exponential backoff plus jitter until budget elapses, so a
-// coordinator started in parallel with its workers waits for them instead
-// of aborting on the first refused connection. budget <= 0 means one
-// attempt per worker. Permanent mismatches — a worker serving the wrong
-// graph signature, or a split group — fail immediately: waiting cannot fix
-// a wrong graph.
+// DialGroupWithin checks every worker's graph signature, validates that
+// the group serves one graph (all signatures equal — and equal to expectSig
+// when non-zero, the coordinator's own graph), and returns the coordinator.
+// timeout bounds each dial and each query exchange (0 = 5s). budget is the
+// startup budget: a worker that refuses the dial or is not ready yet (503
+// from its ready gate) is retried with capped exponential backoff plus
+// jitter until budget elapses, so a coordinator started in parallel with
+// its workers waits for them instead of aborting on the first refused
+// connection. budget <= 0 means one attempt per worker. Permanent
+// mismatches — a worker serving the wrong graph signature, or a split
+// group — fail immediately: waiting cannot fix a wrong graph.
 func DialGroupWithin(addrs []string, expectSig uint64, timeout, budget time.Duration) (*Coordinator, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second

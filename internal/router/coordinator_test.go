@@ -73,7 +73,7 @@ func TestCoordinatorRoundTrip(t *testing.T) {
 	}
 	a0, _ := startWorker(t, 0xabc, echo(0))
 	a1, _ := startWorker(t, 0xabc, echo(1))
-	co, err := DialGroup([]string{a0, a1}, 0xabc, time.Second)
+	co, err := DialGroupWithin([]string{a0, a1}, 0xabc, time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,17 +112,17 @@ func TestCoordinatorSignatureMismatch(t *testing.T) {
 	a1, _ := startWorker(t, 0x222, reply(""))
 
 	// The coordinator's own graph disagrees with the worker.
-	if _, err := DialGroup([]string{a0}, 0x999, time.Second); err == nil ||
+	if _, err := DialGroupWithin([]string{a0}, 0x999, time.Second, 0); err == nil ||
 		!strings.Contains(err.Error(), "signature") {
 		t.Fatalf("expectSig mismatch not rejected: %v", err)
 	}
 	// The group itself is split.
-	if _, err := DialGroup([]string{a0, a1}, 0, time.Second); err == nil ||
+	if _, err := DialGroupWithin([]string{a0, a1}, 0, time.Second, 0); err == nil ||
 		!strings.Contains(err.Error(), "split") {
 		t.Fatalf("split group not rejected: %v", err)
 	}
 	// Agreement passes.
-	co, err := DialGroup([]string{a0}, 0x111, time.Second)
+	co, err := DialGroupWithin([]string{a0}, 0x111, time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCoordinatorSignatureMismatch(t *testing.T) {
 func TestCoordinatorFailover(t *testing.T) {
 	a0, ws0 := startWorker(t, 0x7, reply("ok"))
 	a1, _ := startWorker(t, 0x7, reply("ok"))
-	co, err := DialGroup([]string{a0, a1}, 0x7, time.Second)
+	co, err := DialGroupWithin([]string{a0, a1}, 0x7, time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestCoordinatorFailover(t *testing.T) {
 
 func TestCoordinatorAllWorkersDown(t *testing.T) {
 	a, ws := startWorker(t, 0x7, reply("ok"))
-	co, err := DialGroup([]string{a}, 0x7, time.Second)
+	co, err := DialGroupWithin([]string{a}, 0x7, time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCoordinatorAllWorkersDown(t *testing.T) {
 func TestCoordinatorConcurrent(t *testing.T) {
 	a0, _ := startWorker(t, 0x7, reply("ok"))
 	a1, _ := startWorker(t, 0x7, reply("ok"))
-	co, err := DialGroup([]string{a0, a1}, 0x7, 5*time.Second)
+	co, err := DialGroupWithin([]string{a0, a1}, 0x7, 5*time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestCoordinatorConcurrent(t *testing.T) {
 func TestCoordinatorReprobesReplacedWorker(t *testing.T) {
 	a0, ws0 := startWorker(t, 0x7, reply("w0"))
 	a1, ws1 := startWorker(t, 0x7, reply("w1"))
-	co, err := DialGroup([]string{a0, a1}, 0x7, time.Second)
+	co, err := DialGroupWithin([]string{a0, a1}, 0x7, time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestCoordinatorContextNotFailedOver(t *testing.T) {
 	}
 	a0, _ := startWorker(t, 0x7, slow)
 	a1, _ := startWorker(t, 0x7, slow)
-	co, err := DialGroup([]string{a0, a1}, 0x7, 5*time.Second)
+	co, err := DialGroupWithin([]string{a0, a1}, 0x7, 5*time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,8 @@ import (
 // The key is (graph epoch, k, count, vectors, pattern.CanonicalKey). The
 // canonical key encodes labels, adjacency, edge labels AND mandatory flags
 // — two templates share it exactly when their prototype sets, and hence
-// their results, provably coincide. Epoch versioning (Server.BumpEpoch)
-// invalidates every key when the background graph is swapped.
+// their results, provably coincide. Epoch versioning invalidates every key
+// when an /ingest batch swaps the background graph.
 //
 // Partial (budget-exhausted) responses are never cached: they reflect one
 // query's budget, not the graph.
@@ -145,7 +145,7 @@ func (c *resultCache) put(key string, body []byte) {
 	c.bytes += need
 }
 
-// purge drops every entry (epoch bump); cumulative counters survive.
+// purge drops every entry (epoch swap); cumulative counters survive.
 func (c *resultCache) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

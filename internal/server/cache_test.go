@@ -272,13 +272,13 @@ func TestSingleFlightCoalesces(t *testing.T) {
 	}
 }
 
-// TestEpochBumpInvalidates checks BumpEpoch restores cold behavior: the next
-// identical query runs the pipeline again (result cache cannot serve it) and
-// the shared NLCC store starts empty.
+// TestEpochBumpInvalidates checks that an /ingest epoch swap restores cold
+// behavior: the result cache and the shared NLCC store are both purged, so
+// the next identical query runs the pipeline again. The two batches insert
+// and then delete one edge, so the graph ends as it started and the
+// recompute must equal the cold answer.
 func TestEpochBumpInvalidates(t *testing.T) {
-	s := NewWithConfig(testGraph(), Config{ResultCacheBytes: 1 << 20, SharedNLCC: true})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
+	s, srv := newIngestServer(t, Config{ResultCacheBytes: 1 << 20, SharedNLCC: true})
 
 	var runs atomic.Int32
 	testHookMatch = func(*MatchRequest, int) { runs.Add(1) }
@@ -288,33 +288,40 @@ func TestEpochBumpInvalidates(t *testing.T) {
 	_, cold := postMatch(t, srv.URL, req)
 	_, warm := postMatch(t, srv.URL, req)
 	if !bytes.Equal(cold, warm) {
-		t.Fatal("warm body differs from cold before the bump")
+		t.Fatal("warm body differs from cold before the ingest")
 	}
 	if n := runs.Load(); n != 1 {
-		t.Fatalf("pipeline ran %d times before the bump, want 1", n)
+		t.Fatalf("pipeline ran %d times before the ingest, want 1", n)
+	}
+	if s.nlccShared.Sets() == 0 {
+		t.Fatal("the cold query left the shared NLCC store empty")
 	}
 
-	s.BumpEpoch()
+	for _, batch := range []string{`{"insert":[[3,5]]}`, `{"delete":[[3,5]]}`} {
+		if resp := postJSON(t, srv.URL+"/ingest", batch); resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest %s: status %d", batch, resp.StatusCode)
+		}
+	}
 	if bytes_, entries := s.rcache.stats(); bytes_ != 0 || entries != 0 {
-		t.Fatalf("result cache survived the bump: %d bytes, %d entries", bytes_, entries)
+		t.Fatalf("result cache survived the ingest: %d bytes, %d entries", bytes_, entries)
 	}
 	if s.nlccShared.Sets() != 0 {
-		t.Fatalf("shared NLCC store survived the bump: %d sets", s.nlccShared.Sets())
+		t.Fatalf("shared NLCC store survived the ingest: %d sets", s.nlccShared.Sets())
 	}
 
 	_, recold := postMatch(t, srv.URL, req)
 	if n := runs.Load(); n != 2 {
-		t.Fatalf("post-bump query did not rerun the pipeline (runs = %d)", n)
+		t.Fatalf("post-ingest query did not rerun the pipeline (runs = %d)", n)
 	}
 	if !reflect.DeepEqual(decodeNormalized(t, cold), decodeNormalized(t, recold)) {
-		t.Fatalf("post-bump recompute diverged:\n%s\nvs\n%s", cold, recold)
+		t.Fatalf("post-ingest recompute diverged:\n%s\nvs\n%s", cold, recold)
 	}
 	_, rewarm := postMatch(t, srv.URL, req)
 	if !bytes.Equal(recold, rewarm) {
-		t.Fatal("cache did not repopulate after the bump")
+		t.Fatal("cache did not repopulate after the ingest")
 	}
 	if n := runs.Load(); n != 2 {
-		t.Fatalf("post-bump warm query reran the pipeline (runs = %d)", n)
+		t.Fatalf("post-ingest warm query reran the pipeline (runs = %d)", n)
 	}
 }
 

@@ -59,7 +59,7 @@ func getSignature(t *testing.T, url string) router.SignatureReply {
 func TestCoordinatorByteIdentity(t *testing.T) {
 	a0, _ := startWorker(t)
 	a1, _ := startWorker(t)
-	co, err := router.DialGroup([]string{a0, a1}, router.GraphSignature(testGraph()), 5*time.Second)
+	co, err := router.DialGroupWithin([]string{a0, a1}, router.GraphSignature(testGraph()), 5*time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestCoordinatorByteIdentity(t *testing.T) {
 // local and keep working.
 func TestCoordinatorLocalEndpointsStayLocal(t *testing.T) {
 	a, _ := startWorker(t)
-	co, err := router.DialGroup([]string{a}, 0, 5*time.Second)
+	co, err := router.DialGroupWithin([]string{a}, 0, 5*time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestCoordinatorLocalEndpointsStayLocal(t *testing.T) {
 // 400 (validation happens before the network hop).
 func TestCoordinatorWorkerDownIs502(t *testing.T) {
 	a, ws := startWorker(t)
-	co, err := router.DialGroup([]string{a}, 0, time.Second)
+	co, err := router.DialGroupWithin([]string{a}, 0, time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCoordinatorWaitsForReadyGate(t *testing.T) {
 	ws := httptest.NewServer(gate)
 	t.Cleanup(ws.Close)
 	addr := ws.Listener.Addr().String()
-	if _, err := router.DialGroup([]string{addr}, 0, time.Second); err == nil {
+	if _, err := router.DialGroupWithin([]string{addr}, 0, time.Second, 0); err == nil {
 		t.Fatal("dial accepted a worker behind its ready gate")
 	}
 	time.AfterFunc(200*time.Millisecond, func() { gate.Ready(New(testGraph()).Handler()) })
@@ -163,25 +163,19 @@ func TestCoordinatorWaitsForReadyGate(t *testing.T) {
 }
 
 // TestSignatureFollowsEpoch: /signature reports the current epoch's
-// GraphSignature — unchanged by a bare epoch bump, moved by an ingest that
-// changes the graph.
+// GraphSignature, moved by an ingest that changes the graph.
 func TestSignatureFollowsEpoch(t *testing.T) {
 	s, srv := newIngestServer(t, Config{})
 	want := router.SignatureReply{Signature: router.GraphSignature(testGraph())}
 	if got := getSignature(t, srv.URL); got != want {
 		t.Fatalf("signature %+v, want %+v", got, want)
 	}
-	s.BumpEpoch()
-	want.Epoch = 1
-	if got := getSignature(t, srv.URL); got != want {
-		t.Fatalf("after a bump: signature %+v, want %+v", got, want)
-	}
 	if resp := postJSON(t, srv.URL+"/ingest", `{"insert":[[3,5]]}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
 	snap := s.snaps.Acquire()
 	defer snap.Release()
-	want = router.SignatureReply{Epoch: 2, Signature: router.GraphSignature(snap.Graph())}
+	want = router.SignatureReply{Epoch: 1, Signature: router.GraphSignature(snap.Graph())}
 	if got := getSignature(t, srv.URL); got != want || got.Signature == router.GraphSignature(testGraph()) {
 		t.Fatalf("after an ingest: signature %+v, want %+v", got, want)
 	}

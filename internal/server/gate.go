@@ -22,9 +22,6 @@ func NewReadyGate() *ReadyGate { return &ReadyGate{} }
 // Ready installs h; every subsequent request is served by it.
 func (g *ReadyGate) Ready(h http.Handler) { g.h.Store(&h) }
 
-// IsReady reports whether the real handler has been installed.
-func (g *ReadyGate) IsReady() bool { return g.h.Load() != nil }
-
 func (g *ReadyGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if hp := g.h.Load(); hp != nil {
 		(*hp).ServeHTTP(w, r)

@@ -126,7 +126,7 @@ type Config struct {
 	// discard).
 	Logger *slog.Logger
 	// Coordinator, when non-nil, routes /match and /explore queries to a
-	// group of amatchd worker processes (see internal/router.DialGroup)
+	// group of amatchd worker processes (see router.DialGroupWithin)
 	// instead of the in-process engine; the response bytes are relayed
 	// verbatim. All other endpoints stay local, and a nil Coordinator is
 	// the in-process fallback. The server does not take ownership — the
@@ -257,39 +257,6 @@ func (s *Server) computeStats(g *graph.Graph, epoch uint64) *StatsResponse {
 		EdgeLabels: g.HasEdgeLabels(),
 		Epoch:      epoch,
 	}
-}
-
-// BumpEpoch republishes the current graph under a new epoch and invalidates
-// both cross-query caches — the hook for out-of-band graph mutation (an
-// operator swapping data files): the result cache is purged and versioned
-// out (the epoch participates in every key, so even an in-flight leader
-// finishing late cannot resurface a stale body to new queries), and the
-// shared NLCC store drops its recycled verdicts. Exactness never depended
-// on either cache, so the bump only restores cold-start performance.
-// /ingest drives the same invalidation through its own epoch swap.
-// Deliberately a method, not an HTTP endpoint: an unauthenticated
-// cache-flush would be a denial-of-service lever.
-func (s *Server) BumpEpoch() {
-	var epoch uint64
-	if s.cfg.WAL != nil {
-		// The WAL's epoch chain must stay dense, so a bump is logged as an
-		// empty delta (which still advances the epoch) rather than skipping
-		// a log position. A log failure wedges the bump — same contract as
-		// ingest: no published epoch without a durable record.
-		ep, _, err := s.snaps.ApplyLogged(&graph.Delta{}, func(e uint64) error {
-			return s.cfg.WAL.Append(e, &graph.Delta{})
-		})
-		if err != nil {
-			s.log.LogAttrs(context.Background(), slog.LevelError, "epoch bump not logged",
-				slog.String("error", err.Error()))
-			return
-		}
-		epoch = ep
-	} else {
-		epoch = s.snaps.Bump()
-	}
-	s.stats.Store(s.computeStats(s.snaps.Current(), epoch))
-	s.purgeCaches()
 }
 
 // purgeCaches drops both cross-query caches after an epoch swap. The result

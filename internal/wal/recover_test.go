@@ -408,3 +408,32 @@ func TestRecoveryIsIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayEmptyDelta: an empty delta is a valid record that advances the
+// epoch without changing the graph, so recovery replays it and keeps the
+// chain going.
+func TestReplayEmptyDelta(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(Options{Dir: dir}, testGraph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(1, &graph.Delta{}); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := appendSequence(t, l, testGraph(), 1, 1, rand.New(rand.NewSource(3)))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec, err := Open(Options{Dir: dir}, testGraph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if rec.Epoch != 2 || rec.Replayed != 2 {
+		t.Fatalf("recovery = epoch %d replayed %d, want 2/2 (the empty record included)", rec.Epoch, rec.Replayed)
+	}
+	if !bytes.Equal(graphBytes(t, rec.Graph), graphBytes(t, want)) {
+		t.Fatal("recovered graph differs from the seed plus the one real delta")
+	}
+}
