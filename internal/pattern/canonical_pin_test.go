@@ -85,3 +85,40 @@ func writeAutomorphisms(h hash.Hash, auts [][]int) {
 		fmt.Fprintf(h, "%v\n", p)
 	}
 }
+
+// TestCanonicalFlipsPinned pins the canonical data of every single-edge-flip
+// variant (prototype.Flips) of the paper's queries: each flip's removed and
+// added edge, its CanonicalCode, CanonicalKey and CanonicalForm relabeling.
+// amatch -flips searches these templates, so a refactor of canonicalization
+// must leave every hash unchanged.
+func TestCanonicalFlipsPinned(t *testing.T) {
+	rmat := datagen.RMAT1(eval.RMAT.Graph(true))
+	cases := []struct {
+		name string
+		tpl  *pattern.Template
+		want string
+	}{
+		{"WDC-1", datagen.WDC1(), "97506e4a38fd9ee4"},
+		{"WDC-2", datagen.WDC2(), "7ae605cb888cf9a7"},
+		{"WDC-3", datagen.WDC3(), "3f19b2e2dfb2a9f4"},
+		{"RMAT-1", rmat, "a2b8d42a6436f325"},
+		{"RDT-1", datagen.RDT1(), "1927ea0cf4f98f47"},
+		{"IMDB-1", datagen.IMDB1(), "c73710509d7b7003"},
+	}
+	for _, c := range cases {
+		flips, err := prototype.Flips(c.tpl)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		h := sha256.New()
+		for _, f := range flips {
+			form, toCanon := pattern.CanonicalForm(f.Template)
+			fmt.Fprintf(h, "removed %d added %v canon %s\n", f.Removed, f.Added, f.Canon)
+			fmt.Fprintf(h, "code %s\nkey %s\nform %v %s\n", pattern.CanonicalCode(f.Template),
+				pattern.CanonicalKey(f.Template), toCanon, pattern.CanonicalKey(form))
+		}
+		if got := hex.EncodeToString(h.Sum(nil))[:16]; got != c.want {
+			t.Errorf("%s (%d flips): hash %s, want %s", c.name, len(flips), got, c.want)
+		}
+	}
+}
