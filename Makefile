@@ -76,11 +76,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime $(FUZZTIME) ./internal/wal/
 
 # bench runs the in-process Go micro-benchmarks of the kernels, the
-# serving layer and the graph's load and delta paths, for timing a change while you work on it. End-to-end
+# serving layer, the graph's load and delta paths and template
+# canonicalization, for timing a change while you work on it. End-to-end
 # numbers — served latency, throughput, ingest and recovery against a real
 # amatchd — come from the repo benchmark, bench/run.sh (see bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench . ./internal/core/ ./internal/server/ ./internal/graph/
+	$(GO) test -run '^$$' -bench . ./internal/core/ ./internal/server/ ./internal/graph/ ./internal/pattern/
 
 # loopback-smoke stands up a real multi-process deployment on loopback —
 # four amatchd workers plus an amatchd coordinator (-ranks-addr) — and

@@ -222,11 +222,6 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// maxBatchCanonCost bounds the permutations template canonicalization may
-// enumerate per batch entry (factorial in same-color cell sizes); costlier
-// templates run under their own numbering and are never reused.
-const maxBatchCanonCost = 1 << 16
-
 // runBatch matches each template in turn. With sharing enabled, all runs
 // recycle constraint-walk verdicts through one store, and a template
 // isomorphic to an earlier one is answered from the retained result without
@@ -248,12 +243,15 @@ func runBatch(ctx context.Context, out io.Writer, g *approxmatch.Graph, paths []
 		if err != nil {
 			return err
 		}
-		run := t
-		var key string
-		cacheable := resultCacheBytes > 0 && pattern.CanonicalCost(t) <= maxBatchCanonCost
-		if cacheable {
-			run, _ = pattern.CanonicalForm(t)
-			key = fmt.Sprintf("k%d|c%t|%s", opts.EditDistance, opts.CountMatches, pattern.CanonicalKey(run))
+		// A template pattern.Canonical declines (too symmetric) runs under
+		// its own numbering and is never reused: its key stays empty.
+		run, key := t, ""
+		if resultCacheBytes > 0 {
+			if form, ck, ok := pattern.Canonical(t); ok {
+				run, key = form, fmt.Sprintf("k%d|c%t|%s", opts.EditDistance, opts.CountMatches, ck)
+			}
+		}
+		if key != "" {
 			if c, ok := seen[key]; ok {
 				fmt.Fprintf(out, "template %d (%s): isomorphic to template %d, result reused\n", i, path, c.src)
 				printPrototypes(out, c.res.Set, c.res.Solutions, c.res.Levels, opts.CountMatches)
@@ -269,7 +267,7 @@ func runBatch(ctx context.Context, out io.Writer, g *approxmatch.Graph, paths []
 		printPrototypes(out, res.Set, res.Solutions, res.Levels, opts.CountMatches)
 		// Retain completed results for reuse while they fit the byte budget;
 		// partial results reflect this run's budget, not the graph.
-		if cacheable && !res.Partial {
+		if key != "" && !res.Partial {
 			if fp := resultFootprint(res); retained+fp <= resultCacheBytes {
 				seen[key] = cached{res, i}
 				retained += fp

@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -289,17 +290,33 @@ func TestCanonicalKeyExtendsCode(t *testing.T) {
 	}
 }
 
+// TestCanonicalCost checks the cell-permutation count and that Canonical
+// declines exactly the templates over its 1<<16 cap.
 func TestCanonicalCost(t *testing.T) {
-	// Distinct labels: every cell is a singleton, cost 1.
-	distinct := MustNew([]Label{1, 2, 3}, []Edge{{0, 1}, {1, 2}})
-	if c := CanonicalCost(distinct); c != 1 {
-		t.Errorf("distinct-label path: cost %v, want 1", c)
+	var starEdges []Edge
+	for leaf := 1; leaf < 10; leaf++ {
+		starEdges = append(starEdges, Edge{0, leaf})
 	}
-	// All-same-label clique: refinement cannot split it; cost n!.
-	k4 := MustNew([]Label{7, 7, 7, 7},
-		[]Edge{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
-	if c := CanonicalCost(k4); c != 24 {
-		t.Errorf("K4: cost %v, want 24", c)
+	for _, c := range []struct {
+		name string
+		tpl  *Template
+		cost float64
+	}{
+		// Distinct labels: every cell is a singleton.
+		{"distinct-label path", MustNew([]Label{1, 2, 3}, []Edge{{0, 1}, {1, 2}}), 1},
+		// All-same-label clique: refinement cannot split it; cost n!.
+		{"K4", MustNew([]Label{7, 7, 7, 7},
+			[]Edge{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}), 24},
+		// One-label star: its 9 leaves share a cell, 9! > 1<<16.
+		{"9-leaf star", MustNew(make([]Label, 10), starEdges), 362880},
+	} {
+		if got := CanonicalCost(c.tpl); got != c.cost {
+			t.Errorf("%s: cost %v, want %v", c.name, got, c.cost)
+		}
+		form, key, ok := Canonical(c.tpl)
+		if want := c.cost <= 1<<16; ok != want || (form != nil) != want || (key != "") != want {
+			t.Errorf("%s: Canonical = (%v, %q, %v), want ok=%v", c.name, form, key, ok, want)
+		}
 	}
 }
 
@@ -316,6 +333,17 @@ func FuzzCanonicalKey(f *testing.F) {
 		}
 		if FindIsomorphism(base, shuffled) == nil {
 			t.Fatalf("permuteTemplate produced a non-isomorphic template")
+		}
+		// The one-pass admission agrees with its three separate views.
+		for _, tt := range []*Template{base, shuffled} {
+			wantForm, _ := CanonicalForm(tt)
+			form, key, ok := Canonical(tt)
+			if want := CanonicalCost(tt) <= 1<<16; ok != want {
+				t.Fatalf("Canonical ok = %v, want %v for\n%s", ok, want, tt)
+			}
+			if ok && (!reflect.DeepEqual(form, wantForm) || key != CanonicalKey(wantForm)) {
+				t.Fatalf("Canonical disagrees with CanonicalForm/CanonicalKey for\n%s", tt)
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -156,6 +157,30 @@ func CountAutomorphisms(t *Template) int64 {
 	return count
 }
 
+// maxCanonicalCost bounds the permutations Canonical may enumerate (the
+// product of colour-cell factorials, e.g. n! for an all-same-label clique).
+// Canonical runs on the request path of every result-cache lookup, so the
+// bound is sized for sub-second worst-case admission (~4µs per enumerated
+// permutation). Costlier templates are merely uncacheable: callers run them
+// under the client's own numbering, and correctness is unaffected.
+const maxCanonicalCost = 1 << 16
+
+// Canonical is the result caches' admission pass (amatchd's /match and
+// amatch's batch mode): it returns t's canonical form (as CanonicalForm)
+// and canonical key (as CanonicalKey; the key of t is the key of its form),
+// or ok=false when t's colour cells allow more than maxCanonicalCost
+// permutations. It refines colours once and runs the canonical search once,
+// building both results from the one permutation that search finds.
+func Canonical(t *Template) (form *Template, key string, ok bool) {
+	cells := colorCells(t)
+	if cellCost(cells) > maxCanonicalCost {
+		return nil, "", false
+	}
+	key, perm := canonicalize(t, cells, true)
+	form, _ = relabel(t, perm)
+	return form, key, true
+}
+
 // CanonicalCode returns a string that is identical for isomorphic templates
 // and distinct for non-isomorphic ones. It canonicalizes by color-refined
 // cell ordering followed by exhaustive permutation within cells, taking the
@@ -168,7 +193,7 @@ func CountAutomorphisms(t *Template) int64 {
 // matching). Callers keying caches across *different base templates* must
 // use CanonicalKey instead, which does encode them.
 func CanonicalCode(t *Template) string {
-	code, _ := canonicalize(t, false)
+	code, _ := canonicalize(t, colorCells(t), false)
 	return code
 }
 
@@ -181,7 +206,7 @@ func CanonicalCode(t *Template) string {
 // differ only in which edges are mandatory, which would silently poison a
 // result cache.
 func CanonicalKey(t *Template) string {
-	code, _ := canonicalize(t, true)
+	code, _ := canonicalize(t, colorCells(t), true)
 	return code
 }
 
@@ -192,7 +217,54 @@ func CanonicalKey(t *Template) string {
 // isomorphic submissions, which is what lets cross-query result caches
 // translate hits through the isomorphism trivially.
 func CanonicalForm(t *Template) (*Template, []int) {
-	_, perm := canonicalize(t, true) // perm[pos] = original vertex
+	_, perm := canonicalize(t, colorCells(t), true)
+	return relabel(t, perm)
+}
+
+// CanonicalCost returns the number of permutations canonicalization must
+// enumerate (the product of color-cell factorials) — e.g. n! for a large
+// all-wildcard clique. Canonical declines templates whose cost exceeds its
+// admission cap, so untrusted templates need not call this first.
+func CanonicalCost(t *Template) float64 {
+	return cellCost(colorCells(t))
+}
+
+// colorCells refines t's colours and groups its vertices into cells: one
+// cell per colour in ascending colour order, each cell's vertices
+// ascending. refineColors' colours are ranks of sorted iso-invariant keys,
+// so the cell order is canonical across isomorphic templates. It is the one
+// partition both the cost bound and the canonical search read.
+func colorCells(t *Template) [][]int {
+	colors := refineColors(t)
+	order := make([]int, 0, len(colors)) // the cells' one backing array
+	cells := make([][]int, slices.Max(colors)+1)
+	for c := range cells {
+		lo := len(order)
+		for q, qc := range colors {
+			if qc == c {
+				order = append(order, q)
+			}
+		}
+		cells[c] = order[lo:len(order):len(order)]
+	}
+	return cells
+}
+
+// cellCost is the number of cell-respecting permutations of cells: the
+// product of the cells' factorials.
+func cellCost(cells [][]int) float64 {
+	cost := 1.0
+	for _, cell := range cells {
+		for f := 2; f <= len(cell); f++ {
+			cost *= float64(f)
+		}
+	}
+	return cost
+}
+
+// relabel returns the copy of t whose vertex pos is t's vertex perm[pos],
+// with its edges sorted by endpoints, and the inverse map toCanon[q] = pos.
+func relabel(t *Template, perm []int) (*Template, []int) {
 	n := t.NumVertices()
 	toCanon := make([]int, n)
 	for pos, q := range perm {
@@ -241,58 +313,21 @@ func CanonicalForm(t *Template) (*Template, []int) {
 	return ct, toCanon
 }
 
-// CanonicalCost estimates the number of permutations canonicalization must
-// enumerate (the product of color-cell factorials). Callers canonicalizing
-// untrusted templates at admission should skip templates whose cost exceeds
-// their latency budget — e.g. a large all-wildcard clique degenerates to n!.
-func CanonicalCost(t *Template) float64 {
-	colors := refineColors(t)
-	sizes := make(map[int]int)
-	for _, c := range colors {
-		sizes[c]++
-	}
-	cost := 1.0
-	for _, sz := range sizes {
-		for f := 2; f <= sz; f++ {
-			cost *= float64(f)
-			if cost > 1e18 {
-				return cost
-			}
-		}
-	}
-	return cost
-}
-
-// canonicalize computes the lexicographically smallest cell-respecting
-// encoding of t and the permutation achieving it (perm[pos] = original
-// vertex). With withMandatory set, the encoding carries a trailing
-// mandatory-bit section; because every candidate encoding has the same
-// number of edge terminators, no base encoding is a proper prefix of
-// another, so the extended minimum's base section still equals
-// CanonicalCode — the extension only refines ties and distinguishes
-// mandatory-differing templates.
-func canonicalize(t *Template, withMandatory bool) (string, []int) {
+// canonicalize computes the lexicographically smallest encoding of t over
+// the vertex orders that keep cells (colorCells' partition of t) in order,
+// and the permutation achieving it (perm[pos] = original vertex). With
+// withMandatory set, the encoding carries a trailing mandatory-bit section;
+// because every candidate encoding has the same number of edge terminators,
+// no base encoding is a proper prefix of another, so the extended minimum's
+// base section still equals CanonicalCode — the extension only refines ties
+// and distinguishes mandatory-differing templates.
+func canonicalize(t *Template, cells [][]int, withMandatory bool) (string, []int) {
 	n := t.NumVertices()
-	colors := refineColors(t)
-	// Group vertices into cells ordered by an iso-invariant cell key:
-	// (color histogram rank). Colors from refineColors are already ranks of
-	// sorted invariant keys, hence canonical across isomorphic templates.
-	cells := make(map[int][]int)
-	var cellIDs []int
-	for q := 0; q < n; q++ {
-		if _, ok := cells[colors[q]]; !ok {
-			cellIDs = append(cellIDs, colors[q])
-		}
-		cells[colors[q]] = append(cells[colors[q]], q)
-	}
-	sort.Ints(cellIDs)
-
 	perm := make([]int, 0, n) // perm[pos] = original vertex
 	best := ""
 	var bestPerm []int
 
-	var encode func() string
-	encode = func() string {
+	encode := func() string {
 		pos := make([]int, n) // original vertex -> position
 		for p, q := range perm {
 			pos[q] = p
@@ -307,7 +342,7 @@ func canonicalize(t *Template, withMandatory bool) (string, []int) {
 			l    Label
 			mand bool
 		}
-		var pes []pe
+		pes := make([]pe, 0, len(t.edges))
 		for i, e := range t.edges {
 			a, b := pos[e.I], pos[e.J]
 			if a > b {
@@ -339,7 +374,7 @@ func canonicalize(t *Template, withMandatory bool) (string, []int) {
 
 	var rec func(ci int)
 	rec = func(ci int) {
-		if ci == len(cellIDs) {
+		if ci == len(cells) {
 			code := encode()
 			if best == "" || code < best {
 				best = code
@@ -347,7 +382,7 @@ func canonicalize(t *Template, withMandatory bool) (string, []int) {
 			}
 			return
 		}
-		cell := cells[cellIDs[ci]]
+		cell := cells[ci]
 		permuteCell(cell, func(orderedCell []int) {
 			perm = append(perm, orderedCell...)
 			rec(ci + 1)
@@ -358,8 +393,8 @@ func canonicalize(t *Template, withMandatory bool) (string, []int) {
 	return best, bestPerm
 }
 
-// permuteCell calls fn with every permutation of cell (Heap's algorithm on a
-// copy).
+// permuteCell calls fn with every permutation of cell, which is not empty
+// (Heap's algorithm on a copy).
 func permuteCell(cell []int, fn func([]int)) {
 	c := append([]int(nil), cell...)
 	var rec func(k int)
@@ -376,10 +411,6 @@ func permuteCell(cell []int, fn func([]int)) {
 				c[0], c[k-1] = c[k-1], c[0]
 			}
 		}
-	}
-	if len(c) == 0 {
-		fn(c)
-		return
 	}
 	rec(len(c))
 }

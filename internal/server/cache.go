@@ -5,22 +5,22 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"approxmatch/internal/pattern"
 )
 
 // Cross-query result caching (ROADMAP item 1: shared execution).
 //
-// Admission canonicalizes the template (pattern.CanonicalForm), so every
-// query isomorphic to a previously-served one — any vertex relabeling, edge
+// Admission runs pattern.Canonical once per /match: it rewrites the template
+// to its canonical form and returns its canonical key, so every query
+// isomorphic to a previously-served one — any vertex relabeling, edge
 // reordering or endpoint flip — maps to the same cache key and the same
 // canonical execution. Because /match responses reference only background
 // graph vertices and prototype indices of the canonical run (never the
 // client's template vertex numbering), a cached body is served verbatim:
 // the isomorphism translation is the identity once execution itself is
-// canonical.
+// canonical. A template Canonical declines (too symmetric for its cap) is
+// merely uncacheable: it runs under the client's own numbering.
 //
-// The key is (graph epoch, k, count, vectors, pattern.CanonicalKey). The
+// The key is (graph epoch, k, count, vectors, canonical key). The
 // canonical key encodes labels, adjacency, edge labels AND mandatory flags
 // — two templates share it exactly when their prototype sets, and hence
 // their results, provably coincide. Epoch versioning invalidates every key
@@ -29,29 +29,10 @@ import (
 // Partial (budget-exhausted) responses are never cached: they reflect one
 // query's budget, not the graph.
 
-// maxCanonCost bounds the permutations template canonicalization may
-// enumerate at admission (it is factorial in the color-cell sizes, e.g. an
-// all-same-label clique). Canonicalization runs on the request path, so the
-// bound is sized for sub-second worst-case admission (~4µs per enumerated
-// permutation). Costlier templates bypass the result cache and run under
-// the client's own numbering — correctness is unaffected, the query is
-// merely uncacheable.
-const maxCanonCost = 1 << 16
-
 // resultKey derives the cache key for a request whose template canonical
 // key is ck.
 func resultKey(epoch uint64, req *MatchRequest, ck string) string {
 	return fmt.Sprintf("e%d|k%d|c%t|v%t|%s", epoch, req.K, req.Count, req.Vectors, ck)
-}
-
-// canonicalizeForCache rewrites t to its canonical form and returns the
-// cache key, or ok=false when the template is too costly to canonicalize.
-func canonicalizeForCache(epoch uint64, req *MatchRequest, t *pattern.Template) (*pattern.Template, string, bool) {
-	if pattern.CanonicalCost(t) > maxCanonCost {
-		return t, "", false
-	}
-	ct, _ := pattern.CanonicalForm(t)
-	return ct, resultKey(epoch, req, pattern.CanonicalKey(ct)), true
 }
 
 // resultCache is a byte-capped, concurrency-safe LRU over serialized

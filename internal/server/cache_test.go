@@ -331,7 +331,7 @@ func TestEpochBumpInvalidates(t *testing.T) {
 // engaged but never consulted.
 func TestUncacheableTemplateBypasses(t *testing.T) {
 	// A star with 9 same-label leaves: color refinement cannot split the
-	// leaf cell, so canonicalization would enumerate 9! ≫ maxCanonCost
+	// leaf cell, so canonicalization would enumerate 9! ≫ 1<<16
 	// permutations — too expensive for the admission path.
 	var sb strings.Builder
 	sb.WriteString("v 0 2\n")

@@ -251,7 +251,7 @@ func TestConcurrentMatchMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := &MatchRequest{Template: templateText(t, tpl), K: 2, Count: true, Vectors: true}
-	wantResp := buildMatchResponse(g, want.Set, want.Solutions, want.Levels, want.Partial, req, 0)
+	wantResp := buildMatchResponse(want, req, 0)
 
 	s := NewWithConfig(g, Config{MaxConcurrent: 4, QueueDepth: 64})
 	srv := httptest.NewServer(s.Handler())
@@ -309,7 +309,7 @@ func TestAdmissionWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := &MatchRequest{Template: templateText(t, tpl), K: 2, Count: true, Vectors: true}
-	wantResp := buildMatchResponse(g, want.Set, want.Solutions, want.Levels, want.Partial, req, 0)
+	wantResp := buildMatchResponse(want, req, 0)
 	body, _ := json.Marshal(req)
 
 	procs := runtime.GOMAXPROCS(0)

@@ -371,7 +371,7 @@ func (r *metricsRegistry) writeProm(w io.Writer, inFlight, waiting int, heapByte
 	fmt.Fprintf(w, "# HELP amatchd_wal_torn_tail_truncations_total Torn log tails truncated during recovery (unacknowledged final records discarded).\n")
 	fmt.Fprintf(w, "# TYPE amatchd_wal_torn_tail_truncations_total counter\n")
 	fmt.Fprintf(w, "amatchd_wal_torn_tail_truncations_total %d\n", wg.tornTails)
-	fmt.Fprintf(w, "# HELP amatchd_graph_epoch Current graph snapshot epoch (advances on every ingest or bump).\n")
+	fmt.Fprintf(w, "# HELP amatchd_graph_epoch Current graph snapshot epoch (advances on every applied /ingest batch).\n")
 	fmt.Fprintf(w, "# TYPE amatchd_graph_epoch gauge\n")
 	fmt.Fprintf(w, "amatchd_graph_epoch %d\n", epoch)
 	fmt.Fprintf(w, "# HELP amatchd_snapshots_retired_total Superseded graph snapshots whose last reader has finished.\n")

@@ -42,11 +42,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"approxmatch/internal/bitvec"
 	"approxmatch/internal/core"
 	"approxmatch/internal/graph"
 	"approxmatch/internal/pattern"
-	"approxmatch/internal/prototype"
 	"approxmatch/internal/router"
 	"approxmatch/internal/wal"
 )
@@ -635,11 +633,12 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// version out on every ingest.
 	var ckey string
 	var lead *flight
-	cacheable := s.rcache != nil
-	if cacheable {
-		t, ckey, cacheable = canonicalizeForCache(snap.Epoch(), req, t)
+	if s.rcache != nil {
+		if form, key, ok := pattern.Canonical(t); ok {
+			t, ckey = form, resultKey(snap.Epoch(), req, key)
+		}
 	}
-	if cacheable {
+	if ckey != "" {
 		var served bool
 		if lead, served = s.cachedOrLead(w, r, q, req, ckey); served {
 			return
@@ -665,7 +664,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil && (res == nil || !res.Partial) {
 			return nil, false, err
 		}
-		resp = buildMatchResponse(snap.Graph(), res.Set, res.Solutions, res.Levels, res.Partial, req, time.Since(q.start))
+		resp = buildMatchResponse(res, req, time.Since(q.start))
 		return &res.Metrics, res.Partial, nil
 	}) {
 		return
@@ -737,25 +736,25 @@ func (s *Server) cachedOrLead(w http.ResponseWriter, r *http.Request, q *request
 	return nil, true
 }
 
-// buildMatchResponse translates a pipeline result to the wire shape. g is
-// the snapshot the query ran on: pipeline vertex ids are internal (possibly
-// degree-relabeled), the wire speaks external ids.
-func buildMatchResponse(g *graph.Graph, set *prototype.Set, solutions []*core.Solution, levels []core.LevelStats, partial bool, req *MatchRequest, elapsed time.Duration) MatchResponse {
+// buildMatchResponse translates a pipeline result to the wire shape.
+// res.Graph is the snapshot the query ran on: pipeline vertex ids are
+// internal (possibly degree-relabeled), the wire speaks external ids.
+func buildMatchResponse(res *core.Result, req *MatchRequest, elapsed time.Duration) MatchResponse {
 	resp := MatchResponse{
-		Prototypes: make([]PrototypeSummary, 0, len(set.Protos)),
+		Prototypes: make([]PrototypeSummary, 0, len(res.Set.Protos)),
 		Vectors:    map[string][]int{},
 		ElapsedMS:  elapsed.Milliseconds(),
-		Partial:    partial,
+		Partial:    res.Partial,
 	}
 	// exact maps each edit distance to whether its level completed.
-	exact := make(map[int]bool, len(levels))
-	for _, lv := range levels {
+	exact := make(map[int]bool, len(res.Levels))
+	for _, lv := range res.Levels {
 		exact[lv.Dist] = lv.Complete
 		resp.Labels += lv.LabelsGenerated
 	}
-	for pi, p := range set.Protos {
+	for pi, p := range res.Set.Protos {
 		ps := PrototypeSummary{Index: pi, Dist: p.Dist, Exact: exact[p.Dist]}
-		if sol := solutions[pi]; sol != nil {
+		if sol := res.Solutions[pi]; sol != nil {
 			ps.Vertices = sol.Verts.Count()
 			if req.Count {
 				c := sol.MatchCount
@@ -765,22 +764,11 @@ func buildMatchResponse(g *graph.Graph, set *prototype.Set, solutions []*core.So
 		resp.Prototypes = append(resp.Prototypes, ps)
 	}
 	if req.Vectors {
-		// One key and one map insert per matching vertex; its vector lists
-		// the prototypes whose solution holds it, in ascending index order.
-		union := bitvec.New(g.NumVertices())
-		for _, sol := range solutions {
-			if sol != nil {
-				union.Or(sol.Verts)
-			}
-		}
-		union.ForEach(func(v int) {
-			var mv []int
-			for pi, sol := range solutions {
-				if sol != nil && sol.Verts.Get(v) {
-					mv = append(mv, pi)
-				}
-			}
-			resp.Vectors[strconv.Itoa(int(g.ExternalID(graph.VertexID(v))))] = mv
+		// One key and one map insert per matching vertex; its vector is the
+		// vertex's Rho row (Def. 3's match vector), prototypes ascending.
+		g := res.Graph
+		res.UnionVertices().ForEach(func(v int) {
+			resp.Vectors[strconv.Itoa(int(g.ExternalID(graph.VertexID(v))))] = res.MatchVector(graph.VertexID(v))
 		})
 	}
 	return resp

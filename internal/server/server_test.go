@@ -2,12 +2,19 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
+	"approxmatch/internal/bitvec"
+	"approxmatch/internal/core"
+	"approxmatch/internal/datagen"
 	"approxmatch/internal/graph"
+	"approxmatch/internal/pattern"
 )
 
 func testGraph() *graph.Graph {
@@ -139,4 +146,110 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode == http.StatusOK {
 		t.Error("GET /match accepted")
 	}
+}
+
+// perSolutionVectors is the /match vector derivation buildMatchResponse used
+// before it read Result.Rho: for every vertex of the solutions' union, probe
+// each prototype's solution in index order.
+func perSolutionVectors(res *core.Result) map[string][]int {
+	out := map[string][]int{}
+	union := bitvec.New(res.Graph.NumVertices())
+	for _, sol := range res.Solutions {
+		if sol != nil {
+			union.Or(sol.Verts)
+		}
+	}
+	union.ForEach(func(v int) {
+		var mv []int
+		for pi, sol := range res.Solutions {
+			if sol != nil && sol.Verts.Get(v) {
+				mv = append(mv, pi)
+			}
+		}
+		out[strconv.Itoa(int(res.Graph.ExternalID(graph.VertexID(v))))] = mv
+	})
+	return out
+}
+
+// TestMatchVectorsFromRho checks /match's vectors, read from the result's
+// Rho matrix (Def. 3's match vectors), against the per-solution derivation:
+// on an R-MAT graph and a degree-relabeled one, where some vertex sits in
+// two or more prototypes, and on a budget-partial result, whose unfinished
+// levels have nil solutions and zero Rho columns.
+func TestMatchVectorsFromRho(t *testing.T) {
+	rmat, rmatTpl := datagen.RMATWithPattern(10)
+	relabeled := graph.RelabelByDegree(relabelTestGraph())
+	if !relabeled.Relabeled() {
+		t.Fatal("test graph relabeled to identity")
+	}
+	triangle, err := pattern.Parse(strings.NewReader(triangleTemplate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, res *core.Result) {
+		t.Helper()
+		resp := buildMatchResponse(res, &MatchRequest{K: res.Set.MaxDist, Vectors: true}, 0)
+		if want := perSolutionVectors(res); !reflect.DeepEqual(resp.Vectors, want) {
+			t.Fatalf("vectors %v, want %v", resp.Vectors, want)
+		}
+		shared := false
+		for _, mv := range resp.Vectors {
+			shared = shared || len(mv) >= 2
+		}
+		if !shared {
+			t.Fatal("no vertex matches two prototypes; the case checks nothing about the vector order")
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		tpl  *pattern.Template
+		k    int
+	}{
+		{"rmat", rmat, rmatTpl, 2},
+		{"relabeled", relabeled, triangle, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := core.Run(tc.g, tc.tpl, core.DefaultConfig(tc.k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, res)
+		})
+	}
+	t.Run("partial", func(t *testing.T) {
+		// Grow the work budget until a run completes some level but not all.
+		for work := int64(16); ; work += work / 4 {
+			cfg := core.DefaultConfig(2)
+			cfg.Budget = core.Budget{MaxWork: work}
+			res, err := core.Run(rmat, rmatTpl, cfg)
+			if !errors.Is(err, core.ErrBudgetExhausted) {
+				t.Fatalf("work budget %d: err %v; no budget left a level unfinished after completing one", work, err)
+			}
+			if !res.Levels[0].Complete {
+				continue
+			}
+			unfinished := 0
+			for pi, p := range res.Set.Protos {
+				// Levels run from δ=MaxDist down, placeholders included.
+				if res.Levels[res.Set.MaxDist-p.Dist].Complete {
+					continue
+				}
+				unfinished++
+				if res.Solutions[pi] != nil {
+					t.Fatalf("unfinished prototype %d has a solution", pi)
+				}
+				for v := 0; v < rmat.NumVertices(); v++ {
+					if res.Rho.Get(v, pi) {
+						t.Fatalf("unfinished prototype %d has Rho bit for vertex %d", pi, v)
+					}
+				}
+			}
+			if unfinished == 0 {
+				t.Fatal("partial result has no unfinished prototype")
+			}
+			check(t, res)
+			return
+		}
+	})
 }
