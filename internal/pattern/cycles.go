@@ -63,22 +63,28 @@ func (t *Template) EdgeMonocyclic() bool {
 	return true
 }
 
-// CyclesSharingEdges returns pairs of cycle indices (into SimpleCycles's
-// result) that share at least one edge; these are the cycle pairs the paper
-// combines into TDS constraints (Fig. 2 top).
-func CyclesSharingEdges(cycles []Cycle) [][2]int {
+// CyclesSharingEdges returns up to limit pairs of cycle indices (into
+// SimpleCycles's result) that share at least one edge, in (i, j) order;
+// these are the cycle pairs the paper combines into TDS constraints (Fig. 2
+// top). Dense templates have millions of such pairs, so the scan stops at
+// the limit.
+func CyclesSharingEdges(cycles []Cycle, limit int) [][2]int {
 	edgeSets := make([]map[Edge]bool, len(cycles))
-	for i, c := range cycles {
-		edgeSets[i] = make(map[Edge]bool, len(c))
-		for j := range c {
-			edgeSets[i][normEdge(c[j], c[(j+1)%len(c)])] = true
+	edgeSet := func(i int) map[Edge]bool {
+		if edgeSets[i] == nil {
+			c := cycles[i]
+			edgeSets[i] = make(map[Edge]bool, len(c))
+			for j := range c {
+				edgeSets[i][normEdge(c[j], c[(j+1)%len(c)])] = true
+			}
 		}
+		return edgeSets[i]
 	}
 	var pairs [][2]int
-	for i := 0; i < len(cycles); i++ {
-		for j := i + 1; j < len(cycles); j++ {
-			for e := range edgeSets[i] {
-				if edgeSets[j][e] {
+	for i := 0; i < len(cycles) && len(pairs) < limit; i++ {
+		for j := i + 1; j < len(cycles) && len(pairs) < limit; j++ {
+			for e := range edgeSet(i) {
+				if edgeSet(j)[e] {
 					pairs = append(pairs, [2]int{i, j})
 					break
 				}

@@ -166,7 +166,7 @@ func TestEdgeMonocyclic(t *testing.T) {
 	if diamond.EdgeMonocyclic() {
 		t.Error("diamond should not be edge-monocyclic")
 	}
-	pairs := CyclesSharingEdges(diamond.SimpleCycles())
+	pairs := CyclesSharingEdges(diamond.SimpleCycles(), 8)
 	if len(pairs) == 0 {
 		t.Error("diamond cycles share edges")
 	}
