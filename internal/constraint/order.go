@@ -10,44 +10,32 @@ import (
 // drives the cost heuristics of §5.4 ("Constraint and Prototype Ordering").
 type LabelFreq map[Label]int64
 
-// EstimateCost scores a walk: the product-ish cost proxy used for ordering —
-// the frequency of the initiator's label weighted by walk length. Cheaper
-// (rarer-start, shorter) walks are verified first so they prune the graph
-// before expensive walks run.
-func EstimateCost(t *pattern.Template, w *Walk, freq LabelFreq) float64 {
-	start := freq[t.Label(w.Seq[0])]
-	if start == 0 {
-		start = 1
-	}
-	return float64(start) * float64(len(w.Seq))
-}
-
-// OrderWalks sorts the walks in place so cheaper walks come first. With a
-// nil frequency map (heuristic disabled) walks keep insertion order except
-// that verification-strength kinds sort last.
-func OrderWalks(t *pattern.Template, walks []*Walk, freq LabelFreq) {
+// Plan returns the pruning walks of prototype t in the order an engine runs
+// them. With a nil frequency map (frequency ordering off) walks keep
+// generation order within each kind, CC before PC before TDS. Otherwise each
+// walk is oriented to start from its rarest admissible initiator and the
+// walks are sorted by predicted token traffic on a background graph of
+// numVertices vertices and mean degree avgDegree, cheapest first, so cheap
+// walks prune before expensive ones run. Orientation is a function of the
+// walk's ID and freq alone, so every plan runs the walk its ID names.
+func Plan(t *pattern.Template, freq LabelFreq, numVertices int64, avgDegree float64) []*Walk {
+	walks := generate(t)
 	if freq == nil {
 		sort.SliceStable(walks, func(i, j int) bool { return walks[i].Kind < walks[j].Kind })
-		return
+		return walks
 	}
-	sort.SliceStable(walks, func(i, j int) bool {
-		ci, cj := EstimateCost(t, walks[i], freq), EstimateCost(t, walks[j], freq)
-		if ci != cj {
-			return ci < cj
-		}
-		return walks[i].Kind < walks[j].Kind
-	})
+	for i, w := range walks {
+		walks[i] = orientWalk(t, w, freq)
+	}
+	orderByCost(t, walks, newCostEstimator(numVertices, avgDegree, freq))
+	return walks
 }
 
-// OrientWalk rewrites a walk so that it starts from its cheapest admissible
-// initiator: CC walks rotate so the minimum-frequency label leads; PC walks
-// reverse when the far endpoint is rarer. TDS walks are re-rooted at the
-// rarest-label vertex of maximum degree. The walk ID is preserved — identity
-// is structural, not directional.
-func OrientWalk(t *pattern.Template, w *Walk, freq LabelFreq) *Walk {
-	if freq == nil {
-		return w
-	}
+// orientWalk rewrites a walk so that it starts from its cheapest admissible
+// initiator: CC walks rotate so the first minimum-frequency label leads; PC
+// walks reverse when the far endpoint is rarer. TDS walks stay as generated.
+// The walk ID is preserved — identity is structural, not directional.
+func orientWalk(t *pattern.Template, w *Walk, freq LabelFreq) *Walk {
 	switch w.Kind {
 	case CC:
 		cyc := w.Seq[:len(w.Seq)-1]
@@ -74,28 +62,6 @@ func OrientWalk(t *pattern.Template, w *Walk, freq LabelFreq) *Walk {
 			}
 			return &Walk{Kind: PC, Seq: seq, ID: w.ID}
 		}
-		return w
-	case TDS:
-		best, bestScore := -1, int64(0)
-		for q := 0; q < t.NumVertices(); q++ {
-			score := freq[t.Label(q)]
-			if best == -1 || score < bestScore ||
-				(score == bestScore && t.Degree(q) > t.Degree(best)) {
-				best, bestScore = q, score
-			}
-		}
-		nw := TDSWalk(t, best)
-		nw.ID = w.ID
-		return nw
 	}
 	return w
-}
-
-// OrientAll applies OrientWalk to each walk, returning a new slice.
-func OrientAll(t *pattern.Template, walks []*Walk, freq LabelFreq) []*Walk {
-	out := make([]*Walk, len(walks))
-	for i, w := range walks {
-		out[i] = OrientWalk(t, w, freq)
-	}
-	return out
 }

@@ -65,8 +65,7 @@ func TestWalkIDEncodingPinned(t *testing.T) {
 		}
 		walks := 0
 		for pi, p := range set.Protos {
-			pruning, verification := Generate(p.Template)
-			for _, w := range append(pruning, verification...) {
+			for _, w := range generate(p.Template) {
 				walks++
 				if want := fmtWalkID(p.Template, w.Kind, w.Seq); w.ID != want {
 					t.Errorf("%s prototype %d: walk %v ID %q, want %q", c.name, pi, w, w.ID, want)

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"approxmatch/internal/graph"
-	"approxmatch/internal/pattern"
 )
 
 // CountAllMatches enumerates every prototype's matches independently and
@@ -62,7 +61,7 @@ func CountAllMatchesExtended(r *Result, m *Metrics) ([]int64, error) {
 
 	// Terminal masks and the ancestor masks assigned to each.
 	connected := func(mask uint64) bool {
-		_, err := maskTemplate(base, mask)
+		_, err := base.Restrict(mask)
 		return err == nil
 	}
 	descend := func(mask uint64) uint64 {
@@ -99,7 +98,7 @@ func CountAllMatchesExtended(r *Result, m *Metrics) ([]int64, error) {
 
 	maskCount := make(map[uint64]int64, len(assigned))
 	for mask := range assigned {
-		tmpl, err := maskTemplate(base, mask)
+		tmpl, err := base.Restrict(mask)
 		if err != nil {
 			return nil, fmt.Errorf("core: terminal mask disconnected: %w", err)
 		}
@@ -144,11 +143,4 @@ func CountAllMatchesExtended(r *Result, m *Metrics) ([]int64, error) {
 		counts[pi] = maskCount[p.EdgeMask]
 	}
 	return counts, nil
-}
-
-// maskTemplate builds the template with base's vertices and the edges in
-// mask (edge labels and mandatory flags carried); it fails when the mask is
-// disconnected.
-func maskTemplate(base *pattern.Template, mask uint64) (*pattern.Template, error) {
-	return base.Restrict(mask)
 }

@@ -20,7 +20,7 @@ func ExactMatch(g *graph.Graph, t *pattern.Template, freqOrdering, countMatches 
 	if freqOrdering {
 		freq = SearchFrequencies(g)
 	}
-	sol := searchTemplateOn(s, t, buildLocalProfile(t), preparedWalks(g, t, freq), nil, nil, countMatches, &m, kernelOpts{})
+	sol := searchTemplateOn(s, t, buildLocalProfile(t), constraint.Plan(t, freq, int64(g.NumVertices()), g.AvgDegree()), nil, nil, countMatches, &m, kernelOpts{})
 	return sol, m
 }
 
@@ -32,26 +32,6 @@ func SearchFrequencies(g *graph.Graph) constraint.LabelFreq {
 	freq := g.LabelFrequencies()
 	freq[pattern.Wildcard] = int64(g.NumVertices())
 	return freq
-}
-
-// preparedWalks generates, orients and orders the pruning walks for t:
-// orientation picks cheap initiators by label frequency, and ordering uses
-// the expected-token-traffic estimator so cheap walks prune before
-// expensive ones run. A nil frequency map disables both.
-func preparedWalks(g *graph.Graph, t *pattern.Template, freq constraint.LabelFreq) []*constraint.Walk {
-	pruning, _ := constraint.Generate(t)
-	if freq == nil {
-		constraint.OrderWalks(t, pruning, nil)
-		return pruning
-	}
-	pruning = constraint.OrientAll(t, pruning, freq)
-	avg := 0.0
-	if n := g.NumVertices(); n > 0 {
-		avg = float64(2*g.NumEdges()) / float64(n)
-	}
-	ce := constraint.NewCostEstimator(int64(g.NumVertices()), avg, freq)
-	constraint.OrderWalksEstimated(t, pruning, ce)
-	return pruning
 }
 
 // searchTemplateOn implements Alg. 2 for one template on a given starting
@@ -95,7 +75,7 @@ func finishSearch(s *State, omega candidateSet, t *pattern.Template, prof *local
 
 	sol := &Solution{Proto: -1, MatchCount: -1}
 	phase = time.Now()
-	if constraint.Analyze(t).LocalSufficient {
+	if constraint.LocalSufficient(t) {
 		sol.Edges = cleanEdges(s)
 		sol.Verts = s.VertexBits().Clone()
 	} else {

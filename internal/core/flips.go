@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"approxmatch/internal/constraint"
 	"approxmatch/internal/graph"
 	"approxmatch/internal/pattern"
 	"approxmatch/internal/prototype"
@@ -49,7 +50,7 @@ func matchFlips(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config
 		// label classes are selective enough. Cache keys stay in original-id
 		// space, so recycling still crosses flips.
 		s = e.compact(s)
-		return searchTemplateOn(s, tpl, buildLocalProfile(tpl), preparedWalks(g, tpl, e.freq), e.cache, cc, cfg.CountMatches, &e.metrics, cfg.kernel())
+		return searchTemplateOn(s, tpl, buildLocalProfile(tpl), constraint.Plan(tpl, e.freq, int64(g.NumVertices()), g.AvgDegree()), e.cache, cc, cfg.CountMatches, &e.metrics, cfg.kernel())
 	}
 	res := &FlipResult{Flips: flips, Base: search(t)}
 	for _, f := range flips {

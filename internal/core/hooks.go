@@ -20,7 +20,7 @@ func SearchOn(ctx context.Context, level *State, t *pattern.Template, cache *Cac
 	// small-graph work never hits the budget.
 	defer cc.Release()
 	cc.Check()
-	return searchTemplateOn(level, t, buildLocalProfile(t), preparedWalks(level.Graph(), t, freq), cache, cc, count, m, kernelOpts{})
+	return searchTemplateOn(level, t, buildLocalProfile(t), constraint.Plan(t, freq, int64(level.Graph().NumVertices()), level.Graph().AvgDegree()), cache, cc, count, m, kernelOpts{})
 }
 
 // FinalizeExact reduces an already-pruned state (recall-safe, possibly
@@ -38,7 +38,7 @@ func FinalizeExact(ctx context.Context, s *State, t *pattern.Template, m *Metric
 	omega := initCandidates(s, t)
 	prof := buildLocalProfile(t)
 	lcc(s, omega, prof, cc, m)
-	if constraint.Analyze(t).LocalSufficient {
+	if constraint.LocalSufficient(t) {
 		return cleanEdges(s)
 	}
 	return verifyExact(s, omega, t, cc, m, kernelOpts{})

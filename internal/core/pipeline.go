@@ -197,7 +197,7 @@ func (e *engine) walksFor(pi int) []*constraint.Walk {
 	if ws, ok := e.walks[pi]; ok {
 		return ws
 	}
-	ws := preparedWalks(e.g, e.set.Protos[pi].Template, e.freq)
+	ws := constraint.Plan(e.set.Protos[pi].Template, e.freq, int64(e.g.NumVertices()), e.g.AvgDegree())
 	e.walks[pi] = ws
 	return ws
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"approxmatch/internal/constraint"
 	"approxmatch/internal/graph"
 	"approxmatch/internal/pattern"
 	"approxmatch/internal/prototype"
@@ -293,7 +294,7 @@ func TestSlotSymmetryAfterKernels(t *testing.T) {
 		assertSlotSymmetry(t, s, "lcc")
 		dropsIn["lcc"] += before - s.NumActiveVertices()
 
-		for _, w := range preparedWalks(g, tp, nil) {
+		for _, w := range constraint.Plan(tp, nil, 0, 0) {
 			before = s.NumActiveVertices()
 			nlcc(s, omega, tp, w, nil, nil, &m)
 			assertSlotSymmetry(t, s, "nlcc")

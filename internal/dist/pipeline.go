@@ -208,12 +208,7 @@ func (e *Engine) searchPrototype(ctx context.Context, from *core.State, t *patte
 	ds.initOmega(t)
 	ds.lccDist(t)
 
-	pruning, _ := constraint.Generate(t)
-	if freq != nil {
-		pruning = constraint.OrientAll(t, pruning, freq)
-	}
-	constraint.OrderWalks(t, pruning, freq)
-	for _, w := range pruning {
+	for _, w := range constraint.Plan(t, freq, int64(e.g.NumVertices()), e.g.AvgDegree()) {
 		cc.Check()
 		if ds.nlccDist(t, w, satisfied, cache) {
 			ds.lccDist(t)

@@ -52,6 +52,14 @@ func (g *Graph) NumVertices() int {
 // NumEdges returns the number of undirected edges m (each counted once).
 func (g *Graph) NumEdges() int { return len(g.adj) / 2 }
 
+// AvgDegree returns the mean vertex degree 2m/n, or 0 for an empty graph.
+func (g *Graph) AvgDegree() float64 {
+	if n := g.NumVertices(); n > 0 {
+		return float64(2*g.NumEdges()) / float64(n)
+	}
+	return 0
+}
+
 // NumDirectedEdges returns 2m, the number of stored adjacency entries.
 func (g *Graph) NumDirectedEdges() int { return len(g.adj) }
 
@@ -192,7 +200,7 @@ func ComputeStats(g *Graph) Stats {
 		labels[g.Label(VertexID(v))] = struct{}{}
 	}
 	if s.NumVertices > 0 {
-		s.AvgDegree = float64(2*s.NumEdges) / float64(s.NumVertices)
+		s.AvgDegree = g.AvgDegree()
 		variance := sumSq/float64(s.NumVertices) - s.AvgDegree*s.AvgDegree
 		if variance > 0 {
 			s.StdevDegree = math.Sqrt(variance)

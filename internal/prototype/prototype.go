@@ -102,7 +102,7 @@ func Generate(t *pattern.Template, k int) (*Set, error) {
 					link(s.Protos[parentIdx], s.Protos[ci])
 					continue
 				}
-				sub, err := subTemplate(t, mask)
+				sub, err := t.Restrict(mask)
 				if err != nil {
 					continue // disconnected; not a prototype
 				}
@@ -157,12 +157,6 @@ func dedupInts(xs []int) []int {
 		out = append(out, x)
 	}
 	return out
-}
-
-// subTemplate builds the template induced by keeping the base edges in
-// mask, carrying mandatory flags and edge labels.
-func subTemplate(t *pattern.Template, mask uint64) (*pattern.Template, error) {
-	return t.Restrict(mask)
 }
 
 // Count returns the number of prototype isomorphism classes. The paper's

@@ -106,7 +106,7 @@ func bruteClassCount(t *testing.T, tp *pattern.Template, d int) int {
 	var rec func(mask uint64, next, removed int)
 	rec = func(mask uint64, next, removed int) {
 		if removed == d {
-			sub, err := subTemplate(tp, mask)
+			sub, err := tp.Restrict(mask)
 			if err != nil {
 				return
 			}
@@ -225,7 +225,7 @@ func TestByMaskCoversAllConnectedSubsets(t *testing.T) {
 		var rec func(mask uint64, next, removed int)
 		rec = func(mask uint64, next, removed int) {
 			if removed == d {
-				if _, err := subTemplate(tp, mask); err != nil {
+				if _, err := tp.Restrict(mask); err != nil {
 					return
 				}
 				if _, ok := s.ByMask[mask]; !ok {
