@@ -58,20 +58,20 @@ func TestGoldenCounters(t *testing.T) {
 		count  goldenCounters // CountMatches=true
 	}{
 		{"WDC-1", wdc, datagen.WDC1(), 2,
-			goldenCounters{130064, 1813619, 105, 12326, 1281, 168, 3918, 1146, 2930, 0, 3, 56, 14, -1, 746399},
-			goldenCounters{130064, 1813619, 105, 12326, 1281, 168, 10312, 1146, 2930, 6345, 3, 56, 14, 299830, 835931},
+			goldenCounters{130064, 1813619, 105, 12286, 1281, 128, 3918, 1146, 2930, 0, 3, 56, 14, -1, 746157},
+			goldenCounters{130064, 1813619, 105, 12286, 1281, 128, 10312, 1146, 2930, 6345, 3, 56, 14, 299830, 835689},
 		},
 		{"WDC-2", wdc, datagen.WDC2(), 2,
-			goldenCounters{117036, 4774436, 159, 120661, 24307, 13255, 240932, 51061, 237119, 0, 99, 737, 14, -1, 2695251},
-			goldenCounters{117036, 4774436, 159, 120661, 24307, 13255, 441129, 51061, 237119, 199756, 99, 737, 14, 1778322, 3325634},
+			goldenCounters{117036, 4775560, 161, 117169, 24262, 13193, 240822, 51034, 237066, 0, 99, 740, 14, -1, 2692585},
+			goldenCounters{117036, 4775560, 161, 117169, 24262, 13193, 441019, 51034, 237066, 199756, 99, 740, 14, 1778322, 3322968},
 		},
 		{"WDC-3", wdc, datagen.WDC3(), 3,
-			goldenCounters{151440, 9307300, 1201, 57504, 4751, 39505, 25863, 5171, 25857, 0, 0, 0, 164, -1, 3995476},
-			goldenCounters{151440, 9307300, 1201, 57504, 4751, 39505, 51676, 5171, 25857, 25813, 0, 0, 164, 5186, 4098246},
+			goldenCounters{151440, 9304275, 1198, 52323, 4717, 30870, 25863, 5171, 25857, 0, 0, 0, 164, -1, 3937083},
+			goldenCounters{151440, 9304275, 1198, 52323, 4717, 30870, 51676, 5171, 25857, 25813, 0, 0, 164, 5186, 4039853},
 		},
 		{"RMAT-1", rg, rt, 1,
-			goldenCounters{19168, 458827, 45, 18725, 5819, 10267, 21931, 5876, 21926, 0, 214, 215, 8, -1, 511173},
-			goldenCounters{19168, 458827, 45, 18725, 5819, 10267, 35365, 5876, 21926, 13434, 214, 215, 8, 2710, 564333},
+			goldenCounters{19168, 458827, 45, 18213, 5819, 9755, 21931, 5876, 21926, 0, 214, 215, 8, -1, 507057},
+			goldenCounters{19168, 458827, 45, 18213, 5819, 9755, 35365, 5876, 21926, 13434, 214, 215, 8, 2710, 560217},
 		},
 	}
 	for _, tc := range cases {
