@@ -76,12 +76,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime $(FUZZTIME) ./internal/wal/
 
 # bench runs the in-process Go micro-benchmarks of the kernels, the
-# serving layer, the graph's load and delta paths and template
-# canonicalization, for timing a change while you work on it. End-to-end
+# serving layer, the graph's load and delta paths, template
+# canonicalization and walk planning, for timing a change while you work on it. End-to-end
 # numbers — served latency, throughput, ingest and recovery against a real
 # amatchd — come from the repo benchmark, bench/run.sh (see bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench . ./internal/core/ ./internal/server/ ./internal/graph/ ./internal/pattern/
+	$(GO) test -run '^$$' -bench . ./internal/core/ ./internal/server/ ./internal/graph/ ./internal/pattern/ ./internal/constraint/
 
 # loopback-smoke stands up a real multi-process deployment on loopback —
 # four amatchd workers plus an amatchd coordinator (-ranks-addr) — and
