@@ -77,11 +77,13 @@ fuzz-smoke:
 
 # bench runs the in-process Go micro-benchmarks of the kernels, the
 # serving layer, the graph's load and delta paths, template
-# canonicalization and walk planning, for timing a change while you work on it. End-to-end
+# canonicalization, walk planning and amatchd's two restart paths (parse
+# the seed, or fingerprint it and start from the WAL's checkpoint), for
+# timing a change while you work on it. End-to-end
 # numbers — served latency, throughput, ingest and recovery against a real
 # amatchd — come from the repo benchmark, bench/run.sh (see bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench . ./internal/core/ ./internal/server/ ./internal/graph/ ./internal/pattern/ ./internal/constraint/
+	$(GO) test -run '^$$' -bench . ./internal/core/ ./internal/server/ ./internal/graph/ ./internal/pattern/ ./internal/constraint/ ./cmd/internal/graphfile/
 
 # loopback-smoke stands up a real multi-process deployment on loopback —
 # four amatchd workers plus an amatchd coordinator (-ranks-addr) — and

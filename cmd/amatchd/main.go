@@ -27,11 +27,11 @@
 //	        [-ranks-addr host:p1,host:p2 -ranks-timeout 5s
 //	         -ranks-dial-timeout 30s]
 //
-// The listener binds before recovery begins and -addr may be ":0"; the
-// bound address is printed in the "serving" log line ("addr" field), which
-// is what the smoke scripts parse instead of hardcoding ports. Until
-// recovery completes every route — /healthz and /match included — answers
-// 503 with Retry-After.
+// The listener binds before the seed graph is loaded and before recovery
+// begins, and -addr may be ":0"; the bound address is printed in the
+// "serving" log line ("addr" field), which is what the smoke scripts parse
+// instead of hardcoding ports. Until the graph is loaded or recovered every
+// route — /healthz and /match included — answers 503 with Retry-After.
 //
 // -wal-dir enables durable ingest: every accepted /ingest batch is
 // appended to a segmented, CRC32C-checksummed write-ahead delta log and
@@ -41,7 +41,11 @@
 // the tail since the last checkpoint. On startup the directory is
 // recovered: checkpoint (or the seed graph), then tail replay with
 // torn-tail truncation; mid-log corruption refuses to start rather than
-// serve a wrong graph.
+// serve a wrong graph. A recovery that had to parse the -graph file also
+// checkpoints its epoch and records the file's SHA-256 in the directory,
+// so the next start on the same bytes recovers from the checkpoint without
+// parsing the file ("seed_loaded":false in the "wal recovered" log line).
+// -wal-checkpoint-every 0 parses the seed on every start.
 //
 // -ingest registers POST /ingest: a JSON batch of edge inserts/deletes and
 // vertex relabels is applied as one atomic epoch swap — in-flight queries
@@ -156,17 +160,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	g, err := graphfile.Load(o.graph)
-	if err != nil {
-		fatal(logger, "load graph", err)
-	}
 	cfg := o.cfg
 	cfg.Logger = logger
-	// Bind the listener and start serving behind a ready gate before
-	// recovery and rank dialing begin: probes and smoke scripts see a live
-	// port (503 + Retry-After on every route) instead of connection
-	// refused, and -addr ":0" works — the bound address is in the
-	// "serving" log line.
+	// Bind the listener and start serving behind a ready gate before the
+	// seed load, recovery and rank dialing begin: probes and smoke scripts
+	// see a live port (503 + Retry-After on every route) instead of
+	// connection refused, and -addr ":0" works — the bound address is in
+	// the "serving" log line.
 	gate := server.NewReadyGate()
 	// WriteTimeout must outlast the slowest legitimate query plus response
 	// streaming; with no query timeout it stays unbounded (the scheduler
@@ -191,21 +191,28 @@ func main() {
 	go func() { errc <- hs.Serve(ln) }()
 	logger.Info("serving", "addr", ln.Addr().String())
 
-	// -wal-dir recovers the durable state before anything is published:
-	// checkpoint (or the seed graph just loaded), then tail replay.
-	if o.walDir != "" {
+	// Recover or load. -wal-dir recovers the durable state before anything
+	// is published: checkpoint (or the seed graph), then tail replay. The
+	// seed is parsed only when the directory cannot vouch for the -graph
+	// file's bytes (wal.OpenSeed).
+	var g *graph.Graph
+	if o.walDir == "" {
+		if g, err = graphfile.Load(o.graph); err != nil {
+			fatal(logger, "load graph", err)
+		}
+	} else {
 		policy, err := wal.ParseSyncPolicy(o.walSync)
 		if err != nil {
 			fatal(logger, "parse -wal-sync", err)
 		}
 		var rec *wal.Recovery
-		cfg.WAL, rec, err = wal.Open(wal.Options{
+		cfg.WAL, rec, err = wal.OpenSeed(wal.Options{
 			Dir:             o.walDir,
 			Sync:            policy,
 			SyncEvery:       o.walSyncEvery,
 			SegmentBytes:    o.walSegBytes,
 			CheckpointEvery: o.walCkptEvery,
-		}, g)
+		}, graphfile.Seed(o.graph))
 		if err != nil {
 			fatal(logger, "recover wal", err)
 		}
@@ -214,7 +221,7 @@ func main() {
 			"dir", o.walDir, "epoch", rec.Epoch,
 			"from_checkpoint", rec.FromCheckpoint, "checkpoint_epoch", rec.CheckpointEpoch,
 			"replayed", rec.Replayed, "torn_tail", rec.TornTail,
-			"elapsed_ms", rec.Elapsed.Milliseconds())
+			"seed_loaded", rec.SeedLoaded, "elapsed_ms", rec.Elapsed.Milliseconds())
 	}
 
 	// -ranks-addr opts into coordinator mode: queries route to a group of

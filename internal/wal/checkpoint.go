@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -87,7 +88,10 @@ func writeCheckpointFile(opts Options, path string, g *graph.Graph, epoch uint64
 	if err != nil {
 		return fmt.Errorf("wal: create checkpoint tmp: %w", err)
 	}
+	// The header and graph stream through the CRC into the file; the graph
+	// is never staged whole in memory.
 	crc := crc32.New(crcTable)
+	w := io.MultiWriter(f, crc)
 	var buf bytes.Buffer
 	buf.WriteString(ckptMagic)
 	buf.WriteByte(ckptVersion)
@@ -102,20 +106,12 @@ func writeCheckpointFile(opts Options, path string, g *graph.Graph, epoch uint64
 		binary.LittleEndian.PutUint32(u4[:], v)
 		buf.Write(u4[:])
 	}
-	crc.Write(buf.Bytes())
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(buf.Bytes()); err != nil {
 		_ = f.Close()
 		_ = os.Remove(tmp)
 		return fmt.Errorf("wal: write checkpoint header: %w", err)
 	}
-	var body bytes.Buffer
-	if err := graph.WriteBinary(&body, g); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("wal: encode checkpoint graph: %w", err)
-	}
-	crc.Write(body.Bytes())
-	if _, err := f.Write(body.Bytes()); err != nil {
+	if err := graph.WriteBinary(w, g); err != nil {
 		_ = f.Close()
 		_ = os.Remove(tmp)
 		return fmt.Errorf("wal: write checkpoint graph: %w", err)

@@ -29,6 +29,10 @@ type Recovery struct {
 	Replayed int
 	// TornTail reports whether a torn tail was truncated.
 	TornTail bool
+	// SeedLoaded reports whether recovery had a parsed seed graph: always
+	// when Open is handed one, and for OpenSeed whenever it called
+	// Seed.Load.
+	SeedLoaded bool
 	// Elapsed is the wall time recovery took.
 	Elapsed time.Duration
 }
@@ -55,7 +59,7 @@ func Open(opts Options, seed *graph.Graph) (*Log, *Recovery, error) {
 		return nil, nil, fmt.Errorf("wal: create dir: %w", err)
 	}
 	l := &Log{opts: opts}
-	rec := &Recovery{}
+	rec := &Recovery{SeedLoaded: seed != nil}
 
 	ckpts, err := listCheckpointFiles(opts.Dir)
 	if err != nil {

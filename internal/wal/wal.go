@@ -7,7 +7,9 @@
 // `always` sync policy, fsynced — before the epoch that contains it is
 // published to readers. Recovery (Open) inverts that: checkpoint, then
 // tail replay with torn-tail truncation, reconstructs exactly the
-// published prefix.
+// published prefix. OpenSeed is the restart path of a process whose seed
+// is a text file: a directory that holds a checkpoint and the fingerprint
+// of the seed's bytes recovers without parsing it.
 package wal
 
 import (

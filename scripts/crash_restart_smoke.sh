@@ -4,7 +4,10 @@
 # warning, and is restarted on the same WAL dir. Every acknowledged batch
 # must survive: the recovered epoch equals the number of 200-acked
 # ingests, and the /match count and /stats edge count are identical to
-# what the server reported just before the kill. Emits
+# what the server reported just before the kill. Run 2 must recover from
+# the checkpoint without parsing the seed file ("seed_loaded":false); run 3,
+# after a comment line changes the seed file's bytes but not its graph,
+# must parse it ("seed_loaded":true) and recover the same state. Emits
 # `crash_restart_identical=true` on success so CI can grep it.
 set -euo pipefail
 
@@ -107,6 +110,11 @@ if ! grep -q '"msg":"wal recovered"' "$WORK/run2.log"; then
   tail -n 20 "$WORK/run2.log" >&2
   exit 1
 fi
+if ! grep '"msg":"wal recovered"' "$WORK/run2.log" | grep -q '"seed_loaded":false'; then
+  echo "FAIL: restart on the recorded seed bytes parsed the seed" >&2
+  tail -n 20 "$WORK/run2.log" >&2
+  exit 1
+fi
 
 POST_EPOCH="$(stats_field "$ADDR2" epoch)"
 POST_EDGES="$(stats_field "$ADDR2" edges)"
@@ -127,5 +135,30 @@ if [ "$FINAL_EPOCH" != "$((POST_EPOCH + 1))" ]; then
   echo "FAIL: post-recovery ingest moved epoch to $FINAL_EPOCH, want $((POST_EPOCH + 1))" >&2
   exit 1
 fi
+FINAL_EDGES="$(stats_field "$ADDR2" edges)"
+FINAL_COUNT="$(match_count "$ADDR2")"
+
+echo "== kill -9, then a comment line changes the seed file's bytes"
+kill -9 "$LAST_PID"
+wait "$LAST_PID" 2>/dev/null || true
+echo "# same graph, new bytes" >>"$WORK/g.txt"
+
+echo "== run 3: restart on the edited seed file"
+start_amatchd "$WORK/run3.log"
+ADDR3="$(bound_addr "$WORK/run3.log" 30)"
+wait_http_ok "http://$ADDR3/healthz" 30
+if ! grep '"msg":"wal recovered"' "$WORK/run3.log" | grep -q '"seed_loaded":true'; then
+  echo "FAIL: restart on changed seed bytes did not parse the seed" >&2
+  tail -n 20 "$WORK/run3.log" >&2
+  exit 1
+fi
+RUN3_EPOCH="$(stats_field "$ADDR3" epoch)"
+RUN3_EDGES="$(stats_field "$ADDR3" edges)"
+RUN3_COUNT="$(match_count "$ADDR3")"
+echo "   recovered epoch=$RUN3_EPOCH edges=$RUN3_EDGES match_count=$RUN3_COUNT"
+[ "$RUN3_EPOCH" = "$FINAL_EPOCH" ] || { echo "FAIL: run 3 epoch $RUN3_EPOCH != $FINAL_EPOCH" >&2; FAIL=1; }
+[ "$RUN3_EDGES" = "$FINAL_EDGES" ] || { echo "FAIL: run 3 edges $RUN3_EDGES != $FINAL_EDGES" >&2; FAIL=1; }
+[ "$RUN3_COUNT" = "$FINAL_COUNT" ] || { echo "FAIL: run 3 match count $RUN3_COUNT != $FINAL_COUNT" >&2; FAIL=1; }
+[ "$FAIL" = 0 ] || exit 1
 
 echo "crash_restart_identical=true"
